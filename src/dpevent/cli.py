@@ -143,8 +143,13 @@ def cmd_cluster(args) -> int:
             print(f"cluster: missing graph file {tsv}", file=sys.stderr)
             failures += 1
             continue
-        graph = read_graph_tsv(tsv, sidecar["nodes"])
-        run = cluster(graph, q0=args.q0, grouping=args.grouping)
+        try:
+            graph = read_graph_tsv(tsv, sidecar["nodes"])
+            run = cluster(graph, q0=args.q0, grouping=args.grouping)
+        except Exception as exc:  # noqa: BLE001 - per-block isolation
+            print(f"cluster: block {block_id} failed: {exc}", file=sys.stderr)
+            failures += 1
+            continue
         write_partition_csv(out / f"partition_block{block_id}.csv", sidecar["nodes"], run.final)
         write_json(out / f"run_block{block_id}.json", dict(run.to_dict(), block=block_id))
         print(f"cluster: block {block_id}: {run.final.num_communities} communities "
@@ -326,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilons", type=_parse_epsilon_list,
                    default=[float(e) for e in range(1, 11)],
                    help="comma-separated grid (default: 1..10)")
-    p.add_argument("--include-off", action="store_true", default=True,
+    p.add_argument("--include-off", action=argparse.BooleanOptionalAction, default=True,
                    help="append a no-noise ceiling row (default: on)")
     add_privacy_flags(p)
     p.add_argument("--q0", type=int, default=None)

@@ -133,21 +133,30 @@ def top_neighbor_table(block: Corpus, oracle: SimilarityOracle, k_max: int,
                        chunk_rows: int = 512):
     """Per-node neighbor ranking by descending noisy similarity, ties by ascending id.
 
+    Per chunk of rows, np.partition finds each row's k_max-th largest value;
+    every cell at or above it is kept, so all ties at that boundary survive.
+    One lexsort orders the survivors by (row, descending value, ascending id)
+    and the first k_max of each row are taken: the same result as a full sort
+    of every row. A node is never its own neighbor.
+
     Returns (nbrs, sims): (n, k_max) arrays of the k_max best neighbors per node
     and their unclipped noisy similarities.
     """
     n = len(block)
     nbrs = np.empty((n, k_max), dtype=np.int64)
     sims = np.empty((n, k_max), dtype=np.float64)
-    ids = np.arange(n)
     for lo in range(0, n, chunk_rows):
         hi = min(n, lo + chunk_rows)
         rows = oracle.noisy_rows(lo, hi)
         rows[np.arange(hi - lo), np.arange(lo, hi)] = -np.inf  # self never selected
-        for r in range(hi - lo):
-            order = np.lexsort((ids, -rows[r]))[:k_max]
-            nbrs[lo + r] = order
-            sims[lo + r] = rows[r][order]
+        kth = np.partition(rows, n - k_max, axis=1)[:, n - k_max]
+        r, c = np.nonzero(rows >= kth[:, None])  # row-major: r ascending
+        vals = rows[r, c]
+        order = np.lexsort((c, -vals, r))
+        counts = np.bincount(r, minlength=hi - lo)
+        take = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k_max)]
+        nbrs[lo:hi] = c[take]
+        sims[lo:hi] = vals[take]
     return nbrs, sims
 
 

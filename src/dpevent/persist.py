@@ -54,8 +54,11 @@ def read_graph_tsv(path, ids: list[str]) -> MessageGraph:
             parts = line.split("\t")
             if len(parts) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields")
-            us.append(index[parts[0]])
-            vs.append(index[parts[1]])
+            try:
+                us.append(index[parts[0]])
+                vs.append(index[parts[1]])
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: unknown node id {exc.args[0]!r}") from None
             ws.append(float(parts[2]))
             ps.append(PROV_CODES[parts[3]])
     return MessageGraph(n=len(ids), u=np.asarray(us, np.int64), v=np.asarray(vs, np.int64),

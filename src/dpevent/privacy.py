@@ -155,11 +155,18 @@ def resolve_noise_scale(report: SensitivityReport, params: PrivacyParams) -> flo
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    # SplitMix64 finalizer; wrapping uint64 arithmetic.
+    """SplitMix64 finalizer applied in place to an owned uint64 array; wrapping arithmetic."""
+    t = np.empty_like(z)
     with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _MIX_A
-        z = (z ^ (z >> np.uint64(27))) * _MIX_B
-        return z ^ (z >> np.uint64(31))
+        np.right_shift(z, np.uint64(30), out=t)
+        z ^= t
+        z *= _MIX_A
+        np.right_shift(z, np.uint64(27), out=t)
+        z ^= t
+        z *= _MIX_B
+        np.right_shift(z, np.uint64(31), out=t)
+        z ^= t
+    return z
 
 
 def substream_uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
@@ -167,21 +174,37 @@ def substream_uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
 
     Pure function of (seed, counter): value k of the stream is the SplitMix64
     output at state seed + (k+1)*gamma, mapped into (0,1) and centered.
+    The caller's counters are copied, never modified.
     """
-    counters = np.asarray(counters, dtype=np.uint64)
+    z = np.array(counters, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        state = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + (counters + np.uint64(1)) * _SPLITMIX_GAMMA
-        bits = _mix64(state)
+        z += np.uint64(1)
+        z *= _SPLITMIX_GAMMA
+        z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    _mix64(z)
     # (bits >> 11) in [0, 2^53); +0.5 keeps the endpoints strictly inside (0,1)
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * _U53 - 0.5
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u += 0.5
+    u *= _U53
+    u -= 0.5
+    return u
 
 
 def laplace_from_uniform(u, scale: float):
-    """Inverse-CDF transform: u in (-1/2, 1/2) -> Laplace(0, scale)."""
+    """Inverse-CDF transform: u in (-1/2, 1/2) -> Laplace(0, scale).
+
+    Computes -scale * sign(u) * log1p(-2|u|) into a new array; u is not modified.
+    """
     if scale == 0.0:
         return np.zeros_like(u) if isinstance(u, np.ndarray) else 0.0
     u = np.asarray(u, dtype=np.float64)
-    out = -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+    out = np.abs(u, out=np.empty_like(u))
+    out *= -2.0
+    np.log1p(out, out=out)
+    # -scale * log1p(-2|u|) >= 0 is the magnitude; the sign is u's
+    out *= -scale
+    np.copysign(out, u, out=out)
     return out if out.ndim else float(out)
 
 
@@ -201,7 +224,7 @@ def derive_block_seed(seed: int, block: int) -> int:
     """Stable per-block substream key for the pairwise noise."""
     with np.errstate(over="ignore"):
         z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ (np.uint64(block) * _SPLITMIX_GAMMA)
-    return int(_mix64(z ^ _SPLITMIX_GAMMA))
+    return int(_mix64(np.array(z ^ _SPLITMIX_GAMMA)))
 
 
 class SimilarityOracle:
@@ -227,6 +250,9 @@ class SimilarityOracle:
         self.report = report
         self.noise_scale = 0.0 if params.off else resolve_noise_scale(report, params)
         self._seed = derive_block_seed(params.seed, block_id)
+        # condensed index of pair (i, j), i < j, is _pair_base[i] + j
+        i = np.arange(self.n, dtype=np.int64)
+        self._pair_base = i * (2 * self.n - i - 1) // 2 - i - 1
         self._cache: dict[tuple[int, int], float] = {}
 
     def pair_index(self, i: int, j: int) -> int:
@@ -237,7 +263,7 @@ class SimilarityOracle:
             i, j = j, i
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise PrivacyError(f"pair ({i}, {j}) out of range for block of size {self.n}")
-        return i * (2 * self.n - i - 1) // 2 + (j - i - 1)
+        return int(self._pair_base[i]) + j
 
     def exact_similarity(self, i: int, j: int) -> float:
         emb = self.block.embeddings
@@ -270,29 +296,26 @@ class SimilarityOracle:
         emb = self.block.embeddings
         sims = np.einsum("ij,ij->i", emb[u], emb[v])
         if self.noise_scale > 0.0:
-            i = np.minimum(u, v)
-            j = np.maximum(u, v)
-            p = i * (2 * self.n - i - 1) // 2 + (j - i - 1)
-            sims = sims + laplace_from_uniform(substream_uniforms(self._seed, p.astype(np.uint64)),
-                                               self.noise_scale)
+            p = self._pair_base[np.minimum(u, v)] + np.maximum(u, v)
+            sims += laplace_from_uniform(substream_uniforms(self._seed, p), self.noise_scale)
         return sims
 
     def noisy_rows(self, lo: int, hi: int) -> np.ndarray:
         """Perturbed similarities of rows [lo, hi) against all records.
 
-        Identical values to per-pair queries (same substream); the diagonal is
-        set to NaN. Does not populate the scalar cache.
+        Each pair gets the same noise draw as in per-pair queries; the exact
+        cosine comes from a matrix product, so it can differ from noisy_pairs'
+        row-wise dot product in the last ulp. The diagonal is set to NaN. Does
+        not populate the scalar cache.
         """
         emb = self.block.embeddings
         sims = emb[lo:hi] @ emb.T
         if self.noise_scale > 0.0:
             rows = np.arange(lo, hi)[:, None]
-            cols = np.arange(self.n)[None, :]
-            i = np.minimum(rows, cols)
-            j = np.maximum(rows, cols)
-            p = i * (2 * self.n - i - 1) // 2 + (j - i - 1)
-            u = substream_uniforms(self._seed, p.astype(np.uint64))
-            sims = sims + laplace_from_uniform(u, self.noise_scale)
+            cols = np.arange(self.n)
+            p = self._pair_base + rows  # column j < row i: pair (j, i)
+            np.add(self._pair_base[lo:hi, None], cols, out=p, where=cols >= rows)  # pair (i, j)
+            sims += laplace_from_uniform(substream_uniforms(self._seed, p), self.noise_scale)
         sims[np.arange(hi - lo), np.arange(lo, hi)] = np.nan
         return sims
 

@@ -1,3 +1,4 @@
+import itertools
 import sys
 from pathlib import Path
 
@@ -36,3 +37,12 @@ def graph_from_arrays(n, u, v, w):
     return MessageGraph(n=n, u=np.asarray(u, np.int64), v=np.asarray(v, np.int64),
                         w=np.asarray(w, np.float64),
                         provenance=np.ones(len(u), dtype=np.uint8))
+
+
+def dyadic_embeddings(n, seed):
+    """n unit vectors with coordinates in {0, +-1/2, +-1}: their dot products are
+    exact in any summation order, so a matrix product and a row-wise dot agree
+    bit for bit."""
+    dirs = [s * np.eye(4)[k] for k in range(4) for s in (1.0, -1.0)]
+    dirs += [0.5 * np.array(signs) for signs in itertools.product((1.0, -1.0), repeat=4)]
+    return [dirs[i] for i in np.random.default_rng(seed).integers(0, len(dirs), size=n)]

@@ -156,3 +156,19 @@ def random_graph(rng, n=None, min_n=3, max_n=50, density=2.0, w_low=0.01, w_high
         v[t] = i + 1 + (p - offset)
     w = rng.uniform(w_low, w_high, size=m)
     return n, u, v, w
+
+
+def lexsort_top_neighbors(rows, k_max):
+    """Top-k neighbors by a full sort of every row: descending similarity, ties
+    by ascending id, the row's own node excluded. rows is the (n, n) similarity
+    matrix; its diagonal is ignored."""
+    n = len(rows)
+    nbrs = np.empty((n, k_max), dtype=np.int64)
+    sims = np.empty((n, k_max), dtype=np.float64)
+    for i in range(n):
+        ids = np.array([j for j in range(n) if j != i])
+        row = rows[i, ids]
+        order = np.lexsort((ids, -row))[:k_max]
+        nbrs[i] = ids[order]
+        sims[i] = row[order]
+    return nbrs, sims

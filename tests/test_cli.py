@@ -135,6 +135,21 @@ class TestPipelineCommands:
         sidecar = read_json(out / "graph_block0.json")
         assert sidecar["n"] == 6
 
+    def test_cluster_isolates_bad_block(self, tmp_path, capsys):
+        path = tmp_path / "two_blocks.jsonl"
+        rows = [{"id": f"r{i}", "block": i % 2, "embedding": [1.0, float(i) / 10],
+                 "attributes": {}, "label": "e"} for i in range(8)]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        gdir, cdir = tmp_path / "g", tmp_path / "c"
+        assert main(["build-graph", "--input", str(path), "--out", str(gdir)]) == 0
+        bad = gdir / "graph_block0.tsv"
+        bad.write_text(bad.read_text().replace("r0\t", "zz\t", 1))
+        assert main(["cluster", "--graphs", str(gdir), "--out", str(cdir)]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}:1: unknown node id 'zz'" in err
+        assert not (cdir / "partition_block0.csv").exists()
+        assert (cdir / "partition_block1.csv").exists()
+
     def test_evaluate_skips_unlabeled(self, tmp_path, capsys):
         path = tmp_path / "nolabel.jsonl"
         rows = [{"id": f"r{i}", "block": 0, "embedding": [1.0, float(i + 1)],
@@ -160,6 +175,15 @@ class TestSweep:
         summary = read_json(out / "sweep_summary.json")
         assert set(summary["mean_ari_by_epsilon"]) == {"2.0", "6.0"}
         assert "mean_ari_off" in summary
+
+    def test_no_include_off(self, tmp_path, corpus_file):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--input", str(corpus_file), "--out", str(out),
+                     "--epsilons", "2", "--mode", "global", "--no-include-off"]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert len(lines) == 1 + 1
+        assert not any(line.startswith("off,") for line in lines)
+        assert "mean_ari_off" not in read_json(out / "sweep_summary.json")
 
 
 class TestSensitivityReport:

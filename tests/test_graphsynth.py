@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_graph
-from oracles import direct_one_dim_se
+from conftest import dyadic_embeddings, make_graph
+from oracles import direct_one_dim_se, lexsort_top_neighbors
 
 from dpevent.corpus import Corpus, MessageRecord, SynthConfig, generate
 from dpevent.graphsynth import (GraphError, W_FLOOR, build_attribute_edges, build_graph,
-                                build_knn_edges, one_dim_se, synthesize_graph)
+                                build_knn_edges, one_dim_se, synthesize_graph,
+                                top_neighbor_table)
 from dpevent.privacy import PrivacyParams, SimilarityOracle
 
 
@@ -105,6 +106,37 @@ class TestKnnEdges:
         block = corpus_from_rows([[1, 0]])
         with pytest.raises(GraphError):
             build_knn_edges(block, None, k_max=1)
+
+
+def tie_heavy_block():
+    """20 records on 5 directions (4 axes and the all-0.5 diagonal), duplicated and
+    shuffled: the exact similarities are only 1, 0.5 and 0, in large tie groups."""
+    dirs = [[1, 0, 0, 0]] * 5 + [[0, 1, 0, 0]] * 5 + [[0, 0, 1, 0]] * 4 \
+        + [[0.5, 0.5, 0.5, 0.5]] * 3 + [[0, 0, 0, 1]] * 3
+    order = np.random.default_rng(3).permutation(len(dirs))
+    return corpus_from_rows([dirs[i] for i in order])
+
+
+def dyadic_block():
+    return corpus_from_rows(dyadic_embeddings(23, seed=4))
+
+
+class TestTopNeighborTable:
+    @pytest.mark.parametrize("make_block, epsilon, k_max, chunk_rows", [
+        (tie_heavy_block, None, 7, 512),    # k-th value inside a tie group
+        (tie_heavy_block, None, 19, 512),   # k_max = n - 1
+        (tie_heavy_block, None, 7, 3),      # ties across chunk boundaries
+        (dyadic_block, 1.0, 5, 3),          # noisy rows, lo > 0, ragged last chunk
+        (dyadic_block, 1.0, 22, 3),
+    ])
+    def test_matches_full_row_sort(self, make_block, epsilon, k_max, chunk_rows):
+        block = make_block()
+        oracle = SimilarityOracle(block, PrivacyParams(epsilon=epsilon, sensitivity_mode="global",
+                                                       seed=11))
+        nbrs, sims = top_neighbor_table(block, oracle, k_max, chunk_rows=chunk_rows)
+        ref_nbrs, ref_sims = lexsort_top_neighbors(oracle.noisy_rows(0, len(block)), k_max)
+        assert np.array_equal(nbrs, ref_nbrs)
+        assert np.array_equal(sims, ref_sims)
 
 
 class TestAttributeEdges:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import dyadic_embeddings
+
 from dpevent.corpus import Corpus, MessageRecord, SynthConfig, generate
 from dpevent.privacy import (GLOBAL_SENSITIVITY, PrivacyError, PrivacyParams, SensitivityReport,
                              SimilarityOracle, derive_block_seed, global_sensitivity,
@@ -167,6 +169,19 @@ class TestOracle:
             for j in range(10):
                 if i != j:
                     assert rows[i, j] == pytest.approx(oracle.noisy_similarity(i, j), abs=1e-12)
+
+    @pytest.mark.parametrize("mode, epsilon", [("global", 1.5), ("mixed", 0.5)])
+    def test_rows_bit_exact_with_pairs(self, mode, epsilon):
+        # exact cosines of dyadic vectors do not depend on summation order, so
+        # equality checks each cell's pair index and noise draw bit for bit
+        oracle = self._oracle(dyadic_embeddings(11, seed=4), epsilon=epsilon, mode=mode, seed=9)
+        assert oracle.noise_scale > 0.1
+        for lo, hi in ((4, 8), (8, 11)):  # lo > 0, then the ragged last 4-row chunk
+            rows = oracle.noisy_rows(lo, hi)
+            for r in range(hi - lo):
+                for j in range(oracle.n):
+                    if j != lo + r:
+                        assert rows[r, j] == oracle.noisy_pairs([lo + r], [j])[0]
 
     def test_pairs_match_scalar_path(self, rng):
         emb = rng.normal(size=(9, 5))
