@@ -1,224 +1,11 @@
-"""Greedy-merge hot kernel: numba JIT with a pure-numpy fallback.
+"""Merge-loop backend stamp.
 
-Backend selection: set DPEVENT_BACKEND=numpy to force the fallback,
-DPEVENT_BACKEND=numba to require the JIT (raises if numba is missing);
-the default "auto" uses numba when importable.
-
-Both backends implement the same contract. Given aggregated cross-community
-edges (ea, eb, ew) with ea < eb and the cached per-community state (V, g,
-ilog) over a graph of total volume vol, repeatedly apply the most-negative
-merge delta (ties: lexicographically smallest pair) until no pair improves by
-more than tol. State arrays and parent are updated in place (edge arrays are
-consumed as scratch); parent[b] = a records each merge of b into a (a < b).
-The accepted deltas are written to merge_deltas and the number of merges is
-returned.
-
-A merge of (a, b) only changes the state of those two communities, so the
-per-edge delta array is maintained incrementally: edges not incident to the
-merged pair keep their value, edges absorbed into the survivor are deduped
-(at most two entries per endpoint, one from each side) and recomputed.
+The greedy merge loop is pure numpy and lives in :mod:`dpevent.entropy`.
 """
 
-from __future__ import annotations
-
-import math
-import os
-
-import numpy as np
-
-_BACKEND_ENV = "DPEVENT_BACKEND"
-
-try:
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-    HAS_NUMBA = False
+# kept because the benchmark's environment record reads both names
+HAS_NUMBA = False
 
 
 def backend_name() -> str:
-    mode = os.environ.get(_BACKEND_ENV, "auto").lower()
-    if mode not in ("auto", "numba", "numpy"):
-        raise ValueError(f"{_BACKEND_ENV} must be auto, numba or numpy, got {mode!r}")
-    if mode == "numba" and not HAS_NUMBA:
-        raise RuntimeError("DPEVENT_BACKEND=numba but numba is not importable")
-    if mode == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    return mode
-
-
-def greedy_merge(ea, eb, ew, V, g, ilog, parent, vol, tol, merge_deltas) -> int:
-    """Dispatch the merge loop to the selected backend."""
-    ea = np.ascontiguousarray(ea, dtype=np.int64)
-    eb = np.ascontiguousarray(eb, dtype=np.int64)
-    ew = np.ascontiguousarray(ew, dtype=np.float64)
-    if backend_name() == "numba":
-        return _greedy_merge_numba(ea, eb, ew, ea.size, V, g, ilog, parent, vol, tol,
-                                   merge_deltas)
-    return _greedy_merge_numpy(ea, eb, ew, V, g, ilog, parent, vol, tol, merge_deltas)
-
-
-def _deltas_numpy(ea, eb, ew, V, g, ilog, vol, log2vol):
-    va = V[ea]
-    vb = V[eb]
-    ga = g[ea]
-    gb = g[eb]
-    ia = ilog[ea]
-    ib = ilog[eb]
-    vm = va + vb
-    gm = np.maximum(ga + gb - 2.0 * ew, 0.0)
-    cm = (vm - gm) * np.log2(vm) + gm * log2vol - (ia + ib)
-    ca = (va - ga) * np.log2(va) + ga * log2vol - ia
-    cb = (vb - gb) * np.log2(vb) + gb * log2vol - ib
-    return (cm - ca - cb) / vol
-
-
-def _greedy_merge_numpy(ea, eb, ew, V, g, ilog, parent, vol, tol, merge_deltas) -> int:
-    log2vol = math.log2(vol)
-    merges = 0
-    delta = _deltas_numpy(ea, eb, ew, V, g, ilog, vol, log2vol)
-    while ea.size:
-        dmin = float(delta.min())
-        if not dmin < -tol:
-            break
-        tied = np.flatnonzero(delta == dmin)
-        best = int(tied[np.lexsort((eb[tied], ea[tied]))[0]])
-        a = int(ea[best])
-        b = int(eb[best])
-        V[a] += V[b]
-        g[a] = max(g[a] + g[b] - 2.0 * ew[best], 0.0)
-        ilog[a] += ilog[b]
-        parent[b] = a
-        merge_deltas[merges] = dmin
-        merges += 1
-
-        keep = np.ones(ea.size, dtype=bool)
-        keep[best] = False
-        x = np.where(ea == b, a, ea)
-        y = np.where(eb == b, a, eb)
-        lo = np.minimum(x, y)
-        hi = np.maximum(x, y)
-        touch = keep & ((lo == a) | (hi == a))
-        rest = keep & ~touch
-        if np.any(touch):
-            other = np.where(lo[touch] == a, hi[touch], lo[touch])
-            uniq, inv = np.unique(other, return_inverse=True)
-            summed = np.bincount(inv, weights=ew[touch])
-            na = np.minimum(uniq, a)
-            nb = np.maximum(uniq, a)
-            ea = np.concatenate([ea[rest], na])
-            eb = np.concatenate([eb[rest], nb])
-            ew = np.concatenate([ew[rest], summed])
-            delta = np.concatenate([delta[rest],
-                                    _deltas_numpy(na, nb, summed, V, g, ilog, vol, log2vol)])
-        else:
-            ea, eb, ew, delta = ea[rest], eb[rest], ew[rest], delta[rest]
-    return merges
-
-
-if HAS_NUMBA:
-
-    @numba.njit(cache=True)
-    def _edge_delta(a, b, w, V, g, ilog, vol, log2vol):
-        va = V[a]
-        vb = V[b]
-        ga = g[a]
-        gb = g[b]
-        ia = ilog[a]
-        ib = ilog[b]
-        vm = va + vb
-        gm = ga + gb - 2.0 * w
-        if gm < 0.0:
-            gm = 0.0
-        cm = (vm - gm) * math.log2(vm) + gm * log2vol - (ia + ib)
-        ca = (va - ga) * math.log2(va) + ga * log2vol - ia
-        cb = (vb - gb) * math.log2(vb) + gb * log2vol - ib
-        return (cm - ca - cb) / vol
-
-    @numba.njit(cache=True)
-    def _greedy_merge_numba(ea, eb, ew, n_edges, V, g, ilog, parent, vol, tol, merge_deltas):
-        log2vol = math.log2(vol)
-        merges = 0
-        cap = n_edges if n_edges > 0 else 1
-        delta = np.empty(cap, np.float64)
-        touch_other = np.empty(cap, np.int64)
-        touch_w = np.empty(cap, np.float64)
-        for t in range(n_edges):
-            delta[t] = _edge_delta(ea[t], eb[t], ew[t], V, g, ilog, vol, log2vol)
-        while n_edges > 0:
-            best = -1
-            best_d = 0.0
-            best_a = -1
-            best_b = -1
-            for t in range(n_edges):
-                d = delta[t]
-                if d < -tol:
-                    a = ea[t]
-                    b = eb[t]
-                    if (best < 0 or d < best_d
-                            or (d == best_d and (a < best_a or (a == best_a and b < best_b)))):
-                        best = t
-                        best_d = d
-                        best_a = a
-                        best_b = b
-            if best < 0:
-                break
-            a = best_a
-            b = best_b
-            V[a] += V[b]
-            gm = g[a] + g[b] - 2.0 * ew[best]
-            g[a] = gm if gm > 0.0 else 0.0
-            ilog[a] += ilog[b]
-            parent[b] = a
-            merge_deltas[merges] = best_d
-            merges += 1
-
-            n_touch = 0
-            wp = 0
-            for t in range(n_edges):
-                if t == best:
-                    continue
-                x = ea[t]
-                y = eb[t]
-                if x == b:
-                    x = a
-                if y == b:
-                    y = a
-                if x == y:
-                    continue
-                if x == a or y == a:
-                    touch_other[n_touch] = y if x == a else x
-                    touch_w[n_touch] = ew[t]
-                    n_touch += 1
-                else:
-                    ea[wp] = x
-                    eb[wp] = y
-                    ew[wp] = ew[t]
-                    delta[wp] = delta[t]
-                    wp += 1
-            if n_touch > 0:
-                order = np.argsort(touch_other[:n_touch], kind="mergesort")
-                prev = np.int64(-1)
-                for oi in range(n_touch):
-                    src = order[oi]
-                    o = touch_other[src]
-                    if o == prev:
-                        # at most two entries per endpoint (one from each merged side)
-                        ew[wp - 1] += touch_w[src]
-                        delta[wp - 1] = _edge_delta(ea[wp - 1], eb[wp - 1], ew[wp - 1],
-                                                    V, g, ilog, vol, log2vol)
-                    else:
-                        ea[wp] = a if a < o else o
-                        eb[wp] = o if a < o else a
-                        ew[wp] = touch_w[src]
-                        delta[wp] = _edge_delta(ea[wp], eb[wp], ew[wp], V, g, ilog, vol, log2vol)
-                        wp += 1
-                        prev = o
-            n_edges = wp
-        return merges
-
-else:  # pragma: no cover - exercised only without numba installed
-
-    def _greedy_merge_numba(*args):
-        raise RuntimeError("numba backend requested but numba is not installed")
+    return "numpy"

@@ -136,18 +136,17 @@ def cmd_cluster(args) -> int:
                                    "grouping": args.grouping})
     failures = 0
     for sidecar_path in sidecars:
-        sidecar = read_json(sidecar_path)
-        block_id = sidecar["block"]
-        tsv = graphs_dir / f"graph_block{block_id}.tsv"
-        if not tsv.exists():
-            print(f"cluster: missing graph file {tsv}", file=sys.stderr)
-            failures += 1
-            continue
         try:
+            sidecar = read_json(sidecar_path)
+            block_id = sidecar["block"]
+            tsv = graphs_dir / f"graph_block{block_id}.tsv"
+            if not tsv.exists():
+                raise FileNotFoundError(f"missing graph file {tsv}")
             graph = read_graph_tsv(tsv, sidecar["nodes"])
             run = cluster(graph, q0=args.q0, grouping=args.grouping)
         except Exception as exc:  # noqa: BLE001 - per-block isolation
-            print(f"cluster: block {block_id} failed: {exc}", file=sys.stderr)
+            print(f"cluster: {sidecar_path.name} failed: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
             failures += 1
             continue
         write_partition_csv(out / f"partition_block{block_id}.csv", sidecar["nodes"], run.final)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _accel
 from .graphsynth import GraphError, MessageGraph
 
 MERGE_TOL = 1e-12
@@ -91,11 +90,17 @@ class Partition:
         return [order[bounds[c]:bounds[c + 1]] for c in range(self.num_communities)]
 
 
-def _contribution(V: float, g: float, ilog: float, log2vol: float) -> float:
-    # zero-volume communities (all members isolated) contribute nothing
-    if V <= 0.0:
-        return 0.0
-    return (V - g) * math.log2(V) + g * log2vol - ilog
+def _contributions(V, g, ilog, log2vol: float) -> np.ndarray:
+    """Per-community terms c_j = (V-g)*log2(V) + g*log2(vol) - ilog, elementwise.
+
+    Zero-volume communities (all members isolated) contribute nothing.
+    """
+    pos = V > 0.0
+    if pos.all():
+        return (V - g) * np.log2(V) + g * log2vol - ilog
+    out = np.zeros(pos.shape)
+    out[pos] = _contributions(V[pos], g[pos], ilog[pos], log2vol)
+    return out
 
 
 def _community_aggregates(graph: MessageGraph, assignment: np.ndarray):
@@ -134,18 +139,58 @@ def two_dim_se(graph: MessageGraph, partition: Partition) -> float:
     vol, V, g, ilog, *_ = _community_aggregates(graph, assignment)
     if vol <= 0.0:
         raise GraphError("2D structural entropy is undefined on an empty graph")
-    log2vol = math.log2(vol)
-    pos = V > 0
-    total = float(((V[pos] - g[pos]) * np.log2(V[pos]) + g[pos] * log2vol - ilog[pos]).sum())
-    return total / vol
+    pos = V > 0  # zero terms would regroup numpy's pairwise summation
+    return float(_contributions(V[pos], g[pos], ilog[pos], math.log2(vol)).sum()) / vol
+
+
+def _merge_deltas(ea, eb, ew, V, g, ilog, vol, log2vol):
+    """H2 change of merging each pair (ea, eb) joined by cut weight ew."""
+    va = V[ea]
+    vb = V[eb]
+    ga = g[ea]
+    gb = g[eb]
+    ia = ilog[ea]
+    ib = ilog[eb]
+    gm = np.maximum(ga + gb - 2.0 * ew, 0.0)
+    # one call for the merged pair and both sides: the arrays are small, so the
+    # per-call cost dominates
+    cm, ca, cb = _contributions(np.array([va + vb, va, vb]), np.array([gm, ga, gb]),
+                                np.array([ia + ib, ia, ib]), log2vol)
+    return (cm - ca - cb) / vol
+
+
+def _merge(a, b, w, V, g, ilog, parent, ea, eb, ew):
+    """Fold community b into a (a < b), whose cut weight is w.
+
+    Updates the state of a in place and records parent[b] = a. Returns the
+    mask of the cross-community edges (ea, eb, ew) that touch neither a nor b,
+    and the contracted edge list: those edges in order, followed by the edges
+    of the merged community with parallel weights summed. The a-b edge
+    vanishes.
+    """
+    V[a] += V[b]
+    g[a] = max(g[a] + g[b] - 2.0 * w, 0.0)
+    ilog[a] += ilog[b]
+    parent[b] = a
+    x = np.where(ea == b, a, ea)
+    y = np.where(eb == b, a, eb)
+    lo = np.minimum(x, y)
+    hi = np.maximum(x, y)
+    at_a = (lo == a) | (hi == a)
+    touch = at_a & (lo != hi)
+    other = np.where(lo[touch] == a, hi[touch], lo[touch])
+    uniq, inv = np.unique(other, return_inverse=True)
+    rest = ~at_a
+    return (rest, np.concatenate([ea[rest], np.minimum(uniq, a)]),
+            np.concatenate([eb[rest], np.maximum(uniq, a)]),
+            np.concatenate([ew[rest], np.bincount(inv, weights=ew[touch])]))
 
 
 class CommunityState:
-    """Cached per-community state supporting O(1) merge deltas.
+    """Per-community state and cross-community edges of a partitioned graph.
 
-    Reference implementation used by the public merge_delta operation and the
-    incremental-correctness tests; the batched minimizer in vanilla_minimize
-    runs the same arithmetic through the accelerated kernel.
+    Holds the arrays the greedy merge loop works on: merge_delta evaluates the
+    loop's delta for one pair and apply_merge runs its merge-and-contract step.
     """
 
     def __init__(self, graph: MessageGraph, partition: Partition):
@@ -153,68 +198,46 @@ class CommunityState:
         vol, V, g, ilog, ea, eb, ew = _community_aggregates(graph, assignment)
         if vol <= 0.0:
             raise GraphError("community state is undefined on an empty graph")
-        self.graph = graph
         self.vol = vol
         self.log2vol = math.log2(vol)
         self.V = V
         self.g = g
         self.ilog = ilog
+        self.ea = ea
+        self.eb = eb
+        self.ew = ew
         self.alive = np.ones(V.size, dtype=bool)
         self.parent = np.arange(V.size, dtype=np.int64)
-        self.cross: dict[int, dict[int, float]] = {c: {} for c in range(V.size)}
-        for a, b, w in zip(ea.tolist(), eb.tolist(), ew.tolist()):
-            self.cross[a][b] = w
-            self.cross[b][a] = w
         self._base_assignment = assignment
 
-    def _require_alive(self, c: int):
-        if not (0 <= c < self.alive.size) or not self.alive[c]:
-            raise InvalidPartitionError(f"unknown or merged community id {c}")
-
-    def cut_weight(self, a: int, b: int) -> float:
-        return self.cross[a].get(b, 0.0)
+    def _pair(self, a: int, b: int):
+        """The pair as (lo, hi, cut weight), validated."""
+        if a == b:
+            raise InvalidPartitionError("cannot merge a community with itself")
+        for c in (a, b):
+            if not (0 <= c < self.alive.size) or not self.alive[c]:
+                raise InvalidPartitionError(f"unknown or merged community id {c}")
+        lo, hi = min(a, b), max(a, b)
+        edge = np.flatnonzero((self.ea == lo) & (self.eb == hi))
+        return lo, hi, float(self.ew[edge[0]]) if edge.size else 0.0
 
     def merge_delta(self, a: int, b: int) -> float:
         """H2(after merging a and b) - H2(before), from cached state."""
-        if a == b:
-            raise InvalidPartitionError("cannot merge a community with itself")
-        self._require_alive(a)
-        self._require_alive(b)
-        w = self.cut_weight(a, b)
-        va, ga, ia = float(self.V[a]), float(self.g[a]), float(self.ilog[a])
-        vb, gb, ib = float(self.V[b]), float(self.g[b]), float(self.ilog[b])
-        cm = _contribution(va + vb, max(ga + gb - 2.0 * w, 0.0), ia + ib, self.log2vol)
-        return (cm - _contribution(va, ga, ia, self.log2vol)
-                - _contribution(vb, gb, ib, self.log2vol)) / self.vol
+        lo, hi, w = self._pair(a, b)
+        return float(_merge_deltas(np.array([lo]), np.array([hi]), np.array([w]), self.V,
+                                   self.g, self.ilog, self.vol, self.log2vol)[0])
 
     def apply_merge(self, a: int, b: int) -> None:
         """Merge the two communities; the smaller id survives."""
-        if a == b:
-            raise InvalidPartitionError("cannot merge a community with itself")
-        self._require_alive(a)
-        self._require_alive(b)
-        keep, gone = (a, b) if a < b else (b, a)
-        w = self.cut_weight(keep, gone)
-        self.V[keep] += self.V[gone]
-        self.g[keep] = max(self.g[keep] + self.g[gone] - 2.0 * w, 0.0)
-        self.ilog[keep] += self.ilog[gone]
-        for c, wc in self.cross[gone].items():
-            if c == keep:
-                continue
-            self.cross[keep][c] = self.cross[keep].get(c, 0.0) + wc
-            self.cross[c][keep] = self.cross[keep][c]
-            del self.cross[c][gone]
-        self.cross[keep].pop(gone, None)
-        self.cross[gone] = {}
-        self.alive[gone] = False
-        self.parent[gone] = keep
+        lo, hi, w = self._pair(a, b)
+        _, self.ea, self.eb, self.ew = _merge(lo, hi, w, self.V, self.g, self.ilog, self.parent,
+                                              self.ea, self.eb, self.ew)
+        self.alive[hi] = False
 
     def two_dim_se(self) -> float:
-        total = 0.0
-        for c in np.flatnonzero(self.alive):
-            total += _contribution(float(self.V[c]), float(self.g[c]), float(self.ilog[c]),
-                                   self.log2vol)
-        return total / self.vol
+        alive = self.alive
+        return float(_contributions(self.V[alive], self.g[alive], self.ilog[alive],
+                                   self.log2vol).sum()) / self.vol
 
     def partition(self) -> Partition:
         root = resolve_parents(self.parent)
@@ -239,13 +262,35 @@ def resolve_parents(parent: np.ndarray) -> np.ndarray:
 def minimize_edges(ea, eb, ew, V, g, ilog, parent, vol):
     """Run the greedy merge loop on pre-aggregated cross-community edges.
 
-    Mutates V, g, ilog, parent in place (edge arrays are scratch). Returns the
+    Edges satisfy ea < eb. Repeatedly merges the pair with the most negative
+    delta (ties: lexicographically smallest pair) until no pair improves H2 by
+    more than MERGE_TOL. Mutates V, g, ilog, parent in place. Returns the
     array of accepted merge deltas, each strictly below -MERGE_TOL.
+
+    A merge only changes the state of the merged pair, so deltas of edges not
+    incident to it are kept and only the survivor's re-aggregated edges are
+    recomputed.
     """
-    merge_deltas = np.empty(max(int(parent.size), 1), dtype=np.float64)
-    count = _accel.greedy_merge(ea, eb, ew, V, g, ilog, parent, float(vol), MERGE_TOL,
-                                merge_deltas)
-    return merge_deltas[:count]
+    vol = float(vol)
+    log2vol = math.log2(vol)
+    accepted = []
+    delta = _merge_deltas(ea, eb, ew, V, g, ilog, vol, log2vol)
+    while ea.size:
+        dmin = float(delta.min())
+        if not dmin < -MERGE_TOL:
+            break
+        tied = np.flatnonzero(delta == dmin)
+        best = int(tied[np.lexsort((eb[tied], ea[tied]))[0]])
+        a = int(ea[best])
+        b = int(eb[best])
+        rest, ea, eb, ew = _merge(a, b, ew[best], V, g, ilog, parent, ea, eb, ew)
+        accepted.append(dmin)
+        delta = delta[rest]
+        if delta.size < ea.size:
+            new = slice(delta.size, None)
+            delta = np.concatenate([delta, _merge_deltas(ea[new], eb[new], ew[new], V, g, ilog,
+                                                         vol, log2vol)])
+    return np.asarray(accepted, dtype=np.float64)
 
 
 def vanilla_minimize(graph: MessageGraph, init: Partition | None = None) -> Partition:

@@ -202,7 +202,7 @@ def build_knn_edges(block: Corpus, oracle: SimilarityOracle, k_max: int = 40):
 def build_attribute_edges(block: Corpus, oracle: SimilarityOracle):
     """One edge per unordered pair sharing at least one attribute token.
 
-    Weights come from the same oracle (and therefore the same cached draws)
+    Weights come from the same oracle (and therefore the same per-pair draws)
     as the kNN edges.
     """
     n = len(block)
@@ -230,7 +230,7 @@ def build_attribute_edges(block: Corpus, oracle: SimilarityOracle):
 def synthesize_graph(n: int, se_edges, attr_edges) -> MessageGraph:
     """Union of the SE and attribute edge sets over the same node universe.
 
-    A pair present in both keeps its single cached weight and is marked BOTH.
+    A pair present in both keeps a single weight and is marked BOTH.
     """
     su, sv, sw = se_edges if se_edges is not None else (np.empty(0, np.int64),) * 2 + (np.empty(0),)
     au, av, aw = attr_edges

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import (InvalidPartitionError, Partition, _community_aggregates,
-                      dense_labels, minimize_edges, resolve_parents, two_dim_se)
+from .entropy import (Partition, _check_partition, _community_aggregates, dense_labels,
+                      minimize_edges, resolve_parents, two_dim_se)
 from .graphsynth import GraphError, MessageGraph, one_dim_se
 
 MAX_ROUNDS = 64
@@ -58,6 +58,8 @@ class ClusterRun:
     rounds: list[dict] = field(default_factory=list)
     final: Partition | None = None
     h1: float = math.nan
+    # False when the loop stopped at MAX_ROUNDS instead of a stable whole-graph round
+    converged: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -65,28 +67,26 @@ class ClusterRun:
             "rounds": self.rounds,
             "num_communities": None if self.final is None else self.final.num_communities,
             "h1": self.h1,
+            "converged": self.converged,
         }
 
 
-def build_supergraph(graph: MessageGraph, partition: Partition) -> SuperGraph:
-    """Contract each community into a super-node, summing cross weights."""
-    if partition.n != graph.n:
-        raise InvalidPartitionError(f"partition covers {partition.n} nodes, graph has {graph.n}")
-    assignment = partition.assignment
-    ncomm = partition.num_communities
+def build_supergraph(graph: MessageGraph, partition: Partition,
+                     aggregates: tuple | None = None) -> SuperGraph:
+    """Contract each community into a super-node, summing cross weights.
+
+    The contraction comes from _community_aggregates; pass its result for
+    this partition as aggregates to avoid computing it again.
+    """
+    assignment = _check_partition(graph, partition)
+    if aggregates is None:
+        aggregates = _community_aggregates(graph, assignment)
+    _, volume, _, _, ea, eb, ew = aggregates
     cu = assignment[graph.u]
-    cv = assignment[graph.v]
-    internal = cu == cv
-    self_weight = np.bincount(cu[internal], weights=graph.w[internal], minlength=ncomm)
-    lo = np.minimum(cu[~internal], cv[~internal])
-    hi = np.maximum(cu[~internal], cv[~internal])
-    code = lo * np.int64(ncomm) + hi
-    uniq, inv = np.unique(code, return_inverse=True)
-    ew = np.bincount(inv, weights=graph.w[~internal]) if uniq.size else np.empty(0)
-    volume = np.bincount(assignment, weights=graph.degrees(), minlength=ncomm)
-    return SuperGraph(members=partition.groups(),
-                      ea=(uniq // ncomm).astype(np.int64), eb=(uniq % ncomm).astype(np.int64),
-                      ew=ew, self_weight=self_weight, volume_per_node=volume)
+    internal = cu == assignment[graph.v]
+    self_weight = np.bincount(cu[internal], weights=graph.w[internal], minlength=volume.size)
+    return SuperGraph(members=partition.groups(), ea=ea, eb=eb, ew=ew,
+                      self_weight=self_weight, volume_per_node=volume)
 
 
 def extract_subgraphs(sg: SuperGraph, q: int) -> list[np.ndarray]:
@@ -182,7 +182,8 @@ def cluster(graph: MessageGraph, q0: int = 400, init: Partition | None = None,
     q = q0
     for _ in range(MAX_ROUNDS):
         assignment = current.assignment
-        vol, V, g, ilog, ea, eb, ew = _community_aggregates(graph, assignment)
+        aggregates = _community_aggregates(graph, assignment)
+        vol, V, g, ilog, ea, eb, ew = aggregates
         ncomm = int(V.size)
         k_max = math.ceil(ncomm / q)
         if k_max == 1:
@@ -190,8 +191,7 @@ def cluster(graph: MessageGraph, q0: int = 400, init: Partition | None = None,
             # whole-supergraph vanilla minimization, component boundaries included
             groups = [np.arange(ncomm, dtype=np.int64)]
         elif grouping == "optimal":
-            sg = build_supergraph(graph, current)
-            groups = extract_subgraphs(sg, q)
+            groups = extract_subgraphs(build_supergraph(graph, current, aggregates), q)
         else:
             groups = sequential_subgraphs(ncomm, q)
 
@@ -222,6 +222,7 @@ def cluster(graph: MessageGraph, q0: int = 400, init: Partition | None = None,
         current = new_partition
         if stable:
             if k_max == 1:
+                run.converged = True
                 break
             q *= 2
     run.final = current

@@ -1,4 +1,4 @@
-"""Sensitivity calibration and the cached noisy-similarity oracle.
+"""Sensitivity calibration and the noisy-similarity oracle.
 
 Noise calibration follows the mixed strategy: the global sensitivity of
 cosine similarity is exactly 2 (range [-1, 1]); the local sensitivity of a
@@ -233,8 +233,8 @@ class SimilarityOracle:
     The Laplace sample for pair (i, j) is a pure function of the block seed
     and the pair's position in the condensed upper-triangle ordering, so
     repeated queries (in either order, from any worker) return the same value
-    and a cache insertion race is idempotent. With epsilon off the oracle
-    returns exact cosines.
+    without any shared state. With epsilon off the oracle returns exact
+    cosines.
     """
 
     def __init__(self, block: Corpus, params: PrivacyParams,
@@ -253,7 +253,6 @@ class SimilarityOracle:
         # condensed index of pair (i, j), i < j, is _pair_base[i] + j
         i = np.arange(self.n, dtype=np.int64)
         self._pair_base = i * (2 * self.n - i - 1) // 2 - i - 1
-        self._cache: dict[tuple[int, int], float] = {}
 
     def pair_index(self, i: int, j: int) -> int:
         """Condensed index of unordered pair (i, j) in the upper triangle."""
@@ -270,24 +269,18 @@ class SimilarityOracle:
         return float(emb[i] @ emb[j])
 
     def noisy_similarity(self, i: int, j: int) -> float:
-        """Perturbed cosine for one pair; cached so the draw happens once."""
+        """Perturbed cosine for one pair; the draw is a pure function of (seed, pair)."""
         p = self.pair_index(i, j)
-        key = (min(i, j), max(i, j))
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        value = self.exact_similarity(i, j)
+        value = self.exact_similarity(min(i, j), max(i, j))
         if self.noise_scale > 0.0:
             u = substream_uniforms(self._seed, np.asarray([p], dtype=np.uint64))[0]
             value += float(laplace_from_uniform(u, self.noise_scale))
-        self._cache[key] = value
         return value
 
     def noisy_pairs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Perturbed similarities for arrays of pairs (u[k] != v[k]).
 
-        Same substream values as the scalar and row paths; does not populate
-        the scalar cache.
+        Same substream values as the scalar and row paths.
         """
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
@@ -305,8 +298,7 @@ class SimilarityOracle:
 
         Each pair gets the same noise draw as in per-pair queries; the exact
         cosine comes from a matrix product, so it can differ from noisy_pairs'
-        row-wise dot product in the last ulp. The diagonal is set to NaN. Does
-        not populate the scalar cache.
+        row-wise dot product in the last ulp. The diagonal is set to NaN.
         """
         emb = self.block.embeddings
         sims = emb[lo:hi] @ emb.T
@@ -318,7 +310,3 @@ class SimilarityOracle:
             sims += laplace_from_uniform(substream_uniforms(self._seed, p), self.noise_scale)
         sims[np.arange(hi - lo), np.arange(lo, hi)] = np.nan
         return sims
-
-    @property
-    def cache_size(self) -> int:
-        return len(self._cache)

@@ -37,6 +37,31 @@ def direct_two_dim_se(n, u, v, w, assignment):
     return total
 
 
+def greedy_reference(n, u, v, w, tol=1e-12, tie=1e-12):
+    """Greedy 2D SE minimization by recomputing H2 for every candidate merge.
+
+    Starts from singletons; a community is named by its smallest node id.
+    Each step evaluates every pair of communities joined by an edge with
+    direct_two_dim_se, takes the most negative delta (deltas within tie of it
+    count as tied; ties go to the lexicographically smallest pair) and stops
+    when no delta is below -tol. Returns the community name per node.
+    """
+    assignment = list(range(n))
+    while True:
+        base = direct_two_dim_se(n, u, v, w, assignment)
+        pairs = sorted({(min(assignment[a], assignment[b]), max(assignment[a], assignment[b]))
+                        for a, b in zip(u, v) if assignment[a] != assignment[b]})
+        deltas = {}
+        for a, b in pairs:
+            merged = [a if c == b else c for c in assignment]
+            deltas[(a, b)] = direct_two_dim_se(n, u, v, w, merged) - base
+        if not deltas or not min(deltas.values()) < -tol:
+            return assignment
+        dmin = min(deltas.values())
+        a, b = min(pair for pair, d in deltas.items() if d <= dmin + tie)
+        assignment = [a if c == b else c for c in assignment]
+
+
 def direct_one_dim_se(n, u, v, w):
     d = [0.0] * n
     for a, b, wt in zip(u, v, w):

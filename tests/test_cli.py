@@ -150,6 +150,26 @@ class TestPipelineCommands:
         assert not (cdir / "partition_block0.csv").exists()
         assert (cdir / "partition_block1.csv").exists()
 
+    @pytest.mark.parametrize("corrupt", ["bad_json", "no_block", "no_nodes"])
+    def test_cluster_isolates_bad_sidecar(self, tmp_path, capsys, corrupt):
+        path = tmp_path / "two_blocks.jsonl"
+        rows = [{"id": f"r{i}", "block": i % 2, "embedding": [1.0, float(i) / 10],
+                 "attributes": {}, "label": "e"} for i in range(8)]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        gdir, cdir = tmp_path / "g", tmp_path / "c"
+        assert main(["build-graph", "--input", str(path), "--out", str(gdir)]) == 0
+        bad = gdir / "graph_block0.json"
+        if corrupt == "bad_json":
+            bad.write_text("{not json")
+        else:
+            sidecar = json.loads(bad.read_text())
+            del sidecar[corrupt.removeprefix("no_")]
+            bad.write_text(json.dumps(sidecar))
+        assert main(["cluster", "--graphs", str(gdir), "--out", str(cdir)]) == 1
+        assert "cluster: graph_block0.json failed: " in capsys.readouterr().err
+        assert not (cdir / "partition_block0.csv").exists()
+        assert (cdir / "partition_block1.csv").exists()
+
     def test_evaluate_skips_unlabeled(self, tmp_path, capsys):
         path = tmp_path / "nolabel.jsonl"
         rows = [{"id": f"r{i}", "block": 0, "embedding": [1.0, float(i + 1)],

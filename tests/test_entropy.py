@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_graph
-from oracles import direct_two_dim_se, enumerate_partitions, random_graph
+from oracles import direct_two_dim_se, enumerate_partitions, greedy_reference, random_graph
 
 from dpevent.entropy import (CommunityState, InvalidPartitionError, Partition, merge_delta,
                              two_dim_se, vanilla_minimize)
@@ -190,22 +190,28 @@ class TestVanillaMinimize:
         assert np.array_equal(a.assignment, b.assignment)
 
 
-class TestBackendEquivalence:
-    def test_numpy_twin_matches_numba(self, rng, monkeypatch):
-        import dpevent._accel as accel
-        if not accel.HAS_NUMBA:
-            pytest.skip("numba unavailable")
-        results = {}
-        for backend in ("numba", "numpy"):
-            monkeypatch.setenv("DPEVENT_BACKEND", backend)
-            out = []
-            r = np.random.default_rng(7)
-            for _ in range(10):
-                n, u, v, w = random_graph(r, min_n=5, max_n=40)
-                g = make_graph(n, list(zip(u.tolist(), v.tolist(), w.tolist())))
-                part = vanilla_minimize(g)
-                out.append((part.assignment.tolist(), two_dim_se(g, part)))
-            results[backend] = out
-        for (pa, ha), (pb, hb) in zip(results["numba"], results["numpy"]):
-            assert pa == pb
-            assert ha == pytest.approx(hb, abs=1e-12)
+class TestGreedyReference:
+    """vanilla_minimize makes the same merges as a recompute-everything greedy."""
+
+    def _check(self, n, edges):
+        u, v, w = (list(col) for col in zip(*edges))
+        expected = Partition.from_labels(greedy_reference(n, u, v, w))
+        assert vanilla_minimize(make_graph(n, edges)).same_as(expected)
+
+    def test_random_graphs(self, rng):
+        for _ in range(40):
+            n, u, v, w = random_graph(rng, min_n=3, max_n=16)
+            self._check(n, list(zip(u.tolist(), v.tolist(), w.tolist())))
+
+    def test_two_triangles(self, two_triangles):
+        self._check(6, list(zip(two_triangles.u.tolist(), two_triangles.v.tolist(),
+                                 two_triangles.w.tolist())))
+
+    def test_equal_weight_cycles_paths_stars(self):
+        # odd cycles, paths and stars end in different partitions if ties are
+        # broken by any other pair order
+        for n in range(3, 9):
+            path = [(i, i + 1, 1.0) for i in range(n - 1)]
+            self._check(n, path)
+            self._check(n, path + [(0, n - 1, 1.0)])
+            self._check(n, [(0, i, 1.0) for i in range(1, n)])

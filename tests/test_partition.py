@@ -145,6 +145,20 @@ class TestCluster:
         for r in d["rounds"]:
             assert {"q", "k_max", "num_communities", "h2", "stable"} <= set(r)
 
+    def test_converged_at_stable_whole_graph_round(self, two_triangles):
+        run = cluster(two_triangles, q0=2)
+        assert run.converged
+        assert run.rounds[-1]["stable"] and run.rounds[-1]["k_max"] == 1
+        assert run.to_dict()["converged"] is True
+
+    def test_not_converged_at_round_cap(self, two_triangles, monkeypatch):
+        import dpevent.partition as partition_mod
+        monkeypatch.setattr(partition_mod, "MAX_ROUNDS", 1)
+        run = cluster(two_triangles, q0=2)
+        assert len(run.rounds) == 1
+        assert not run.converged
+        assert run.to_dict()["converged"] is False
+
     def test_sequential_grouping_runs(self, rng):
         n, u, v, w = random_graph(rng, min_n=12, max_n=24)
         g = make_graph(n, list(zip(u.tolist(), v.tolist(), w.tolist())))

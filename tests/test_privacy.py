@@ -142,7 +142,6 @@ class TestOracle:
     def test_cache_symmetry(self):
         oracle = self._oracle([[1, 0], [0.5, 0.5], [0, 1]], epsilon=1.0, mode="global")
         assert oracle.noisy_similarity(0, 1) == oracle.noisy_similarity(1, 0)
-        assert oracle.cache_size == 1
 
     def test_self_pair_rejected(self):
         oracle = self._oracle([[1, 0], [0, 1]])
@@ -156,10 +155,8 @@ class TestOracle:
         for i in range(8):
             for j in range(i + 1, 8):
                 first[(i, j)] = oracle.noisy_similarity(i, j)
-        assert oracle.cache_size == 8 * 7 // 2
         for (i, j), val in first.items():
             assert oracle.noisy_similarity(j, i) == val
-        assert oracle.cache_size == 8 * 7 // 2
 
     def test_rows_match_scalar_path(self, rng):
         emb = rng.normal(size=(10, 6))
