@@ -11,8 +11,7 @@ from .graphsynth import (GraphError, KnnTrace, MessageGraph, build_attribute_edg
 from .metrics import ContingencyTable, MetricsError, ami, ari
 from .partition import ClusterRun, SuperGraph, build_supergraph, cluster, extract_subgraphs
 from .privacy import (PrivacyError, PrivacyParams, SensitivityReport, SimilarityOracle,
-                      global_sensitivity, laplace_sample, local_sensitivity, mixed_sensitivity,
-                      sensitivity_report, smooth_sensitivity)
+                      local_sensitivity, sensitivity_report, smooth_sensitivity)
 
 __all__ = [
     "Corpus", "CorpusError", "MessageRecord", "SynthConfig", "generate", "ingest", "split_blocks",
@@ -23,6 +22,5 @@ __all__ = [
     "ContingencyTable", "MetricsError", "ami", "ari",
     "ClusterRun", "SuperGraph", "build_supergraph", "cluster", "extract_subgraphs",
     "PrivacyError", "PrivacyParams", "SensitivityReport", "SimilarityOracle",
-    "global_sensitivity", "laplace_sample", "local_sensitivity", "mixed_sensitivity",
-    "sensitivity_report", "smooth_sensitivity",
+    "local_sensitivity", "sensitivity_report", "smooth_sensitivity",
 ]

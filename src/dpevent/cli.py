@@ -9,7 +9,9 @@ rerunning with the same arguments reproduces byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -56,6 +58,16 @@ def _blocks(corpus: Corpus, pooled: bool) -> list[tuple[int, Corpus]]:
     return [(view.records[0].block, view) for view in split_blocks(corpus)]
 
 
+def _block_files(directory: Path, prefix: str, suffix: str) -> list[tuple[int, Path]]:
+    """(block id, path) of each `{prefix}<digits>{suffix}` file, ordered by block id.
+
+    Other names that match the glob (`graph_block0.old.json`, ...) are ignored.
+    """
+    name = re.compile(re.escape(prefix) + r"([0-9]+)" + re.escape(suffix))
+    return sorted((int(m.group(1)), path) for path in directory.glob(f"{prefix}*{suffix}")
+                  if (m := name.fullmatch(path.name)))
+
+
 def _privacy_params(args, epsilon) -> PrivacyParams:
     return PrivacyParams(epsilon=epsilon, sensitivity_mode=args.mode, seed=args.seed)
 
@@ -64,7 +76,6 @@ def _build_block_graph(block_id: int, view: Corpus, params: PrivacyParams, k_max
     from .privacy import SimilarityOracle
     oracle = SimilarityOracle(view, params, block_id=block_id)
     graph, trace = build_graph(view, oracle, k_max=k_max)
-    report = oracle.report or sensitivity_report(view, params, block_id)
     n = len(view)
     sidecar = {
         "block": block_id,
@@ -72,10 +83,9 @@ def _build_block_graph(block_id: int, view: Corpus, params: PrivacyParams, k_max
         "nodes": view.ids,
         "epsilon": "off" if params.off else params.epsilon,
         "mode": params.sensitivity_mode,
-        "noise_scale": oracle.noise_scale,
         "pairs_queried": 0 if params.off else n * (n - 1) // 2,
         "knn_trace": trace.to_dict(),
-        "sensitivity_report": report.to_dict(),
+        "sensitivity_report": oracle.report.to_dict(),
         "num_edges": graph.num_edges,
     }
     return graph, sidecar
@@ -127,8 +137,7 @@ def cmd_build_graph(args) -> int:
 def cmd_cluster(args) -> int:
     out = _outdir(args)
     graphs_dir = Path(args.graphs)
-    sidecars = sorted(graphs_dir.glob("graph_block*.json"),
-                      key=lambda p: int(p.stem.removeprefix("graph_block")))
+    sidecars = [path for _, path in _block_files(graphs_dir, "graph_block", ".json")]
     if not sidecars:
         print(f"cluster: no graph_block*.json files under {graphs_dir}", file=sys.stderr)
         return 1
@@ -161,20 +170,25 @@ def cmd_evaluate(args) -> int:
     data = corpus_mod.ingest(args.input)
     labels_by_id = {r.id: r.label for r in data.records}
     partitions_dir = Path(args.partitions)
-    files = sorted(partitions_dir.glob("partition_block*.csv"),
-                   key=lambda p: int(p.stem.removeprefix("partition_block")))
+    files = _block_files(partitions_dir, "partition_block", ".csv")
     if not files:
         print(f"evaluate: no partition_block*.csv files under {partitions_dir}", file=sys.stderr)
         return 1
     per_block = []
-    for path in files:
-        block_id = int(path.stem.removeprefix("partition_block"))
-        ids, clusters = read_partition_csv(path)
-        truth = [labels_by_id.get(i) for i in ids]
-        if any(t is None for t in truth):
-            print(f"evaluate: block {block_id} has unlabeled records; skipped", file=sys.stderr)
+    failures = 0
+    for block_id, path in files:
+        try:
+            ids, clusters = read_partition_csv(path)
+            truth = [labels_by_id.get(i) for i in ids]
+            if any(t is None for t in truth):
+                print(f"evaluate: block {block_id} has unlabeled records; skipped",
+                      file=sys.stderr)
+                continue
+            result = dict(metrics_mod.evaluate(truth, clusters), block=block_id)
+        except Exception as exc:  # noqa: BLE001 - per-block isolation
+            print(f"evaluate: {path.name} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+            failures += 1
             continue
-        result = dict(metrics_mod.evaluate(truth, clusters), block=block_id)
         write_json(out / f"metrics_block{block_id}.json", result)
         per_block.append(result)
         print(f"evaluate: block {block_id}: ami={result['ami']:.4f} ari={result['ari']:.4f}")
@@ -188,7 +202,7 @@ def cmd_evaluate(args) -> int:
     }
     write_json(out / "metrics_summary.json", summary)
     print(f"evaluate: mean ami={summary['mean_ami']:.4f} mean ari={summary['mean_ari']:.4f}")
-    return 0
+    return 1 if failures else 0
 
 
 def run_pipeline(view: Corpus, block_id: int, params: PrivacyParams, k_max: int, q0: int,
@@ -209,11 +223,12 @@ def cmd_sweep(args) -> int:
     epsilons = list(args.epsilons)
     if args.include_off and None not in epsilons:
         epsilons.append(None)
+    q0 = args.q0 if args.q0 is not None else (300 if args.pooled else 400)
     _write_config(out, "sweep", {
         "input": str(args.input),
         "epsilons": ["off" if e is None else e for e in epsilons],
         "mode": args.mode, "seed": args.seed, "kmax": args.kmax,
-        "q0": args.q0, "pooled": args.pooled,
+        "q0": q0, "pooled": args.pooled,
     })
     rows = []
     for epsilon in epsilons:
@@ -221,7 +236,7 @@ def cmd_sweep(args) -> int:
         for block_id, view in _blocks(data, args.pooled):
             if len(view) < 2:
                 continue
-            result = run_pipeline(view, block_id, params, args.kmax, args.q0)
+            result = run_pipeline(view, block_id, params, args.kmax, q0)
             rows.append({"epsilon": "off" if epsilon is None else epsilon,
                          "block": block_id,
                          "ami": result.get("ami", math.nan),
@@ -261,7 +276,7 @@ def cmd_sensitivity_report(args) -> int:
     _write_config(out, "sensitivity-report", {
         "input": str(args.input),
         "epsilons": ["off" if e is None else e for e in args.epsilons],
-        "mode": args.mode, "seed": args.seed, "pooled": args.pooled,
+        "mode": args.mode, "pooled": args.pooled,
     })
     for block_id, view in _blocks(data, args.pooled):
         if len(view) < 2:
@@ -269,7 +284,7 @@ def cmd_sensitivity_report(args) -> int:
             continue
         reports = []
         for epsilon in args.epsilons:
-            params = _privacy_params(args, epsilon)
+            params = PrivacyParams(epsilon=epsilon, sensitivity_mode=args.mode)
             rep = sensitivity_report(view, params, block_id)
             reports.append(dict(rep.to_dict(), epsilon="off" if epsilon is None else epsilon))
         write_json(out / f"sensitivity_block{block_id}.json",
@@ -282,18 +297,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dpevent",
                                      description=__doc__.splitlines()[0] if __doc__ else None)
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags are spelled in full: `sweep --epsilon` must not pass for `--epsilons`
+    add_command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    def add_privacy_flags(p, with_kmax=True):
-        p.add_argument("--epsilon", type=_parse_epsilon, default=None,
-                       help="privacy budget (positive float) or 'off' (default: off)")
+    def add_mode_flag(p):
         p.add_argument("--mode", choices=["global", "smooth", "mixed"], default="mixed",
-                       help="sensitivity strategy (default: mixed)")
-        p.add_argument("--seed", type=int, default=0, help="base seed (default: 0)")
-        if with_kmax:
-            p.add_argument("--kmax", type=int, default=40,
-                           help="maximum kNN neighborhood size (default: 40)")
+                       help="sensitivity used: global, smooth, or the smaller of the two "
+                            "(default: mixed)")
 
-    p = sub.add_parser("synth", help="generate a synthetic labeled corpus")
+    def add_graph_flags(p):
+        add_mode_flag(p)
+        p.add_argument("--seed", type=int, default=0, help="base seed (default: 0)")
+        p.add_argument("--kmax", type=int, default=40,
+                       help="maximum kNN neighborhood size (default: 40)")
+
+    p = add_command("synth", help="generate a synthetic labeled corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--events", type=int, default=5)
     p.add_argument("--points", type=int, default=100, help="records per event")
@@ -303,28 +321,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("build-graph", help="synthesize per-block private message graphs")
+    p = add_command("build-graph", help="synthesize per-block private message graphs")
     p.add_argument("--input", required=True, help="corpus JSONL")
     p.add_argument("--out", required=True)
-    add_privacy_flags(p)
+    p.add_argument("--epsilon", type=_parse_epsilon, default=None,
+                   help="privacy budget (positive float) or 'off' (default: off)")
+    add_graph_flags(p)
     p.add_argument("--pooled", action="store_true", help="treat all blocks as one")
     p.set_defaults(func=cmd_build_graph)
 
-    p = sub.add_parser("cluster", help="cluster graphs by 2D SE minimization")
+    p = add_command("cluster", help="cluster graphs by 2D SE minimization")
     p.add_argument("--graphs", required=True, help="directory written by build-graph")
     p.add_argument("--out", required=True)
-    p.add_argument("--q0", type=int, default=None,
-                   help="initial subgraph size (default: 400, or 300 with --pooled upstream)")
+    p.add_argument("--q0", type=int, default=400,
+                   help="initial subgraph size (default: 400; 300 suits pooled graphs)")
     p.add_argument("--grouping", choices=["optimal", "sequential"], default="optimal")
     p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("evaluate", help="score partitions against gold labels")
+    p = add_command("evaluate", help="score partitions against gold labels")
     p.add_argument("--input", required=True, help="corpus JSONL with labels")
     p.add_argument("--partitions", required=True, help="directory written by cluster")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep", help="full pipeline across an epsilon grid")
+    p = add_command("sweep", help="full pipeline across an epsilon grid")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--epsilons", type=_parse_epsilon_list,
@@ -332,17 +352,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated grid (default: 1..10)")
     p.add_argument("--include-off", action=argparse.BooleanOptionalAction, default=True,
                    help="append a no-noise ceiling row (default: on)")
-    add_privacy_flags(p)
-    p.add_argument("--q0", type=int, default=None)
+    add_graph_flags(p)
+    p.add_argument("--q0", type=int, default=None,
+                   help="initial subgraph size (default: 400, or 300 with --pooled)")
     p.add_argument("--pooled", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("sensitivity-report", help="sensitivities per block and epsilon")
+    p = add_command("sensitivity-report", help="sensitivities per block and epsilon")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--epsilons", type=_parse_epsilon_list,
                    default=[float(e) for e in range(1, 11)])
-    add_privacy_flags(p, with_kmax=False)
+    add_mode_flag(p)
     p.add_argument("--pooled", action="store_true")
     p.set_defaults(func=cmd_sensitivity_report)
 
@@ -351,8 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "q0", 2) is None:
-        args.q0 = 300 if getattr(args, "pooled", False) else 400
     return args.func(args)
 
 

@@ -234,23 +234,17 @@ def synthesize_graph(n: int, se_edges, attr_edges) -> MessageGraph:
     """
     su, sv, sw = se_edges if se_edges is not None else (np.empty(0, np.int64),) * 2 + (np.empty(0),)
     au, av, aw = attr_edges
-    # attribute entries first so the SE-path value wins the (tiny-ulp) write race
-    all_u = np.concatenate([au, su])
-    all_v = np.concatenate([av, sv])
-    all_w = np.concatenate([aw, sw])
-    all_codes = all_u * np.int64(n) + all_v
-    prov = np.concatenate([np.full(au.size, PROV_ATTR, np.uint8),
-                           np.full(su.size, PROV_SE, np.uint8)])
-    uniq, inverse = np.unique(all_codes, return_inverse=True)
-    u = np.empty(uniq.size, np.int64)
-    v = np.empty(uniq.size, np.int64)
+    uniq, inverse = np.unique(np.concatenate([au, su]) * np.int64(n) + np.concatenate([av, sv]),
+                              return_inverse=True)
+    # each input set holds distinct pairs, so neither assignment repeats an index
+    attr, se = inverse[:au.size], inverse[au.size:]
     w = np.empty(uniq.size, np.float64)
+    w[attr] = aw
+    w[se] = sw  # a pair in both keeps its SE-path value
     p = np.zeros(uniq.size, np.uint8)
-    u[inverse] = all_u
-    v[inverse] = all_v
-    w[inverse] = all_w
-    np.bitwise_or.at(p, inverse, prov)
-    return MessageGraph(n=n, u=u, v=v, w=w, provenance=p)
+    p[attr] = PROV_ATTR
+    p[se] |= PROV_SE
+    return MessageGraph(n=n, u=uniq // n, v=uniq % n, w=w, provenance=p)
 
 
 def build_graph(block: Corpus, oracle: SimilarityOracle, k_max: int = 40):

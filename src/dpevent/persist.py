@@ -77,10 +77,17 @@ def read_partition_csv(path) -> tuple[list[str], list[int]]:
     ids, clusters = [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["id", "cluster"]:
+        if next(reader, None) != ["id", "cluster"]:
             raise ValueError(f"{path}: expected header id,cluster")
         for row in reader:
+            if not row:
+                continue
+            if len(row) != 2:
+                raise ValueError(f"{path}:{reader.line_num}: expected 2 fields id,cluster")
+            try:
+                clusters.append(int(row[1]))
+            except ValueError:
+                raise ValueError(f"{path}:{reader.line_num}: cluster {row[1]!r} "
+                                 "is not an integer") from None
             ids.append(row[0])
-            clusters.append(int(row[1]))
     return ids, clusters

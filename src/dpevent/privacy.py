@@ -1,11 +1,13 @@
 """Sensitivity calibration and the noisy-similarity oracle.
 
-Noise calibration follows the mixed strategy: the global sensitivity of
-cosine similarity is exactly 2 (range [-1, 1]); the local sensitivity of a
-block is smoothed with factor 2*exp(-(eps/2)*ln(2/delta)) and the mechanism
-uses the smaller of the two. Each unordered message pair receives exactly one
-Laplace draw, generated from a counter-based substream of the block seed so
-that reruns and concurrent queries reproduce the same value.
+The global sensitivity of cosine similarity is exactly 2 (range [-1, 1]). The
+local sensitivity of a block is smoothed with factor 2*exp(-(eps/2)*ln(2/delta)),
+delta = 1/n^2. The sensitivity mode picks the one the mechanism uses: global,
+smooth, or (mixed) the smaller of the two; sensitivity_report is the only place
+that makes this choice, and the oracle adds noise at the reported scale. Each
+unordered message pair receives exactly one Laplace draw, generated from a
+counter-based substream of the block seed so that reruns and concurrent
+queries reproduce the same value.
 """
 
 from __future__ import annotations
@@ -34,12 +36,10 @@ class PrivacyParams:
     """Privacy budget and sensitivity strategy for one run.
 
     epsilon=None switches the mechanism off (exact similarities are released).
-    delta=None defaults to 1/n^2 for the block the oracle is built on.
     """
 
     epsilon: float | None = None
     sensitivity_mode: str = "mixed"
-    delta: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -47,8 +47,6 @@ class PrivacyParams:
             raise PrivacyError("epsilon must be positive (or None for off)")
         if self.sensitivity_mode not in ("global", "smooth", "mixed"):
             raise PrivacyError(f"unknown sensitivity_mode {self.sensitivity_mode!r}")
-        if self.delta is not None and not 0.0 < self.delta < 1.0:
-            raise PrivacyError("delta must lie in (0, 1)")
 
     @property
     def off(self) -> bool:
@@ -57,7 +55,12 @@ class PrivacyParams:
 
 @dataclass(frozen=True)
 class SensitivityReport:
-    """Per-block sensitivities, the chosen branch, and the mixed noise scale."""
+    """Per-block sensitivities, the one the mechanism uses, and its noise scale.
+
+    chosen is "global", "smooth" or "off"; noise_scale is the chosen
+    sensitivity divided by epsilon (0 when off). s_mixed = min(s_global,
+    s_smooth) is reported in every mode.
+    """
 
     block: int
     s_global: float
@@ -77,11 +80,6 @@ class SensitivityReport:
             "chosen": self.chosen,
             "noise_scale": self.noise_scale,
         }
-
-
-def global_sensitivity() -> float:
-    """Worst-case swing of a cosine similarity query: the full range [-1, 1]."""
-    return GLOBAL_SENSITIVITY
 
 
 def local_sensitivity(block: Corpus) -> float:
@@ -106,7 +104,7 @@ def local_sensitivity(block: Corpus) -> float:
     return spread
 
 
-def smooth_sensitivity(s_local: float, epsilon: float, n: int, delta: float | None = None) -> float:
+def smooth_sensitivity(s_local: float, epsilon: float, n: int) -> float:
     """Smoothed local sensitivity 2*exp(-(eps/2)*ln(2/delta))*s_local, delta = 1/n^2."""
     if s_local < 0:
         raise PrivacyError("s_local must be non-negative")
@@ -114,44 +112,31 @@ def smooth_sensitivity(s_local: float, epsilon: float, n: int, delta: float | No
         raise PrivacyError("epsilon must be positive")
     if n < 2:
         raise PrivacyError("block size must be at least 2")
-    if delta is None:
-        delta = 1.0 / (n * n)
+    delta = 1.0 / (n * n)
     return 2.0 * math.exp(-(epsilon / 2.0) * math.log(2.0 / delta)) * s_local
 
 
-def mixed_sensitivity(s_global: float, s_smooth: float) -> float:
-    """min(s_global, s_smooth): the adaptive calibration used by the mechanism."""
-    if s_global < 0 or s_smooth < 0:
-        raise PrivacyError("sensitivities must be non-negative")
-    return min(s_global, s_smooth)
-
-
 def sensitivity_report(block: Corpus, params: PrivacyParams, block_id: int | None = None) -> SensitivityReport:
-    """Compute all sensitivities for one block under the given parameters.
+    """Calibrate the noise for one block under the given parameters.
 
-    With epsilon off there is no noise: smooth/mixed are reported as 0 and the
-    noise scale is 0.
+    The mode decides the sensitivity used: global (2), smooth, or for mixed
+    the smaller of the two. With epsilon off there is no noise: smooth/mixed
+    are reported as 0, chosen is "off" and the noise scale is 0.
     """
     if block_id is None:
         block_id = block.records[0].block
     s_local = local_sensitivity(block)
     if params.off:
         return SensitivityReport(block=block_id, s_global=GLOBAL_SENSITIVITY, s_local=s_local,
-                                 s_smooth=0.0, s_mixed=0.0, chosen="smooth", noise_scale=0.0)
-    s_smooth = smooth_sensitivity(s_local, params.epsilon, len(block), params.delta)
-    s_mixed = mixed_sensitivity(GLOBAL_SENSITIVITY, s_smooth)
-    chosen = "smooth" if s_smooth < GLOBAL_SENSITIVITY else "global"
+                                 s_smooth=0.0, s_mixed=0.0, chosen="off", noise_scale=0.0)
+    s_smooth = smooth_sensitivity(s_local, params.epsilon, len(block))
+    chosen = params.sensitivity_mode
+    if chosen == "mixed":
+        chosen = "smooth" if s_smooth < GLOBAL_SENSITIVITY else "global"
+    used = s_smooth if chosen == "smooth" else GLOBAL_SENSITIVITY
     return SensitivityReport(block=block_id, s_global=GLOBAL_SENSITIVITY, s_local=s_local,
-                             s_smooth=s_smooth, s_mixed=s_mixed, chosen=chosen,
-                             noise_scale=s_mixed / params.epsilon)
-
-
-def resolve_noise_scale(report: SensitivityReport, params: PrivacyParams) -> float:
-    """Noise scale S/eps for the configured sensitivity mode (0 when off)."""
-    if params.off:
-        return 0.0
-    s = {"global": report.s_global, "smooth": report.s_smooth, "mixed": report.s_mixed}
-    return s[params.sensitivity_mode] / params.epsilon
+                             s_smooth=s_smooth, s_mixed=min(GLOBAL_SENSITIVITY, s_smooth),
+                             chosen=chosen, noise_scale=used / params.epsilon)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -208,18 +193,6 @@ def laplace_from_uniform(u, scale: float):
     return out if out.ndim else float(out)
 
 
-def laplace_sample(scale: float, rng: np.random.Generator) -> float:
-    """Draw one Laplace(0, scale) variate by inverse-CDF sampling."""
-    if scale < 0:
-        raise PrivacyError("scale must be non-negative")
-    if scale == 0.0:
-        return 0.0
-    r = rng.random()
-    if r == 0.0:  # u = -1/2 exactly would hit log(0)
-        r = np.nextafter(0.0, 1.0)
-    return float(laplace_from_uniform(r - 0.5, scale))
-
-
 def derive_block_seed(seed: int, block: int) -> int:
     """Stable per-block substream key for the pairwise noise."""
     with np.errstate(over="ignore"):
@@ -233,22 +206,19 @@ class SimilarityOracle:
     The Laplace sample for pair (i, j) is a pure function of the block seed
     and the pair's position in the condensed upper-triangle ordering, so
     repeated queries (in either order, from any worker) return the same value
-    without any shared state. With epsilon off the oracle returns exact
-    cosines.
+    without any shared state. The noise scale is the one sensitivity_report
+    calibrates; with epsilon off it is 0 and the oracle returns exact cosines.
     """
 
-    def __init__(self, block: Corpus, params: PrivacyParams,
-                 report: SensitivityReport | None = None, block_id: int | None = None):
+    def __init__(self, block: Corpus, params: PrivacyParams, block_id: int | None = None):
         self.block = block
         self.params = params
         self.n = len(block)
         if block_id is None:
             block_id = block.records[0].block
         self.block_id = block_id
-        if report is None and not params.off:
-            report = sensitivity_report(block, params, block_id)
-        self.report = report
-        self.noise_scale = 0.0 if params.off else resolve_noise_scale(report, params)
+        self.report = sensitivity_report(block, params, block_id)
+        self.noise_scale = self.report.noise_scale
         self._seed = derive_block_seed(params.seed, block_id)
         # condensed index of pair (i, j), i < j, is _pair_base[i] + j
         i = np.arange(self.n, dtype=np.int64)

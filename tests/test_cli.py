@@ -47,6 +47,14 @@ class TestPersist:
         got_ids, got_clusters = read_partition_csv(path)
         assert got_ids == ids and got_clusters == [0, 1, 0]
 
+    @pytest.mark.parametrize("row, message", [("m2", "expected 2 fields"),
+                                              ("m2,x", "cluster 'x' is not an integer")])
+    def test_partition_csv_bad_row_names_line(self, tmp_path, row, message):
+        path = tmp_path / "p.csv"
+        path.write_text(f"id,cluster\nm1,0\n{row}\n")
+        with pytest.raises(ValueError, match=f"{path}:3: {message}"):
+            read_partition_csv(path)
+
 
 class TestPipelineCommands:
     def test_synth_outputs(self, tmp_path):
@@ -91,6 +99,18 @@ class TestPipelineCommands:
         assert summary["mean_ari"] > 0.8
         block_metrics = read_json(edir / "metrics_block0.json")
         assert {"ami", "ari", "n", "num_true", "num_pred"} <= set(block_metrics)
+
+    @pytest.mark.parametrize("mode", ["global", "smooth"])
+    def test_sidecar_records_the_noise_used(self, tmp_path, corpus_file, mode):
+        out = tmp_path / "g"
+        assert main(["build-graph", "--input", str(corpus_file), "--out", str(out),
+                     "--epsilon", "2", "--mode", mode]) == 0
+        sidecar = read_json(out / "graph_block0.json")
+        report = sidecar["sensitivity_report"]
+        assert "noise_scale" not in sidecar
+        assert report["chosen"] == mode
+        assert report["noise_scale"] == report[f"s_{mode}"] / 2.0
+        assert report["s_mixed"] == min(2.0, report["s_smooth"])
 
     def test_build_graph_rerun_byte_identical(self, tmp_path, corpus_file):
         args = ["build-graph", "--input", str(corpus_file), "--epsilon", "5",
@@ -170,6 +190,35 @@ class TestPipelineCommands:
         assert not (cdir / "partition_block0.csv").exists()
         assert (cdir / "partition_block1.csv").exists()
 
+    def test_stray_block_file_names_ignored(self, tmp_path, corpus_file):
+        gdir, cdir, edir = (tmp_path / d for d in ("g", "c", "e"))
+        assert main(["build-graph", "--input", str(corpus_file), "--out", str(gdir)]) == 0
+        (gdir / "graph_block0.old.json").write_bytes((gdir / "graph_block0.json").read_bytes())
+        (gdir / "graph_blockX.json").write_text("{}")
+        assert main(["cluster", "--graphs", str(gdir), "--out", str(cdir)]) == 0
+        assert sorted(p.name for p in cdir.glob("partition_block*")) == ["partition_block0.csv"]
+        (cdir / "partition_block0.bak.csv").write_text("not,a,partition\n")
+        assert main(["evaluate", "--input", str(corpus_file), "--partitions", str(cdir),
+                     "--out", str(edir)]) == 0
+        assert read_json(edir / "metrics_summary.json")["blocks"] == [0]
+
+    def test_evaluate_isolates_bad_partition(self, tmp_path, capsys):
+        path = tmp_path / "two_blocks.jsonl"
+        rows = [{"id": f"r{i}", "block": i % 2, "embedding": [1.0, float(i) / 10],
+                 "attributes": {}, "label": "e"} for i in range(8)]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        gdir, cdir, edir = (tmp_path / d for d in ("g", "c", "e"))
+        assert main(["build-graph", "--input", str(path), "--out", str(gdir)]) == 0
+        assert main(["cluster", "--graphs", str(gdir), "--out", str(cdir)]) == 0
+        bad = cdir / "partition_block0.csv"
+        bad.write_text("id,cluster\nr0\n")
+        assert main(["evaluate", "--input", str(path), "--partitions", str(cdir),
+                     "--out", str(edir)]) == 1
+        err = capsys.readouterr().err
+        assert f"evaluate: partition_block0.csv failed: ValueError: {bad}:2: " in err
+        assert not (edir / "metrics_block0.json").exists()
+        assert read_json(edir / "metrics_summary.json")["blocks"] == [1]
+
     def test_evaluate_skips_unlabeled(self, tmp_path, capsys):
         path = tmp_path / "nolabel.jsonl"
         rows = [{"id": f"r{i}", "block": 0, "embedding": [1.0, float(i + 1)],
@@ -206,6 +255,28 @@ class TestSweep:
         assert "mean_ari_off" not in read_json(out / "sweep_summary.json")
 
 
+    def test_q0_defaults(self, tmp_path, corpus_file):
+        gdir, cdir, sdir = (tmp_path / d for d in ("g", "c", "s"))
+        main(["build-graph", "--input", str(corpus_file), "--out", str(gdir)])
+        assert main(["cluster", "--graphs", str(gdir), "--out", str(cdir)]) == 0
+        assert read_json(cdir / "config.json")["config"]["q0"] == 400
+        assert main(["sweep", "--input", str(corpus_file), "--out", str(sdir), "--epsilons",
+                     "2", "--no-include-off", "--pooled"]) == 0
+        assert read_json(sdir / "config.json")["config"]["q0"] == 300
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--input", "c.jsonl", "--out", "o", "--epsilon", "1"],
+    ["sensitivity-report", "--input", "c.jsonl", "--out", "o", "--epsilon", "1"],
+    ["sensitivity-report", "--input", "c.jsonl", "--out", "o", "--seed", "1"],
+])
+def test_removed_flags_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestSensitivityReport:
     def test_per_block_grid(self, tmp_path, corpus_file):
         out = tmp_path / "sens"
@@ -216,3 +287,11 @@ class TestSensitivityReport:
         eps15 = report["reports"][1]
         assert eps15["chosen"] == "smooth"
         assert eps15["s_mixed"] == min(2.0, eps15["s_smooth"])
+
+    def test_mode_decides_reported_noise(self, tmp_path, corpus_file):
+        out = tmp_path / "sens"
+        assert main(["sensitivity-report", "--input", str(corpus_file), "--out", str(out),
+                     "--epsilons", "15,off", "--mode", "global"]) == 0
+        eps15, off = read_json(out / "sensitivity_block0.json")["reports"]
+        assert eps15["chosen"] == "global" and eps15["noise_scale"] == 2.0 / 15
+        assert off["chosen"] == "off" and off["noise_scale"] == 0.0

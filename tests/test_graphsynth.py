@@ -190,6 +190,13 @@ class TestSynthesizeGraph:
                                                 g.provenance.tolist()) if p == 3]
         assert both == [(0, 1, 1.0)]
 
+    def test_both_keeps_se_value(self):
+        se_edges = (np.array([0, 1]), np.array([1, 2]), np.array([0.25, 0.5]))
+        attr_edges = (np.array([0, 0]), np.array([1, 3]), np.array([0.75, 0.125]))
+        g = synthesize_graph(4, se_edges, attr_edges)
+        assert list(zip(g.u.tolist(), g.v.tolist(), g.w.tolist(), g.provenance.tolist())) == [
+            (0, 1, 0.25, 3), (0, 3, 0.125, 2), (1, 2, 0.5, 1)]
+
     def test_union_bound(self, rng):
         corpus = generate(SynthConfig(num_events=3, points_per_event=20, dim=8, seed=8))
         oracle = off_oracle(corpus)

@@ -7,9 +7,8 @@ from conftest import dyadic_embeddings
 
 from dpevent.corpus import Corpus, MessageRecord, SynthConfig, generate
 from dpevent.privacy import (GLOBAL_SENSITIVITY, PrivacyError, PrivacyParams, SensitivityReport,
-                             SimilarityOracle, derive_block_seed, global_sensitivity,
-                             laplace_from_uniform, laplace_sample, local_sensitivity,
-                             mixed_sensitivity, sensitivity_report, smooth_sensitivity,
+                             SimilarityOracle, derive_block_seed, laplace_from_uniform,
+                             local_sensitivity, sensitivity_report, smooth_sensitivity,
                              substream_uniforms)
 
 
@@ -20,7 +19,7 @@ def corpus_from_rows(rows):
 
 class TestSensitivities:
     def test_global_is_two(self):
-        assert global_sensitivity() == 2.0
+        assert GLOBAL_SENSITIVITY == 2.0
 
     def test_local_identical_plus_orthogonal(self):
         block = corpus_from_rows([[1, 0, 0], [1, 0, 0], [0, 1, 0]])
@@ -52,15 +51,33 @@ class TestSensitivities:
         # 2*exp(-ln 200)*0.5 with delta = 1/100
         assert smooth_sensitivity(0.5, 2.0, 10) == pytest.approx(0.005, rel=1e-12)
 
-    def test_mixed_min(self):
-        assert mixed_sensitivity(2.0, 0.005) == 0.005
-        assert mixed_sensitivity(2.0, 3.7) == 2.0
+    # (mode, epsilon, chosen sensitivity): s_local = 2 on this block, so
+    # s_smooth = 2*exp(-(eps/2)*ln(2n^2)) * 2 with n = 3
+    @pytest.mark.parametrize("mode, epsilon, chosen", [
+        ("mixed", None, "off"), ("global", None, "off"),
+        ("global", 2.0, "global"), ("global", 0.01, "global"),
+        ("smooth", 2.0, "smooth"), ("smooth", 0.01, "smooth"),
+        ("mixed", 2.0, "smooth"), ("mixed", 0.01, "global"),
+    ])
+    def test_calibration(self, mode, epsilon, chosen):
+        block = corpus_from_rows([[1, 0], [-1, 0], [1, 0]])
+        params = PrivacyParams(epsilon=epsilon, sensitivity_mode=mode, seed=0)
+        rep = sensitivity_report(block, params)
+        oracle = SimilarityOracle(block, params)
+        s_smooth = 0.0 if epsilon is None else 4.0 * math.exp(-(epsilon / 2.0) * math.log(18.0))
+        sensitivity = {"off": 0.0, "global": 2.0, "smooth": s_smooth}[chosen]
+        assert rep.chosen == oracle.report.chosen == chosen
+        assert rep.s_smooth == pytest.approx(s_smooth, rel=1e-12)
+        assert rep.s_mixed == min(2.0, rep.s_smooth)
+        expected = 0.0 if epsilon is None else sensitivity / epsilon
+        assert rep.noise_scale == pytest.approx(expected, rel=1e-12)
+        assert oracle.noise_scale == rep.noise_scale
 
     def test_report_consistency(self):
         block = generate(SynthConfig(num_events=3, points_per_event=30, dim=16, seed=4))
         params = PrivacyParams(epsilon=2.0, seed=0)
         rep = sensitivity_report(block, params)
-        assert rep.s_mixed == mixed_sensitivity(rep.s_global, rep.s_smooth)
+        assert rep.s_mixed == min(rep.s_global, rep.s_smooth)
         assert rep.s_mixed <= 2.0
         assert rep.chosen == ("smooth" if rep.s_smooth < 2.0 else "global")
         assert rep.noise_scale == pytest.approx(rep.s_mixed / 2.0)
@@ -80,36 +97,28 @@ class TestSensitivities:
         expected = factor * s_local
         assert smooth_sensitivity(s_local, 0.1, n) == pytest.approx(expected, rel=1e-12)
         if expected >= 2.0:
-            assert mixed_sensitivity(2.0, expected) == 2.0
+            block = corpus_from_rows([[1, 0], [-1, 0]] * (n // 2))  # s_local = 2
+            rep = sensitivity_report(block, PrivacyParams(epsilon=0.1))
+            assert rep.chosen == "global" and rep.noise_scale == 2.0 / 0.1
 
     def test_report_off_mode(self):
         block = corpus_from_rows([[1, 0], [0, 1], [1, 1]])
         rep = sensitivity_report(block, PrivacyParams(epsilon=None, seed=0))
         assert rep.noise_scale == 0.0
         assert rep.s_mixed == 0.0
+        assert rep.chosen == "off"
 
 
 class TestLaplace:
-    def test_scale_zero(self, rng):
-        assert laplace_sample(0.0, rng) == 0.0
-
     def test_median_maps_to_zero(self):
         assert laplace_from_uniform(0.0, 3.7) == 0.0
 
     def test_sample_statistics(self):
-        rng = np.random.default_rng(11)
         b = 0.7
-        samples = np.array([laplace_sample(b, rng) for _ in range(200_000)])
-        # spot-check the scalar path, then the vectorized substream at full size
-        assert abs(samples.mean()) < 0.01 * b
         u = substream_uniforms(123, np.arange(1_000_000))
         vec = laplace_from_uniform(u, b)
         assert abs(vec.mean()) < 0.01 * b
         assert abs(vec.var() - 2 * b * b) < 0.05 * 2 * b * b
-
-    def test_negative_scale_rejected(self, rng):
-        with pytest.raises(PrivacyError):
-            laplace_sample(-1.0, rng)
 
 
 class TestSubstream:
@@ -243,8 +252,6 @@ def test_params_validation():
         PrivacyParams(epsilon=-1.0)
     with pytest.raises(PrivacyError):
         PrivacyParams(epsilon=1.0, sensitivity_mode="??")
-    with pytest.raises(PrivacyError):
-        PrivacyParams(epsilon=1.0, delta=1.5)
     assert PrivacyParams().off
 
 
