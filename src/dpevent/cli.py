@@ -137,17 +137,19 @@ def cmd_build_graph(args) -> int:
 def cmd_cluster(args) -> int:
     out = _outdir(args)
     graphs_dir = Path(args.graphs)
-    sidecars = [path for _, path in _block_files(graphs_dir, "graph_block", ".json")]
+    sidecars = _block_files(graphs_dir, "graph_block", ".json")
     if not sidecars:
         print(f"cluster: no graph_block*.json files under {graphs_dir}", file=sys.stderr)
         return 1
     _write_config(out, "cluster", {"graphs": str(graphs_dir), "q0": args.q0,
                                    "grouping": args.grouping})
     failures = 0
-    for sidecar_path in sidecars:
+    for block_id, sidecar_path in sidecars:
         try:
             sidecar = read_json(sidecar_path)
-            block_id = sidecar["block"]
+            if sidecar["block"] != block_id:
+                raise ValueError(f"sidecar is for block {sidecar['block']!r}, "
+                                 f"file name says {block_id}")
             tsv = graphs_dir / f"graph_block{block_id}.tsv"
             if not tsv.exists():
                 raise FileNotFoundError(f"missing graph file {tsv}")
@@ -255,11 +257,8 @@ def cmd_sweep(args) -> int:
              for e in summary["epsilons"]}
     summary["mean_ari_by_epsilon"] = means
     if len(means) >= 2:
-        if len(set(means.values())) > 1:
-            from scipy.stats import spearmanr
-            rho = float(spearmanr(list(means.keys()), list(means.values())).statistic)
-        else:
-            rho = math.nan  # flat trend: correlation undefined
+        # nan for a flat trend: the correlation is undefined
+        rho = metrics_mod.spearman(list(means.keys()), list(means.values()))
         summary["spearman_epsilon_vs_ari"] = None if math.isnan(rho) else rho
         ordered = [means[e] for e in summary["epsilons"]]
         summary["monotone_violations"] = int(sum(b < a - 0.05 for a, b in zip(ordered, ordered[1:])))

@@ -159,38 +159,98 @@ def _merge_deltas(ea, eb, ew, V, g, ilog, vol, log2vol):
     return (cm - ca - cb) / vol
 
 
-def _merge(a, b, w, V, g, ilog, parent, ea, eb, ew):
-    """Fold community b into a (a < b), whose cut weight is w.
+class _EdgeSlots:
+    """Cross-community edges (ea < eb, cut weight ew) in fixed slots.
 
-    Updates the state of a in place and records parent[b] = a. Returns the
-    mask of the cross-community edges (ea, eb, ew) that touch neither a nor b,
-    and the contracted edge list: those edges in order, followed by the edges
-    of the merged community with parallel weights summed. The a-b edge
-    vanishes.
+    A merge rewrites the few slots at the merged pair instead of rebuilding
+    the arrays, and a slot that dies holds ea = eb = -1. Each community's
+    slots come from a CSR over both endpoints, built once from one argsort;
+    a community that absorbed another keeps its list in a dict instead. Lists
+    may still name slots that died since, so `of` filters them. The order
+    within a list is arbitrary: nothing computed from it depends on it.
     """
+
+    def __init__(self, ea, eb, ew, ncomm: int):
+        self.ea = np.array(ea, dtype=np.int64)
+        self.eb = np.array(eb, dtype=np.int64)
+        self.ew = np.array(ew, dtype=np.float64)
+        ends = np.concatenate([self.ea, self.eb])
+        self._slot = np.argsort(ends) % max(self.ea.size, 1)
+        self._ptr = np.zeros(ncomm + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=ncomm), out=self._ptr[1:])
+        self._merged: dict[int, np.ndarray] = {}
+        self._at = np.full(ncomm, -1, dtype=np.int64)  # scratch: neighbour -> slot
+
+    def of(self, c: int) -> np.ndarray:
+        """The live slots of community c."""
+        s = self._merged.get(c)
+        if s is None:
+            s = self._slot[self._ptr[c]:self._ptr[c + 1]]
+        return s[self.ea[s] >= 0]
+
+    def find(self, a: int, b: int) -> int:
+        """The slot of the edge a-b (a < b), or -1 if they are not adjacent."""
+        s = self.of(a)
+        s = s[self.eb[s] == b]
+        return int(s[0]) if s.size else -1
+
+    def merge(self, a: int, b: int, s: int):
+        """Fold b's edges into a's (a < b); s is the slot of a-b, or -1.
+
+        The edge to each neighbour x keeps the slot of a-x, or of b-x if a
+        and x are not adjacent. Where both exist, b-x's weight is added to
+        a-x: at most two slots meet at one neighbour, so the sum is one
+        commutative addition. The a-b slot and each such b-x slot die.
+        Returns the slots of a and the b-x slots that died.
+        """
+        ea, eb, ew = self.ea, self.eb, self.ew
+        if s >= 0:
+            ea[s] = eb[s] = -1
+        sa = self.of(a)
+        sb = self.of(b)
+        xa = ea[sa] + eb[sa] - a
+        xb = ea[sb] + eb[sb] - b
+        at = self._at
+        at[xa] = sa
+        hit = at[xb]
+        at[xa] = -1
+        shared = hit >= 0
+        dead = sb[shared]
+        ew[hit[shared]] += ew[dead]
+        ea[dead] = eb[dead] = -1
+        moved = ~shared
+        sm = sb[moved]
+        xm = xb[moved]
+        ea[sm] = np.minimum(xm, a)
+        eb[sm] = np.maximum(xm, a)
+        kept = np.concatenate([sa, sm])
+        self._merged[a] = kept
+        self._merged.pop(b, None)
+        return kept, dead
+
+
+def _merge(a, b, s, V, g, ilog, parent, slots: _EdgeSlots):
+    """Fold community b into a (a < b); s is the slot of the a-b edge, or -1.
+
+    Updates the state of a in place, records parent[b] = a and merges the
+    edges (see _EdgeSlots.merge). Returns the slots of a, which need new
+    deltas, and the b-x slots that died; the a-b slot dies as well.
+    """
+    w = slots.ew[s] if s >= 0 else 0.0
     V[a] += V[b]
     g[a] = max(g[a] + g[b] - 2.0 * w, 0.0)
     ilog[a] += ilog[b]
     parent[b] = a
-    x = np.where(ea == b, a, ea)
-    y = np.where(eb == b, a, eb)
-    lo = np.minimum(x, y)
-    hi = np.maximum(x, y)
-    at_a = (lo == a) | (hi == a)
-    touch = at_a & (lo != hi)
-    other = np.where(lo[touch] == a, hi[touch], lo[touch])
-    uniq, inv = np.unique(other, return_inverse=True)
-    rest = ~at_a
-    return (rest, np.concatenate([ea[rest], np.minimum(uniq, a)]),
-            np.concatenate([eb[rest], np.maximum(uniq, a)]),
-            np.concatenate([ew[rest], np.bincount(inv, weights=ew[touch])]))
+    return slots.merge(a, b, s)
 
 
 class CommunityState:
     """Per-community state and cross-community edges of a partitioned graph.
 
-    Holds the arrays the greedy merge loop works on: merge_delta evaluates the
-    loop's delta for one pair and apply_merge runs its merge-and-contract step.
+    Holds the state the greedy merge loop works on: merge_delta evaluates the
+    loop's delta for one pair and apply_merge runs its merge step. The edges
+    are the loop's fixed slots (`slots.ea`, `slots.eb`, `slots.ew`); a dead
+    slot holds ea = eb = -1.
     """
 
     def __init__(self, graph: MessageGraph, partition: Partition):
@@ -203,35 +263,32 @@ class CommunityState:
         self.V = V
         self.g = g
         self.ilog = ilog
-        self.ea = ea
-        self.eb = eb
-        self.ew = ew
+        self.slots = _EdgeSlots(ea, eb, ew, V.size)
         self.alive = np.ones(V.size, dtype=bool)
         self.parent = np.arange(V.size, dtype=np.int64)
         self._base_assignment = assignment
 
     def _pair(self, a: int, b: int):
-        """The pair as (lo, hi, cut weight), validated."""
+        """The pair as (lo, hi, slot of its edge or -1), validated."""
         if a == b:
             raise InvalidPartitionError("cannot merge a community with itself")
         for c in (a, b):
             if not (0 <= c < self.alive.size) or not self.alive[c]:
                 raise InvalidPartitionError(f"unknown or merged community id {c}")
         lo, hi = min(a, b), max(a, b)
-        edge = np.flatnonzero((self.ea == lo) & (self.eb == hi))
-        return lo, hi, float(self.ew[edge[0]]) if edge.size else 0.0
+        return lo, hi, self.slots.find(lo, hi)
 
     def merge_delta(self, a: int, b: int) -> float:
         """H2(after merging a and b) - H2(before), from cached state."""
-        lo, hi, w = self._pair(a, b)
+        lo, hi, s = self._pair(a, b)
+        w = self.slots.ew[s] if s >= 0 else 0.0
         return float(_merge_deltas(np.array([lo]), np.array([hi]), np.array([w]), self.V,
                                    self.g, self.ilog, self.vol, self.log2vol)[0])
 
     def apply_merge(self, a: int, b: int) -> None:
         """Merge the two communities; the smaller id survives."""
-        lo, hi, w = self._pair(a, b)
-        _, self.ea, self.eb, self.ew = _merge(lo, hi, w, self.V, self.g, self.ilog, self.parent,
-                                              self.ea, self.eb, self.ew)
+        lo, hi, s = self._pair(a, b)
+        _merge(lo, hi, s, self.V, self.g, self.ilog, self.parent, self.slots)
         self.alive[hi] = False
 
     def two_dim_se(self) -> float:
@@ -264,32 +321,34 @@ def minimize_edges(ea, eb, ew, V, g, ilog, parent, vol):
 
     Edges satisfy ea < eb. Repeatedly merges the pair with the most negative
     delta (ties: lexicographically smallest pair) until no pair improves H2 by
-    more than MERGE_TOL. Mutates V, g, ilog, parent in place. Returns the
-    array of accepted merge deltas, each strictly below -MERGE_TOL.
+    more than MERGE_TOL. Mutates V, g, ilog, parent in place; ea, eb and ew
+    are copied and left unchanged. Returns the array of accepted merge
+    deltas, each strictly below -MERGE_TOL.
 
-    A merge only changes the state of the merged pair, so deltas of edges not
-    incident to it are kept and only the survivor's re-aggregated edges are
-    recomputed.
+    The edges stay in fixed slots (see _EdgeSlots). A merge only changes the
+    state of the merged pair, so it recomputes the deltas of the survivor's
+    slots, sets dead slots to +inf and keeps every other delta.
     """
     vol = float(vol)
     log2vol = math.log2(vol)
     accepted = []
+    if not len(ea):
+        return np.asarray(accepted, dtype=np.float64)
+    slots = _EdgeSlots(ea, eb, ew, V.size)
+    ea, eb, ew = slots.ea, slots.eb, slots.ew
     delta = _merge_deltas(ea, eb, ew, V, g, ilog, vol, log2vol)
-    while ea.size:
+    while True:
         dmin = float(delta.min())
         if not dmin < -MERGE_TOL:
             break
         tied = np.flatnonzero(delta == dmin)
-        best = int(tied[np.lexsort((eb[tied], ea[tied]))[0]])
-        a = int(ea[best])
-        b = int(eb[best])
-        rest, ea, eb, ew = _merge(a, b, ew[best], V, g, ilog, parent, ea, eb, ew)
+        best = int(tied[0] if tied.size == 1 else tied[np.lexsort((eb[tied], ea[tied]))[0]])
+        kept, dead = _merge(int(ea[best]), int(eb[best]), best, V, g, ilog, parent, slots)
         accepted.append(dmin)
-        delta = delta[rest]
-        if delta.size < ea.size:
-            new = slice(delta.size, None)
-            delta = np.concatenate([delta, _merge_deltas(ea[new], eb[new], ew[new], V, g, ilog,
-                                                         vol, log2vol)])
+        delta[best] = np.inf
+        delta[dead] = np.inf
+        if kept.size:
+            delta[kept] = _merge_deltas(ea[kept], eb[kept], ew[kept], V, g, ilog, vol, log2vol)
     return np.asarray(accepted, dtype=np.float64)
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,6 +206,17 @@ class TestPipelineCommands:
                      "--out", str(edir)]) == 0
         assert read_json(edir / "metrics_summary.json")["blocks"] == [0]
 
+    def test_cluster_block_id_from_file_name(self, tmp_path, corpus_file, capsys):
+        gdir, cdir = tmp_path / "g", tmp_path / "c"
+        assert main(["build-graph", "--input", str(corpus_file), "--out", str(gdir)]) == 0
+        (gdir / "graph_block5.json").write_bytes((gdir / "graph_block0.json").read_bytes())
+        capsys.readouterr()
+        assert main(["cluster", "--graphs", str(gdir), "--out", str(cdir)]) == 1
+        out, err = capsys.readouterr()
+        assert "cluster: graph_block5.json failed: ValueError: " in err
+        assert out.count("cluster: block 0:") == 1
+        assert sorted(p.name for p in cdir.glob("partition_block*")) == ["partition_block0.csv"]
+
     def test_evaluate_isolates_bad_partition(self, tmp_path, capsys):
         path = tmp_path / "two_blocks.jsonl"
         rows = [{"id": f"r{i}", "block": i % 2, "embedding": [1.0, float(i) / 10],
@@ -253,6 +268,19 @@ class TestSweep:
         assert len(lines) == 1 + 1
         assert not any(line.startswith("off,") for line in lines)
         assert "mean_ari_off" not in read_json(out / "sweep_summary.json")
+
+    def test_sweep_leaves_scipy_stats_unimported(self, tmp_path, corpus_file):
+        code = ("import sys; from dpevent.cli import main; "
+                f"rc = main(['sweep', '--input', {str(corpus_file)!r}, '--out', "
+                f"{str(tmp_path / 'sweep')!r}, '--epsilons', '2,6', '--mode', 'global']); "
+                "print(rc, 'scipy.stats' in sys.modules)")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        assert proc.stdout.split()[-2:] == ["0", "False"]
+        assert "spearman_epsilon_vs_ari" in read_json(tmp_path / "sweep" / "sweep_summary.json")
 
 
     def test_q0_defaults(self, tmp_path, corpus_file):

@@ -6,7 +6,8 @@ import pytest
 from conftest import make_graph
 from oracles import direct_two_dim_se, enumerate_partitions, greedy_reference, random_graph
 
-from dpevent.entropy import (CommunityState, InvalidPartitionError, Partition, merge_delta,
+from dpevent.entropy import (CommunityState, InvalidPartitionError, Partition,
+                             _community_aggregates, merge_delta, minimize_edges, resolve_parents,
                              two_dim_se, vanilla_minimize)
 from dpevent.graphsynth import GraphError, one_dim_se
 
@@ -131,6 +132,30 @@ class TestMergeDelta:
             assert state.ilog[c] == pytest.approx(ilog[dense_id], abs=1e-9)
         assert state.two_dim_se() == pytest.approx(two_dim_se(g, part), abs=1e-9)
 
+    def test_shared_neighbour_weights_add_exactly(self, rng):
+        # a=1 and b=4 both border x=0 and x=2: each a-x edge keeps its slot
+        # and takes w_bx in one addition; the b-x slots die
+        w = rng.uniform(0.01, 1.0, size=5)
+        g = make_graph(5, [(0, 1, w[0]), (1, 2, w[1]), (0, 4, w[2]), (2, 4, w[3]),
+                           (1, 4, w[4]), (3, 4, 0.5)])
+        state = CommunityState(g, Partition.singletons(5))
+        state.apply_merge(4, 1)
+        slots = state.slots
+        live = {(int(a), int(b)): float(slots.ew[k]) for k, (a, b)
+                in enumerate(zip(slots.ea, slots.eb)) if a >= 0}
+        assert live == {(0, 1): w[0] + w[2], (1, 2): w[1] + w[3], (1, 3): 0.5}
+        assert (slots.ea == -1).sum() == 3  # the a-b slot and two b-x slots
+
+    def test_non_adjacent_merge_moves_edges(self):
+        g = make_graph(4, [(0, 2, 0.25), (1, 3, 0.5)])
+        state = CommunityState(g, Partition.singletons(4))
+        state.apply_merge(0, 1)
+        assert state.slots.find(0, 3) >= 0 and state.slots.find(0, 2) >= 0
+        assert state.g[0] == 0.75
+        state.apply_merge(0, 3)
+        assert state.slots.find(0, 3) == -1 and state.slots.find(0, 2) >= 0
+        assert state.g[0] == 0.25
+
     def test_unknown_community_rejected(self, two_triangles):
         state = CommunityState(two_triangles, Partition.singletons(6))
         with pytest.raises(InvalidPartitionError):
@@ -190,6 +215,29 @@ class TestVanillaMinimize:
         assert np.array_equal(a.assignment, b.assignment)
 
 
+class TestMinimizeEdges:
+    def _state(self, graph):
+        vol, V, g, ilog, ea, eb, ew = _community_aggregates(graph, np.arange(graph.n))
+        return ea, eb, ew, V, g, ilog, np.arange(V.size), vol
+
+    def test_zero_edges(self):
+        V, g, ilog = np.array([1.0, 2.0]), np.array([1.0, 2.0]), np.array([0.0, 2.0])
+        parent = np.arange(2)
+        empty = np.empty(0, dtype=np.int64)
+        out = minimize_edges(empty, empty, np.empty(0), V, g, ilog, parent, 3.0)
+        assert out.dtype == np.float64 and out.shape == (0,)
+        assert V.tolist() == [1.0, 2.0] and g.tolist() == [1.0, 2.0]
+        assert ilog.tolist() == [0.0, 2.0] and parent.tolist() == [0, 1]
+
+    def test_caller_edges_left_unchanged(self, two_triangles):
+        ea, eb, ew, V, g, ilog, parent, vol = self._state(two_triangles)
+        before = [ea.copy(), eb.copy(), ew.copy()]
+        accepted = minimize_edges(ea, eb, ew, V, g, ilog, parent, vol)
+        assert accepted.size == 4  # two triangles, two merges each
+        assert all(np.array_equal(x, y) for x, y in zip((ea, eb, ew), before))
+        assert resolve_parents(parent).tolist() == [0, 0, 0, 3, 3, 3]
+
+
 class TestGreedyReference:
     """vanilla_minimize makes the same merges as a recompute-everything greedy."""
 
@@ -215,3 +263,29 @@ class TestGreedyReference:
             self._check(n, path)
             self._check(n, path + [(0, n - 1, 1.0)])
             self._check(n, [(0, i, 1.0) for i in range(1, n)])
+
+    def test_complete_graphs(self, rng):
+        # merged communities share almost every neighbour, so each merge sums
+        # two slots per neighbour and kills the second
+        for n in range(6, 13):
+            self._check(n, [(a, b, float(rng.uniform(0.01, 1.0)))
+                            for a in range(n) for b in range(a + 1, n)])
+
+    def test_joined_cliques(self, rng):
+        for n in range(6, 13):
+            half = n // 2
+            edges = [(a, b, float(rng.uniform(0.5, 1.0)))
+                     for lo, hi in ((0, half), (half, n))
+                     for a in range(lo, hi) for b in range(a + 1, hi)]
+            edges += [(a, b, float(rng.uniform(0.01, 0.2)))
+                      for a in range(half) for b in range(half, n) if rng.random() < 0.3]
+            self._check(n, edges)
+
+    def test_ties_across_rewritten_slots(self):
+        # equal-weight graphs where, after a merge, a tied pair sits in a
+        # higher slot than a lexicographically larger one: ties must follow the
+        # pair, not the slot
+        self._check(5, [(0, 2, 1.0), (0, 4, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
+        self._check(5, [(0, 3, 1.0), (1, 2, 1.0), (1, 4, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
+        self._check(8, [(1, 5, 1.0), (1, 6, 1.0), (1, 7, 1.0), (2, 5, 1.0), (3, 4, 1.0),
+                        (3, 6, 1.0), (3, 7, 1.0), (5, 6, 1.0)])

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.stats import rankdata, spearmanr
 
 from oracles import mp_ami, pair_count_ari
 
-from dpevent.metrics import MetricsError, ami, ari, contingency, expected_mutual_information
+from dpevent.metrics import (MetricsError, _average_ranks, ami, ari, contingency,
+                             expected_mutual_information, spearman)
 
 
 class TestAri:
@@ -106,3 +110,24 @@ class TestContingency:
         assert int(t.counts.sum()) == t.n == n
         assert np.array_equal(t.counts.sum(axis=1), t.row_sums)
         assert np.array_equal(t.counts.sum(axis=0), t.col_sums)
+
+
+class TestSpearman:
+    def test_equals_scipy_on_ties(self, rng):
+        # few distinct values, so most vectors carry ties
+        for _ in range(2000):
+            n = int(rng.integers(2, 15))
+            x = rng.integers(0, rng.integers(2, 6), size=n) * 0.1
+            y = rng.integers(0, rng.integers(2, 6), size=n) / 3
+            assert np.array_equal(_average_ranks(x), rankdata(x))
+            if np.ptp(x) and np.ptp(y):
+                assert spearman(x, y) == float(spearmanr(x, y).statistic)
+
+    def test_undefined_is_nan(self):
+        assert math.isnan(spearman([1.0, 2.0, 3.0], [0.5, 0.5, 0.5]))
+        assert math.isnan(spearman([1.0, 1.0], [0.1, 0.2]))
+        assert math.isnan(spearman([1.0, 2.0, 3.0], [0.1, math.nan, 0.3]))
+
+    def test_monotone(self):
+        assert spearman([1.0, 2.0, 3.0, 4.0], [0.1, 0.5, 0.6, 0.9]) == 1.0
+        assert spearman([1.0, 2.0, 3.0], [3.0, 2.0, 1.0]) == -1.0
