@@ -133,14 +133,19 @@ def _check_partition(graph: MessageGraph, partition: Partition) -> np.ndarray:
     return partition.assignment
 
 
-def two_dim_se(graph: MessageGraph, partition: Partition) -> float:
-    """Two-level structural entropy of the graph under the partition."""
-    assignment = _check_partition(graph, partition)
-    vol, V, g, ilog, *_ = _community_aggregates(graph, assignment)
+def _two_dim_se_from_aggregates(aggregates) -> float:
+    """H2 from the result of _community_aggregates."""
+    vol, V, g, ilog, *_ = aggregates
     if vol <= 0.0:
         raise GraphError("2D structural entropy is undefined on an empty graph")
     pos = V > 0  # zero terms would regroup numpy's pairwise summation
     return float(_contributions(V[pos], g[pos], ilog[pos], math.log2(vol)).sum()) / vol
+
+
+def two_dim_se(graph: MessageGraph, partition: Partition) -> float:
+    """Two-level structural entropy of the graph under the partition."""
+    assignment = _check_partition(graph, partition)
+    return _two_dim_se_from_aggregates(_community_aggregates(graph, assignment))
 
 
 def _merge_deltas(ea, eb, ew, V, g, ilog, vol, log2vol):
@@ -321,7 +326,9 @@ def minimize_edges(ea, eb, ew, V, g, ilog, parent, vol):
 
     Edges satisfy ea < eb. Repeatedly merges the pair with the most negative
     delta (ties: lexicographically smallest pair) until no pair improves H2 by
-    more than MERGE_TOL. Mutates V, g, ilog, parent in place; ea, eb and ew
+    more than MERGE_TOL. Only bit-equal deltas tie: two deltas that are equal
+    in exact arithmetic but round apart go to the smaller one, not to the
+    smaller pair. Mutates V, g, ilog, parent in place; ea, eb and ew
     are copied and left unchanged. Returns the array of accepted merge
     deltas, each strictly below -MERGE_TOL.
 
@@ -357,7 +364,8 @@ def vanilla_minimize(graph: MessageGraph, init: Partition | None = None) -> Part
 
     Considers every pair of communities joined by at least one edge, applies
     the most-negative delta (ties broken by the lexicographically smallest id
-    pair) and stops when no merge improves H2 by more than MERGE_TOL.
+    pair) and stops when no merge improves H2 by more than MERGE_TOL. Ties
+    are bit-equal deltas only, as in minimize_edges.
     """
     if init is None:
         init = Partition.singletons(graph.n)

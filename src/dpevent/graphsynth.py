@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Corpus
-from .privacy import SimilarityOracle
+from .privacy import SimilarityOracle, _row_chunks
 
 W_FLOOR = 1e-6
 W_CEIL = 1.0
@@ -130,10 +130,15 @@ def _dedupe_undirected(n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray):
 
 
 def top_neighbor_table(block: Corpus, oracle: SimilarityOracle, k_max: int,
-                       chunk_rows: int = 512):
+                       chunk_rows: int | None = None):
     """Per-node neighbor ranking by descending noisy similarity, ties by ascending id.
 
-    Per chunk of rows, np.partition finds each row's k_max-th largest value;
+    The rows are visited in the oracle's row chunks (oracle.row_chunks, about
+    ROW_CHUNK_ELEMS cells each), so each chunk's temporaries stay a few MB
+    whatever n is. chunk_rows sets another chunk height; that changes the
+    work per step, not the result.
+
+    Per chunk, np.partition finds each row's k_max-th largest value;
     every cell at or above it is kept, so all ties at that boundary survive.
     One lexsort orders the survivors by (row, descending value, ascending id)
     and the first k_max of each row are taken: the same result as a full sort
@@ -145,8 +150,8 @@ def top_neighbor_table(block: Corpus, oracle: SimilarityOracle, k_max: int,
     n = len(block)
     nbrs = np.empty((n, k_max), dtype=np.int64)
     sims = np.empty((n, k_max), dtype=np.float64)
-    for lo in range(0, n, chunk_rows):
-        hi = min(n, lo + chunk_rows)
+    chunks = oracle.row_chunks if chunk_rows is None else _row_chunks(n, chunk_rows * n)
+    for lo, hi in chunks:
         rows = oracle.noisy_rows(lo, hi)
         rows[np.arange(hi - lo), np.arange(lo, hi)] = -np.inf  # self never selected
         kth = np.partition(rows, n - k_max, axis=1)[:, n - k_max]

@@ -82,29 +82,41 @@ def _mutual_information(table: ContingencyTable) -> float:
     return float((nij / table.n * np.log(table.n * nij / outer)).sum())
 
 
+def _emi_cell(n: int, ai: int, bj: int, lg: np.ndarray) -> float | None:
+    """E[MI] term of one (a_i, b_j) marginal pair; None when no k is possible."""
+    lo = max(1, ai + bj - n)
+    hi = min(ai, bj)
+    if hi < lo:
+        return None
+    k = np.arange(lo, hi + 1)
+    log_term = np.log(n * k.astype(np.float64) / (float(ai) * bj))
+    log_prob = (lg[ai] + lg[bj] + lg[n - ai] + lg[n - bj]
+                - lg[n] - lg[k] - lg[ai - k] - lg[bj - k] - lg[n - ai - bj + k])
+    return float((k / n * log_term * np.exp(log_prob)).sum())
+
+
 def expected_mutual_information(table: ContingencyTable) -> float:
     """Exact E[MI] under the hypergeometric model of random labelings.
 
     For every marginal pair (a_i, b_j), sums (k/n)*ln(n*k/(a_i*b_j)) times the
     hypergeometric probability of the cell holding k, with k ranging over
-    max(1, a_i+b_j-n) .. min(a_i, b_j).
+    max(1, a_i+b_j-n) .. min(a_i, b_j). A pair's term depends only on the two
+    sizes, so each distinct (a_i, b_j) is computed once; the terms are still
+    added one per (i, j), in row-major order.
     """
     n = table.n
-    a = table.row_sums.astype(np.int64)
-    b = table.col_sums.astype(np.int64)
     lg = gammaln(np.arange(n + 2, dtype=np.float64) + 1.0)  # lg[x] = ln(x!)
+    b = table.col_sums.tolist()
+    terms: dict[tuple[int, int], float | None] = {}
     total = 0.0
-    for ai in a.tolist():
-        for bj in b.tolist():
-            lo = max(1, ai + bj - n)
-            hi = min(ai, bj)
-            if hi < lo:
-                continue
-            k = np.arange(lo, hi + 1)
-            log_term = np.log(n * k.astype(np.float64) / (float(ai) * bj))
-            log_prob = (lg[ai] + lg[bj] + lg[n - ai] + lg[n - bj]
-                        - lg[n] - lg[k] - lg[ai - k] - lg[bj - k] - lg[n - ai - bj + k])
-            total += float((k / n * log_term * np.exp(log_prob)).sum())
+    for ai in table.row_sums.tolist():
+        for bj in b:
+            key = (ai, bj)
+            if key not in terms:
+                terms[key] = _emi_cell(n, ai, bj, lg)
+            term = terms[key]
+            if term is not None:
+                total += term
     return total
 
 

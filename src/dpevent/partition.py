@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import (Partition, _check_partition, _community_aggregates, dense_labels,
-                      minimize_edges, resolve_parents, two_dim_se)
+from .entropy import (Partition, _check_partition, _community_aggregates,
+                      _two_dim_se_from_aggregates, dense_labels, minimize_edges, resolve_parents)
 from .graphsynth import GraphError, MessageGraph, one_dim_se
 
 MAX_ROUNDS = 64
@@ -180,9 +180,11 @@ def cluster(graph: MessageGraph, q0: int = 400, init: Partition | None = None,
 
     current = init
     q = q0
+    # one aggregation per partition: a round's result gives its H2 and
+    # starts the next round
+    aggregates = _community_aggregates(graph, current.assignment)
     for _ in range(MAX_ROUNDS):
         assignment = current.assignment
-        aggregates = _community_aggregates(graph, assignment)
         vol, V, g, ilog, ea, eb, ew = aggregates
         ncomm = int(V.size)
         k_max = math.ceil(ncomm / q)
@@ -212,11 +214,13 @@ def cluster(graph: MessageGraph, q0: int = 400, init: Partition | None = None,
         root = resolve_parents(parent)
         new_partition = Partition(dense_labels(root[assignment]))
         stable = new_partition.same_as(current)
+        # minimize_edges changed V, g and ilog in place: aggregate afresh
+        aggregates = _community_aggregates(graph, new_partition.assignment)
         run.rounds.append({
             "q": q,
             "k_max": k_max,
             "num_communities": new_partition.num_communities,
-            "h2": two_dim_se(graph, new_partition),
+            "h2": _two_dim_se_from_aggregates(aggregates),
             "stable": stable,
         })
         current = new_partition

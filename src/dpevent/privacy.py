@@ -5,9 +5,15 @@ local sensitivity of a block is smoothed with factor 2*exp(-(eps/2)*ln(2/delta))
 delta = 1/n^2. The sensitivity mode picks the one the mechanism uses: global,
 smooth, or (mixed) the smaller of the two; sensitivity_report is the only place
 that makes this choice, and the oracle adds noise at the reported scale. Each
-unordered message pair receives exactly one Laplace draw, generated from a
-counter-based substream of the block seed so that reruns and concurrent
-queries reproduce the same value.
+unordered message pair has exactly one released value: its Laplace draw comes
+from a counter-based substream of the block seed, so reruns and concurrent
+queries reproduce it. A full pass over the similarity rows meets every pair
+twice, once from each of its rows, and computes the same draw both times, so
+such a pass generates two uniforms per pair (draws_per_pair reads 2.0).
+
+Every O(n^2) pass works in row chunks of about ROW_CHUNK_ELEMS cells (a 2 MB
+float64 temporary), and the noise in tiles of about NOISE_TILE_ELEMS cells, so
+peak memory stays flat as the block grows and each pass runs in cache.
 """
 
 from __future__ import annotations
@@ -25,6 +31,13 @@ _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
 _U53 = float(2.0 ** -53)
+
+# Cells per temporary: one matrix product, top-k selection or sensitivity
+# scan works on ROW_CHUNK_ELEMS cells; the counter -> Laplace pipeline and the
+# pair gathers of noisy_pairs on NOISE_TILE_ELEMS. Both are sized for a
+# few-MB L2 cache.
+ROW_CHUNK_ELEMS = 1 << 18
+NOISE_TILE_ELEMS = 1 << 16
 
 
 class PrivacyError(ValueError):
@@ -82,21 +95,35 @@ class SensitivityReport:
         }
 
 
+def _row_chunks(n: int, budget: int) -> list[tuple[int, int]]:
+    """[lo, hi) ranges covering rows 0..n in order, about budget // n rows each.
+
+    No range has a single row when n >= 2: a 1-row tail joins the range
+    before it, because a 1-row matrix product takes another BLAS kernel
+    whose sums can differ from a many-row product in the last ulp.
+    """
+    step = max(2, budget // max(n, 1))
+    bounds = list(range(0, n, step)) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def local_sensitivity(block: Corpus) -> float:
     """Largest per-anchor spread of observed cosines in the block.
 
     For each anchor i this is max_j cos(i,j) - min_j cos(i,j) over the other
     records j, i.e. the largest change a single-record replacement within the
     block's empirical range can induce; the result is the max over anchors.
+    The cosines come one row chunk at a time (_row_chunks at ROW_CHUNK_ELEMS),
+    from the same products as SimilarityOracle's exact cosines.
     """
     n = len(block)
     if n < 2:
         raise PrivacyError("local sensitivity needs a block with at least 2 records")
     emb = block.embeddings
     spread = 0.0
-    chunk = max(1, min(n, 8_388_608 // n))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
+    for lo, hi in _row_chunks(n, ROW_CHUNK_ELEMS):
         sims = emb[lo:hi] @ emb.T
         rows = np.arange(lo, hi)
         sims[rows - lo, rows] = np.nan
@@ -223,6 +250,9 @@ class SimilarityOracle:
         # condensed index of pair (i, j), i < j, is _pair_base[i] + j
         i = np.arange(self.n, dtype=np.int64)
         self._pair_base = i * (2 * self.n - i - 1) // 2 - i - 1
+        # the exact cosines of a row always come from its chunk's product
+        self.row_chunks = _row_chunks(self.n, ROW_CHUNK_ELEMS)
+        self._row_bounds = np.array([lo for lo, _ in self.row_chunks] + [self.n], dtype=np.int64)
 
     def pair_index(self, i: int, j: int) -> int:
         """Condensed index of unordered pair (i, j) in the upper triangle."""
@@ -250,33 +280,61 @@ class SimilarityOracle:
     def noisy_pairs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Perturbed similarities for arrays of pairs (u[k] != v[k]).
 
-        Same substream values as the scalar and row paths.
+        Same substream values as the scalar and row paths. The pairs go in
+        tiles whose gathered embeddings hold about NOISE_TILE_ELEMS values; a
+        pair's row-wise dot product does not depend on the tile.
         """
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
         if np.any(u == v):
             raise PrivacyError("self-pairs are not valid similarity queries")
         emb = self.block.embeddings
-        sims = np.einsum("ij,ij->i", emb[u], emb[v])
-        if self.noise_scale > 0.0:
-            p = self._pair_base[np.minimum(u, v)] + np.maximum(u, v)
-            sims += laplace_from_uniform(substream_uniforms(self._seed, p), self.noise_scale)
+        sims = np.empty(u.size)
+        step = max(1, NOISE_TILE_ELEMS // emb.shape[1])
+        for a in range(0, u.size, step):
+            ut, vt, out = u[a:a + step], v[a:a + step], sims[a:a + step]
+            np.einsum("ij,ij->i", emb[ut], emb[vt], out=out)
+            if self.noise_scale > 0.0:
+                p = self._pair_base[np.minimum(ut, vt)] + np.maximum(ut, vt)
+                out += laplace_from_uniform(substream_uniforms(self._seed, p), self.noise_scale)
+        return sims
+
+    def _exact_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Exact cosines of rows [lo, hi), cut from the products of their row chunks."""
+        emb = self.block.embeddings
+        bounds = self._row_bounds
+        first = int(np.searchsorted(bounds, lo, side="right")) - 1
+        last = int(np.searchsorted(bounds, hi, side="left"))
+        if last == first + 1 and bounds[first] == lo and bounds[last] == hi:
+            return emb[lo:hi] @ emb.T
+        sims = np.empty((hi - lo, self.n))
+        for a, b in zip(bounds[first:last].tolist(), bounds[first + 1:last + 1].tolist()):
+            s, e = max(a, lo), min(b, hi)
+            sims[s - lo:e - lo] = (emb[a:b] @ emb.T)[s - a:e - a]
         return sims
 
     def noisy_rows(self, lo: int, hi: int) -> np.ndarray:
         """Perturbed similarities of rows [lo, hi) against all records.
 
-        Each pair gets the same noise draw as in per-pair queries; the exact
-        cosine comes from a matrix product, so it can differ from noisy_pairs'
-        row-wise dot product in the last ulp. The diagonal is set to NaN.
+        The exact cosines come from one matrix product per row chunk of the
+        block (self.row_chunks); a range that is not one whole chunk is cut
+        out of the products of the chunks it overlaps. So a row's values do
+        not depend on the range asked for, but can differ from noisy_pairs'
+        row-wise dot product in the last ulp. The noise is added in tiles of
+        about NOISE_TILE_ELEMS cells, each with its own counters, and each
+        pair gets the same draw as in per-pair queries. The diagonal is set
+        to NaN.
         """
-        emb = self.block.embeddings
-        sims = emb[lo:hi] @ emb.T
+        sims = self._exact_rows(lo, hi)
         if self.noise_scale > 0.0:
-            rows = np.arange(lo, hi)[:, None]
+            step = max(1, NOISE_TILE_ELEMS // self.n)
             cols = np.arange(self.n)
-            p = self._pair_base + rows  # column j < row i: pair (j, i)
-            np.add(self._pair_base[lo:hi, None], cols, out=p, where=cols >= rows)  # pair (i, j)
-            sims += laplace_from_uniform(substream_uniforms(self._seed, p), self.noise_scale)
+            for a in range(lo, hi, step):
+                b = min(hi, a + step)
+                rows = np.arange(a, b)[:, None]
+                p = self._pair_base + rows  # column j < row i: pair (j, i)
+                np.add(self._pair_base[a:b, None], cols, out=p, where=cols >= rows)  # pair (i, j)
+                sims[a - lo:b - lo] += laplace_from_uniform(substream_uniforms(self._seed, p),
+                                                            self.noise_scale)
         sims[np.arange(hi - lo), np.arange(lo, hi)] = np.nan
         return sims

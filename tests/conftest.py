@@ -7,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from dpevent.corpus import SynthConfig, generate
 from dpevent.graphsynth import MessageGraph
 
 
@@ -46,3 +47,10 @@ def dyadic_embeddings(n, seed):
     dirs = [s * np.eye(4)[k] for k in range(4) for s in (1.0, -1.0)]
     dirs += [0.5 * np.array(signs) for signs in itertools.product((1.0, -1.0), repeat=4)]
     return [dirs[i] for i in np.random.default_rng(seed).integers(0, len(dirs), size=n)]
+
+
+def block_513():
+    """513 generated records with generic (non-dyadic) embeddings. 513 rows is
+    one past a 512-row chunk, and generic cosines can round differently when
+    the same cell comes from matrix products of different shapes."""
+    return generate(SynthConfig(num_events=3, points_per_event=171, dim=32, seed=7))

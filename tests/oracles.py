@@ -8,6 +8,7 @@ import math
 
 import mpmath as mp
 import numpy as np
+from scipy.special import gammaln
 
 
 def direct_two_dim_se(n, u, v, w, assignment):
@@ -109,6 +110,29 @@ def pair_count_ari(truth, pred):
     if den == 0:
         return 1.0
     return num / den
+
+
+def loop_expected_mi(counts):
+    """Float64 E[MI] by the plain double loop over every (row, column) marginal
+    pair, summing the terms in row-major order."""
+    counts = np.asarray(counts)
+    a = counts.sum(axis=1).astype(np.int64)
+    b = counts.sum(axis=0).astype(np.int64)
+    n = int(counts.sum())
+    lg = gammaln(np.arange(n + 2, dtype=np.float64) + 1.0)
+    total = 0.0
+    for ai in a.tolist():
+        for bj in b.tolist():
+            lo = max(1, ai + bj - n)
+            hi = min(ai, bj)
+            if hi < lo:
+                continue
+            k = np.arange(lo, hi + 1)
+            log_term = np.log(n * k.astype(np.float64) / (float(ai) * bj))
+            log_prob = (lg[ai] + lg[bj] + lg[n - ai] + lg[n - bj]
+                        - lg[n] - lg[k] - lg[ai - k] - lg[bj - k] - lg[n - ai - bj + k])
+            total += float((k / n * log_term * np.exp(log_prob)).sum())
+    return total
 
 
 def mp_expected_mi(counts, dps=60):

@@ -289,3 +289,17 @@ class TestGreedyReference:
         self._check(5, [(0, 3, 1.0), (1, 2, 1.0), (1, 4, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
         self._check(8, [(1, 5, 1.0), (1, 6, 1.0), (1, 7, 1.0), (2, 5, 1.0), (3, 4, 1.0),
                         (3, 6, 1.0), (3, 7, 1.0), (5, 6, 1.0)])
+
+    def test_only_bit_equal_deltas_tie(self):
+        # In exact arithmetic the fourth merge ties (0, 4) with (1, 4). The
+        # incremental delta of (1, 4) comes out 5 ulp more negative, so
+        # minimize_edges merges (1, 4). greedy_reference takes each delta as
+        # the difference of two full H2 evaluations and counts deltas within
+        # 1e-12 of the minimum as tied, so it merges the smaller pair (0, 4).
+        # This pins the bit-equal rule.
+        edges = [(0, 2), (0, 4), (0, 5), (1, 2), (1, 4), (1, 5), (1, 6), (1, 7), (2, 4),
+                 (2, 5), (4, 5), (4, 6), (5, 7)]
+        g = make_graph(8, [(a, b, 1.0) for a, b in edges])
+        assert vanilla_minimize(g).assignment.tolist() == [0, 1, 0, 2, 1, 3, 1, 3]
+        reference = greedy_reference(8, *(x.tolist() for x in (g.u, g.v, g.w)))
+        assert Partition.from_labels(reference).assignment.tolist() == [0, 1, 0, 2, 0, 3, 1, 3]

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dyadic_embeddings, make_graph
+from conftest import block_513, dyadic_embeddings, make_graph
 from oracles import direct_one_dim_se, lexsort_top_neighbors
 
 from dpevent.corpus import Corpus, MessageRecord, SynthConfig, generate
 from dpevent.graphsynth import (GraphError, W_FLOOR, build_attribute_edges, build_graph,
                                 build_knn_edges, one_dim_se, synthesize_graph,
                                 top_neighbor_table)
-from dpevent.privacy import PrivacyParams, SimilarityOracle
+from dpevent.privacy import ROW_CHUNK_ELEMS, PrivacyParams, SimilarityOracle
 
 
 def corpus_from_rows(rows, attrs=None):
@@ -137,6 +137,40 @@ class TestTopNeighborTable:
         ref_nbrs, ref_sims = lexsort_top_neighbors(oracle.noisy_rows(0, len(block)), k_max)
         assert np.array_equal(nbrs, ref_nbrs)
         assert np.array_equal(sims, ref_sims)
+
+    @pytest.mark.parametrize("epsilon", [None, 1.0])
+    def test_chunk_height_does_not_change_the_table(self, epsilon):
+        # at n = 513, 512-row chunks used to leave a 1-row chunk whose product
+        # rounds some cosines differently from a 513-row one
+        block = block_513()
+        oracle = SimilarityOracle(block, PrivacyParams(epsilon=epsilon, sensitivity_mode="global",
+                                                       seed=5))
+        ref_nbrs, ref_sims = top_neighbor_table(block, oracle, 10, chunk_rows=513)
+        for chunk_rows in (512, 100, 2, None):
+            nbrs, sims = top_neighbor_table(block, oracle, 10, chunk_rows=chunk_rows)
+            assert np.array_equal(nbrs, ref_nbrs)
+            assert np.array_equal(sims, ref_sims)
+
+
+def test_build_graph_peak_memory_is_flat():
+    # Every O(n^2) pass works on row chunks of ROW_CHUNK_ELEMS cells, so the
+    # peak is a few chunk temporaries plus a few n x k_max tables, whatever n
+    # is. numpy reports its buffers to tracemalloc. 512-row chunks peaked at
+    # 73 MB here (local sensitivity alone used 1,677-row chunks).
+    import tracemalloc
+
+    block = generate(SynthConfig(num_events=15, points_per_event=200, dim=32,
+                                 attribute_sharing_prob=0.0, seed=1))
+    n, k_max = len(block), 40
+    bound = 8 * (6 * ROW_CHUNK_ELEMS + 6 * n * k_max)
+    tracemalloc.start()
+    try:
+        oracle = SimilarityOracle(block, PrivacyParams(epsilon=1.0, seed=3))
+        build_graph(block, oracle, k_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak, bound)
 
 
 class TestAttributeEdges:

@@ -69,6 +69,19 @@ class TestAmi:
             assert expected_mutual_information(table) == pytest.approx(
                 float(mp_expected_mi(table.counts)), abs=1e-10)
 
+    def test_emi_equals_loop_reference(self, rng):
+        # tie-heavy tables: most marginal pairs repeat, so most terms come
+        # from the memo, and the sum must still be the double loop's, bit for bit
+        from oracles import loop_expected_mi
+
+        def labels(n, sizes):
+            return rng.permutation(np.repeat(np.arange(n), rng.choice(sizes, size=n))[:n]).tolist()
+
+        for _ in range(40):
+            n = int(rng.integers(10, 300))
+            table = contingency(labels(n, [n // 8 + 1, n // 4 + 1]), labels(n, [1, 2, 3, 5]))
+            assert expected_mutual_information(table) == loop_expected_mi(table.counts)
+
     def test_upper_bound(self, rng):
         for _ in range(50):
             n = int(rng.integers(2, 40))

@@ -159,6 +159,26 @@ class TestCluster:
         assert not run.converged
         assert run.to_dict()["converged"] is False
 
+    def test_one_aggregation_per_round(self, rng, monkeypatch):
+        # counted in both modules: two_dim_se aggregates through entropy's name
+        import dpevent.entropy as entropy_mod
+        import dpevent.partition as partition_mod
+        calls = []
+        original = entropy_mod._community_aggregates
+
+        def counted(graph, assignment):
+            calls.append(1)
+            return original(graph, assignment)
+
+        for mod in (entropy_mod, partition_mod):
+            monkeypatch.setattr(mod, "_community_aggregates", counted)
+        n, u, v, w = random_graph(rng, n=60, density=3.0)
+        g = make_graph(n, list(zip(u.tolist(), v.tolist(), w.tolist())))
+        run = cluster(g, q0=4)
+        assert len(run.rounds) > 2
+        assert len(calls) == len(run.rounds) + 1
+        assert run.rounds[-1]["h2"] == two_dim_se(g, run.final)
+
     def test_sequential_grouping_runs(self, rng):
         n, u, v, w = random_graph(rng, min_n=12, max_n=24)
         g = make_graph(n, list(zip(u.tolist(), v.tolist(), w.tolist())))

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dyadic_embeddings
+from conftest import block_513, dyadic_embeddings
 
 from dpevent.corpus import Corpus, MessageRecord, SynthConfig, generate
-from dpevent.privacy import (GLOBAL_SENSITIVITY, PrivacyError, PrivacyParams, SensitivityReport,
-                             SimilarityOracle, derive_block_seed, laplace_from_uniform,
-                             local_sensitivity, sensitivity_report, smooth_sensitivity,
-                             substream_uniforms)
+from dpevent.privacy import (GLOBAL_SENSITIVITY, ROW_CHUNK_ELEMS, PrivacyError, PrivacyParams,
+                             SensitivityReport, SimilarityOracle, _row_chunks, derive_block_seed,
+                             laplace_from_uniform, local_sensitivity, sensitivity_report,
+                             smooth_sensitivity, substream_uniforms)
 
 
 def corpus_from_rows(rows):
@@ -138,6 +138,46 @@ class TestSubstream:
         assert derive_block_seed(1, 0) == derive_block_seed(1, 0)
 
 
+class TestRowChunks:
+    @pytest.mark.parametrize("n, budget", [
+        (2, 1), (3, 3), (513, 512 * 513), (513, ROW_CHUNK_ELEMS), (5000, ROW_CHUNK_ELEMS),
+        (1025, 2 * 1025), (7, 10 ** 9),
+    ])
+    def test_cover_rows_in_order_without_single_rows(self, n, budget):
+        chunks = _row_chunks(n, budget)
+        assert chunks[0][0] == 0 and chunks[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+        step = max(2, budget // n)
+        assert all(2 <= hi - lo <= step + 1 for lo, hi in chunks)
+
+    def test_single_record(self):
+        assert _row_chunks(1, ROW_CHUNK_ELEMS) == [(0, 1)]
+
+
+class TestRowsIndependentOfRange:
+    """A row's noisy similarities are the same whatever range asks for them.
+
+    Generic cosines can round differently in products of different shapes (a
+    1-row product takes another BLAS kernel), so only computing every row from
+    its fixed row chunk makes this hold bit for bit."""
+
+    @pytest.mark.parametrize("epsilon", [None, 1.0])
+    def test_single_rows_match_full_range(self, epsilon):
+        oracle = SimilarityOracle(block_513(), PrivacyParams(epsilon=epsilon,
+                                                            sensitivity_mode="global", seed=5))
+        full = oracle.noisy_rows(0, oracle.n)
+        for i in (0, 1, 255, 510, 511, 512):
+            assert np.array_equal(oracle.noisy_rows(i, i + 1)[0], full[i], equal_nan=True)
+        for lo, hi in ((0, 2), (100, 400), (509, 513), (0, 512)):
+            assert np.array_equal(oracle.noisy_rows(lo, hi), full[lo:hi], equal_nan=True)
+
+    def test_local_sensitivity_matches_oracle_rows(self):
+        block = block_513()
+        rows = SimilarityOracle(block, PrivacyParams(epsilon=None)).noisy_rows(0, len(block))
+        spread = np.nanmax(rows, axis=1) - np.nanmin(rows, axis=1)
+        assert local_sensitivity(block) == float(spread.max())
+
+
 class TestOracle:
     def _oracle(self, rows, epsilon=None, seed=0, mode="mixed"):
         block = corpus_from_rows(rows)
@@ -188,6 +228,15 @@ class TestOracle:
                 for j in range(oracle.n):
                     if j != lo + r:
                         assert rows[r, j] == oracle.noisy_pairs([lo + r], [j])[0]
+
+    def test_rows_bit_exact_with_pairs_across_tiles(self):
+        # n = 300 puts 218 rows in a noise tile and 2,048 pairs in a
+        # noisy_pairs tile, so ranges span several tiles of both
+        oracle = self._oracle(dyadic_embeddings(300, seed=4), epsilon=1.5, mode="global", seed=9)
+        for lo, hi in ((0, 300), (37, 290), (250, 251)):
+            rows = oracle.noisy_rows(lo, hi)
+            r, c = np.nonzero(~np.eye(hi - lo, oracle.n, k=lo, dtype=bool))
+            assert np.array_equal(rows[r, c], oracle.noisy_pairs(r + lo, c))
 
     def test_pairs_match_scalar_path(self, rng):
         emb = rng.normal(size=(9, 5))
