@@ -16,13 +16,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Corpus
-from .privacy import SimilarityOracle, _row_chunks
+from .privacy import NOISE_TILE_ELEMS, SimilarityOracle, _row_chunks
 
 W_FLOOR = 1e-6
 W_CEIL = 1.0
 # A floor-weight edge shifts the degree entropy by ~(W_FLOOR/vol)^2 per node;
 # improvements below this tolerance are treated as ties, not decreases.
 SE_IMPROVEMENT_TOL = 1e-9
+# Largest share of reachable cells at which top_neighbor_table still prunes.
+# A reachable cell goes through gathers and a padded buffer; on the sim-knn
+# shape (n = 5,000, k_max = 40) the pruned path costs as much as the dense
+# one at about 35% reachable cells.
+PRUNE_MAX_SHARE = 0.25
 
 PROV_SE = 1
 PROV_ATTR = 2
@@ -66,8 +71,9 @@ class MessageGraph:
             u, v, w, prov, code = u[order], v[order], w[order], prov[order], code[order]
             if np.any(code[1:] == code[:-1]):
                 raise GraphError("duplicate edges")
-            if float(w.min()) <= 0.0 or float(w.max()) > W_CEIL + 1e-12:
-                raise GraphError("edge weights must lie in (0, 1]")
+            # NaN fails both comparisons, so it is rejected with the rest
+            if not np.all((w > 0.0) & (w <= W_CEIL + 1e-12)):
+                raise GraphError("edge weights must be finite and lie in (0, 1]")
         for arr in (u, v, w, prov):
             arr.setflags(write=False)
         object.__setattr__(self, "u", u)
@@ -121,12 +127,83 @@ def clip_weights(values: np.ndarray) -> np.ndarray:
 
 
 def _dedupe_undirected(n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray):
-    """Canonicalize to u < v and drop duplicate pairs (weights agree by construction)."""
+    """Canonicalize to u < v and keep the first occurrence of each pair.
+
+    For directed kNN selections in row-major order, a pair that both of its
+    rows select keeps the smaller endpoint's value. The two values can differ
+    in the last ulp: each row's exact cosines come from its own chunk's
+    matrix product, and the two products can round a cosine differently.
+    """
     u = np.minimum(us, vs)
     v = np.maximum(us, vs)
     code = u * np.int64(n) + v
     _, keep = np.unique(code, return_index=True)
     return u[keep], v[keep], ws[keep]
+
+
+def _top_k(vals: np.ndarray, k_max: int, cols: np.ndarray | None = None):
+    """The k_max largest values of each row of vals, ties by ascending id.
+
+    vals is (rows, m) with at least k_max finite values per row; cols maps
+    each slot to its neighbor id (None: the slot is the id). np.partition
+    finds each row's k_max-th largest value; every slot at or above it is
+    kept, so all ties at that boundary survive. One lexsort orders the
+    survivors by (row, descending value, ascending id) and the first k_max
+    of each row are taken: the same result as a full sort of every row.
+    """
+    m = vals.shape[1]
+    kth = np.partition(vals, m - k_max, axis=1)[:, m - k_max]
+    keep = np.flatnonzero(vals >= kth[:, None])  # row-major: rows ascending
+    r, s = np.divmod(keep, m)
+    v = vals.ravel()[keep]
+    c = s if cols is None else cols.ravel()[keep]
+    order = np.lexsort((c, -v, r))
+    counts = np.bincount(r, minlength=len(vals))
+    take = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k_max)]
+    return c[take], v[take]
+
+
+def _reachable_cells(oracle: SimilarityOracle, lo: int, hi: int, k_max: int):
+    """Exact cosines of rows [lo, hi) and the mask of cells that can reach their row's top k_max.
+
+    With b = oracle.noise_bound and T a row's k_max-th largest exact cosine
+    (self excluded), the row's k_max-th largest noisy value is at least
+    fl(T - b) and a cell's noisy value at most fl(e + b), as float addition
+    is monotone. A cell with fl(e + b) < fl(T - b) is strictly below the
+    k-th value, so it cannot be selected, not even by a tie. The returned
+    cosines have the row's own cell set to -inf.
+    """
+    exact = oracle.exact_rows(lo, hi)
+    h, n = exact.shape
+    exact[np.arange(h), np.arange(lo, hi)] = -np.inf  # self never selected
+    part = np.partition(exact, n - k_max, axis=1)
+    b = oracle.noise_bound
+    low = part[:, n - k_max, None] - b
+    return exact, np.add(exact, b, out=part) >= low  # part's buffer holds e + b
+
+
+def _noisy_candidates(oracle: SimilarityOracle, exact: np.ndarray, reachable: np.ndarray,
+                      lo: int):
+    """Noisy values and ids of the reachable cells, one row per row of exact.
+
+    Only these cells get a draw, in tiles of NOISE_TILE_ELEMS. Each row's
+    candidates are left-aligned in ascending id order and padded with -inf.
+    """
+    h, n = exact.shape
+    counts = np.count_nonzero(reachable, axis=1)
+    cells = np.flatnonzero(reachable)
+    rows = np.repeat(np.arange(lo, lo + h), counts)
+    cols = cells - (rows - lo) * n
+    vals = exact.ravel()[cells]
+    for a in range(0, cells.size, NOISE_TILE_ELEMS):
+        t = slice(a, a + NOISE_TILE_ELEMS)
+        vals[t] += oracle.pair_noise(rows[t], cols[t])
+    fill = np.arange(counts.max()) < counts[:, None]
+    padded = np.full(fill.shape, -np.inf)
+    padded[fill] = vals
+    ids = np.zeros(fill.shape, dtype=np.int64)
+    ids[fill] = cols
+    return padded, ids
 
 
 def top_neighbor_table(block: Corpus, oracle: SimilarityOracle, k_max: int,
@@ -138,11 +215,17 @@ def top_neighbor_table(block: Corpus, oracle: SimilarityOracle, k_max: int,
     whatever n is. chunk_rows sets another chunk height; that changes the
     work per step, not the result.
 
-    Per chunk, np.partition finds each row's k_max-th largest value;
-    every cell at or above it is kept, so all ties at that boundary survive.
-    One lexsort orders the survivors by (row, descending value, ascending id)
-    and the first k_max of each row are taken: the same result as a full sort
-    of every row. A node is never its own neighbor.
+    The table comes from one of two paths, which give the same result:
+    - dense: oracle.noisy_rows draws for every cell;
+    - pruned: only the cells that the largest possible draw could lift into
+      their row's top k_max get a draw (_reachable_cells), so which cells
+      are drawn depends on the exact cosines.
+    The block takes the dense path when 2 * oracle.noise_bound >= s_local
+    (the largest spread of a row's exact cosines: no cell can be excluded)
+    or the noise is off (nothing to save). Otherwise the first chunk
+    decides: past PRUNE_MAX_SHARE of reachable cells, skipping draws no
+    longer pays for handling the reachable ones, and the block goes dense.
+    Both paths select with _top_k. A node is never its own neighbor.
 
     Returns (nbrs, sims): (n, k_max) arrays of the k_max best neighbors per node
     and their unclipped noisy similarities.
@@ -151,17 +234,19 @@ def top_neighbor_table(block: Corpus, oracle: SimilarityOracle, k_max: int,
     nbrs = np.empty((n, k_max), dtype=np.int64)
     sims = np.empty((n, k_max), dtype=np.float64)
     chunks = oracle.row_chunks if chunk_rows is None else _row_chunks(n, chunk_rows * n)
+    prune = 0.0 < 2.0 * oracle.noise_bound < oracle.report.s_local
     for lo, hi in chunks:
-        rows = oracle.noisy_rows(lo, hi)
-        rows[np.arange(hi - lo), np.arange(lo, hi)] = -np.inf  # self never selected
-        kth = np.partition(rows, n - k_max, axis=1)[:, n - k_max]
-        r, c = np.nonzero(rows >= kth[:, None])  # row-major: r ascending
-        vals = rows[r, c]
-        order = np.lexsort((c, -vals, r))
-        counts = np.bincount(r, minlength=hi - lo)
-        take = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k_max)]
-        nbrs[lo:hi] = c[take]
-        sims[lo:hi] = vals[take]
+        if prune:
+            exact, reachable = _reachable_cells(oracle, lo, hi, k_max)
+            # the first chunk's share of reachable cells decides for the block
+            prune = lo > 0 or np.count_nonzero(reachable) <= PRUNE_MAX_SHARE * reachable.size
+        if prune:
+            vals, ids = _noisy_candidates(oracle, exact, reachable, lo)
+            nbrs[lo:hi], sims[lo:hi] = _top_k(vals, k_max, ids)
+        else:
+            rows = oracle.noisy_rows(lo, hi)
+            rows[np.arange(hi - lo), np.arange(lo, hi)] = -np.inf  # self never selected
+            nbrs[lo:hi], sims[lo:hi] = _top_k(rows, k_max)
     return nbrs, sims
 
 

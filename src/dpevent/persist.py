@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .entropy import Partition
-from .graphsynth import PROV_CODES, PROV_NAMES, MessageGraph
+from .graphsynth import PROV_CODES, PROV_NAMES, W_CEIL, MessageGraph
 
 
 def fmt9(x: float) -> str:
@@ -59,10 +59,23 @@ def read_graph_tsv(path, ids: list[str]) -> MessageGraph:
                 vs.append(index[parts[1]])
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: unknown node id {exc.args[0]!r}") from None
-            ws.append(float(parts[2]))
-            ps.append(PROV_CODES[parts[3]])
+            try:
+                ws.append(float(parts[2]))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: weight {parts[2]!r} is not a number") from None
+            try:
+                ps.append(PROV_CODES[parts[3]])
+            except KeyError:
+                raise ValueError(f"{path}:{lineno}: unknown provenance {parts[3]!r}") from None
+    w = np.asarray(ws, np.float64)
+    # checked once per file, not per line; NaN fails both comparisons
+    bad = np.flatnonzero(~((w > 0.0) & (w <= W_CEIL)))
+    if bad.size:
+        with open(path, "r", encoding="utf-8") as fh:
+            lineno = [i for i, line in enumerate(fh, start=1) if line.rstrip("\n")][bad[0]]
+        raise ValueError(f"{path}:{lineno}: weight {w[bad[0]]} is not in (0, 1]")
     return MessageGraph(n=len(ids), u=np.asarray(us, np.int64), v=np.asarray(vs, np.int64),
-                        w=np.asarray(ws, np.float64), provenance=np.asarray(ps, np.uint8))
+                        w=w, provenance=np.asarray(ps, np.uint8))
 
 
 def write_partition_csv(path, ids: list[str], partition: Partition) -> None:

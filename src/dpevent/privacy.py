@@ -7,9 +7,13 @@ smooth, or (mixed) the smaller of the two; sensitivity_report is the only place
 that makes this choice, and the oracle adds noise at the reported scale. Each
 unordered message pair has exactly one released value: its Laplace draw comes
 from a counter-based substream of the block seed, so reruns and concurrent
-queries reproduce it. A full pass over the similarity rows meets every pair
-twice, once from each of its rows, and computes the same draw both times, so
-such a pass generates two uniforms per pair (draws_per_pair reads 2.0).
+queries reproduce it. A dense pass over the similarity rows (noisy_rows) meets
+every pair twice, once from each of its rows, and computes the same draw both
+times, so it generates two uniforms per pair. The top-k neighbour table takes
+that dense pass only when the noise can reach every cell; otherwise it draws
+only for the cells that can still reach a row's top k, which noise_bound, the
+largest possible |draw|, decides (see graphsynth.top_neighbor_table). So the
+draws per pair depend on the block's exact cosines, not only on n.
 
 Every O(n^2) pass works in row chunks of about ROW_CHUNK_ELEMS cells (a 2 MB
 float64 temporary), and the noise in tiles of about NOISE_TILE_ELEMS cells, so
@@ -31,6 +35,9 @@ _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
 _U53 = float(2.0 ** -53)
+# Largest |u| a uniform takes: the bottom value's magnitude. The top bit
+# pattern would round to 0.5 (an infinite draw) and is clamped to it.
+_U_MAX = 0.5 - 2.0 ** -54
 
 # Cells per temporary: one matrix product, top-k selection or sensitivity
 # scan works on ROW_CHUNK_ELEMS cells; the counter -> Laplace pipeline and the
@@ -186,6 +193,7 @@ def substream_uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
 
     Pure function of (seed, counter): value k of the stream is the SplitMix64
     output at state seed + (k+1)*gamma, mapped into (0,1) and centered.
+    |u| <= _U_MAX = 1/2 - 2^-54, so every Laplace draw is finite and bounded.
     The caller's counters are copied, never modified.
     """
     z = np.array(counters, dtype=np.uint64)
@@ -200,6 +208,8 @@ def substream_uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
     u += 0.5
     u *= _U53
     u -= 0.5
+    # bits 2^53 - 1 give k + 0.5 = 2^53 after rounding, i.e. u = 0.5 exactly
+    np.minimum(u, _U_MAX, out=u)
     return u
 
 
@@ -235,6 +245,8 @@ class SimilarityOracle:
     repeated queries (in either order, from any worker) return the same value
     without any shared state. The noise scale is the one sensitivity_report
     calibrates; with epsilon off it is 0 and the oracle returns exact cosines.
+    noise_bound is the largest |draw| the sampler can return at that scale
+    (about 36.74 * noise_scale; 0 when off).
     """
 
     def __init__(self, block: Corpus, params: PrivacyParams, block_id: int | None = None):
@@ -246,6 +258,7 @@ class SimilarityOracle:
         self.block_id = block_id
         self.report = sensitivity_report(block, params, block_id)
         self.noise_scale = self.report.noise_scale
+        self.noise_bound = float(laplace_from_uniform(_U_MAX, self.noise_scale))
         self._seed = derive_block_seed(params.seed, block_id)
         # condensed index of pair (i, j), i < j, is _pair_base[i] + j
         i = np.arange(self.n, dtype=np.int64)
@@ -270,12 +283,20 @@ class SimilarityOracle:
 
     def noisy_similarity(self, i: int, j: int) -> float:
         """Perturbed cosine for one pair; the draw is a pure function of (seed, pair)."""
-        p = self.pair_index(i, j)
+        self.pair_index(i, j)  # validates the pair
         value = self.exact_similarity(min(i, j), max(i, j))
         if self.noise_scale > 0.0:
-            u = substream_uniforms(self._seed, np.asarray([p], dtype=np.uint64))[0]
-            value += float(laplace_from_uniform(u, self.noise_scale))
+            value += float(self.pair_noise(np.array([i]), np.array([j]))[0])
         return value
+
+    def pair_noise(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Laplace draws of pairs (u[k], v[k]), u[k] != v[k], unchecked.
+
+        A pair's draw is a pure function of the block seed and its condensed
+        index, the same in either order and on every path.
+        """
+        p = self._pair_base[np.minimum(u, v)] + np.maximum(u, v)
+        return laplace_from_uniform(substream_uniforms(self._seed, p), self.noise_scale)
 
     def noisy_pairs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Perturbed similarities for arrays of pairs (u[k] != v[k]).
@@ -295,11 +316,10 @@ class SimilarityOracle:
             ut, vt, out = u[a:a + step], v[a:a + step], sims[a:a + step]
             np.einsum("ij,ij->i", emb[ut], emb[vt], out=out)
             if self.noise_scale > 0.0:
-                p = self._pair_base[np.minimum(ut, vt)] + np.maximum(ut, vt)
-                out += laplace_from_uniform(substream_uniforms(self._seed, p), self.noise_scale)
+                out += self.pair_noise(ut, vt)
         return sims
 
-    def _exact_rows(self, lo: int, hi: int) -> np.ndarray:
+    def exact_rows(self, lo: int, hi: int) -> np.ndarray:
         """Exact cosines of rows [lo, hi), cut from the products of their row chunks."""
         emb = self.block.embeddings
         bounds = self._row_bounds
@@ -325,7 +345,7 @@ class SimilarityOracle:
         pair gets the same draw as in per-pair queries. The diagonal is set
         to NaN.
         """
-        sims = self._exact_rows(lo, hi)
+        sims = self.exact_rows(lo, hi)
         if self.noise_scale > 0.0:
             step = max(1, NOISE_TILE_ELEMS // self.n)
             cols = np.arange(self.n)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -41,6 +42,19 @@ class TestPersist:
         assert np.array_equal(loaded.provenance, g.provenance)
         first = path.read_text().splitlines()[0].split("\t")
         assert first[:2] == ["a", "b"] and first[3] == "SE"
+
+    @pytest.mark.parametrize("row, message", [
+        ("a\tb\t0.5\tse", "unknown provenance 'se'"),
+        ("a\tb\tabc\tSE", "weight 'abc' is not a number"),
+        ("a\tb\tnan\tATTR", "weight nan is not in (0, 1]"),
+        ("a\tb\t0\tBOTH", "weight 0.0 is not in (0, 1]"),
+    ])
+    def test_graph_tsv_bad_row_names_line(self, tmp_path, row, message):
+        # the blank line counts: the bad row is line 3
+        path = tmp_path / "g.tsv"
+        path.write_text(f"a\tc\t0.25\tSE\n\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: {message}")):
+            read_graph_tsv(path, ["a", "b", "c"])
 
     def test_partition_csv_round_trip(self, tmp_path):
         ids = ["m1", "m2", "m3"]

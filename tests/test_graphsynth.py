@@ -6,9 +6,10 @@ import pytest
 from conftest import block_513, dyadic_embeddings, make_graph
 from oracles import direct_one_dim_se, lexsort_top_neighbors
 
+from dpevent import graphsynth
 from dpevent.corpus import Corpus, MessageRecord, SynthConfig, generate
-from dpevent.graphsynth import (GraphError, W_FLOOR, build_attribute_edges, build_graph,
-                                build_knn_edges, one_dim_se, synthesize_graph,
+from dpevent.graphsynth import (GraphError, W_FLOOR, _dedupe_undirected, build_attribute_edges,
+                                build_graph, build_knn_edges, one_dim_se, synthesize_graph,
                                 top_neighbor_table)
 from dpevent.privacy import ROW_CHUNK_ELEMS, PrivacyParams, SimilarityOracle
 
@@ -63,6 +64,12 @@ class TestMessageGraph:
         with pytest.raises(GraphError):
             make_graph(2, [(0, 1, 1.5)])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        # NaN compares false both ways, so a range check alone lets it through
+        with pytest.raises(GraphError, match="finite"):
+            make_graph(3, [(0, 1, 0.5), (1, 2, bad)])
+
     def test_degrees_and_volume(self):
         g = make_graph(3, [(0, 1, 0.5), (1, 2, 0.25)])
         assert np.allclose(g.degrees(), [0.5, 0.75, 0.25])
@@ -107,6 +114,22 @@ class TestKnnEdges:
         with pytest.raises(GraphError):
             build_knn_edges(block, None, k_max=1)
 
+    def test_mutual_pair_keeps_smaller_endpoints_weight(self):
+        # Row i's cosine of (i, j) and row j's of (j, i) come from different
+        # matrix products and can differ in the last ulp (at n = 513, with the
+        # noise off, in 8 of the mutual top-40 pairs). The edge keeps row
+        # min(i, j)'s value: it comes first in row-major order.
+        block = block_513()
+        n, k = len(block), 40
+        nbrs, sims = top_neighbor_table(block, off_oracle(block), k)
+        u, v, w = _dedupe_undirected(n, np.repeat(np.arange(n), k), nbrs.ravel(), sims.ravel())
+        row_value = {(i, int(j)): s for i in range(n) for j, s in zip(nbrs[i], sims[i])}
+        mutual = [(a, b) for a, b in zip(u.tolist(), v.tolist())
+                  if (a, b) in row_value and (b, a) in row_value]
+        assert sum(row_value[a, b] != row_value[b, a] for a, b in mutual) > 0
+        assert w.tolist() == [row_value[(a, b) if (a, b) in row_value else (b, a)]
+                              for a, b in zip(u.tolist(), v.tolist())]
+
 
 def tie_heavy_block():
     """20 records on 5 directions (4 axes and the all-0.5 diagonal), duplicated and
@@ -150,6 +173,99 @@ class TestTopNeighborTable:
             nbrs, sims = top_neighbor_table(block, oracle, 10, chunk_rows=chunk_rows)
             assert np.array_equal(nbrs, ref_nbrs)
             assert np.array_equal(sims, ref_sims)
+
+
+def table_and_path(monkeypatch, block, oracle, k_max, chunk_rows, max_share=1.0):
+    """top_neighbor_table with PRUNE_MAX_SHARE set to max_share (1.0: prune
+    whenever the noise bound allows it), and whether the pruned path ran."""
+    calls = []
+    candidates = graphsynth._noisy_candidates
+
+    def spy(*args):
+        calls.append(args)
+        return candidates(*args)
+
+    monkeypatch.setattr(graphsynth, "PRUNE_MAX_SHARE", max_share)
+    monkeypatch.setattr(graphsynth, "_noisy_candidates", spy)
+    nbrs, sims = top_neighbor_table(block, oracle, k_max, chunk_rows=chunk_rows)
+    return nbrs, sims, bool(calls)
+
+
+def switch_epsilon(block):
+    """Smooth-mode epsilon at which 2 * noise_bound crosses s_local (bisection:
+    the ratio falls as epsilon grows)."""
+    def ratio(eps):
+        oracle = SimilarityOracle(block, PrivacyParams(epsilon=eps, sensitivity_mode="smooth"))
+        return 2.0 * oracle.noise_bound / oracle.report.s_local
+
+    lo, hi = 0.01, 50.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if ratio(mid) >= 1.0 else (lo, mid)
+    return lo, hi
+
+
+class TestPrunedTable:
+    """The pruned path gives the same table as a full sort of the dense rows."""
+
+    @pytest.mark.parametrize("make_block, mode, epsilon, k_max, chunk_rows", [
+        (tie_heavy_block, "smooth", 1.5, 7, 512),
+        (tie_heavy_block, "mixed", 1.5, 7, 3),   # ties across chunk boundaries
+        (tie_heavy_block, "mixed", 1.5, 19, 3),  # k_max = n - 1: every cell reachable
+        (tie_heavy_block, "smooth", 8.0, 7, 4),  # bound ~1e-8: exact ties broken by noise
+        (dyadic_block, "mixed", 1.5, 5, 3),
+        (dyadic_block, "smooth", 2.5, 22, None),
+        (block_513, "mixed", 1.0, 10, 100),
+        (block_513, "smooth", 2.0, 40, 2),
+    ])
+    def test_matches_full_row_sort(self, monkeypatch, make_block, mode, epsilon, k_max,
+                                   chunk_rows):
+        block = make_block()
+        oracle = SimilarityOracle(block, PrivacyParams(epsilon=epsilon, sensitivity_mode=mode,
+                                                       seed=11))
+        assert 0.0 < 2.0 * oracle.noise_bound < oracle.report.s_local
+        nbrs, sims, pruned = table_and_path(monkeypatch, block, oracle, k_max, chunk_rows)
+        assert pruned
+        ref_nbrs, ref_sims = lexsort_top_neighbors(oracle.noisy_rows(0, len(block)), k_max)
+        assert np.array_equal(nbrs, ref_nbrs)
+        assert np.array_equal(sims, ref_sims)
+
+    @pytest.mark.parametrize("make_block", [dyadic_block, block_513])
+    def test_either_side_of_the_bound_switch(self, monkeypatch, make_block):
+        block = make_block()
+        below, above = switch_epsilon(block)
+        for eps, expect_pruned in ((below, False), (above, True)):
+            oracle = SimilarityOracle(block, PrivacyParams(epsilon=eps, sensitivity_mode="smooth",
+                                                           seed=2))
+            assert (2.0 * oracle.noise_bound < oracle.report.s_local) == expect_pruned
+            ref = lexsort_top_neighbors(oracle.noisy_rows(0, len(block)), 5)
+            for chunk_rows in (3, None):
+                nbrs, sims, pruned = table_and_path(monkeypatch, block, oracle, 5, chunk_rows)
+                assert pruned == expect_pruned
+                assert np.array_equal(nbrs, ref[0]) and np.array_equal(sims, ref[1])
+
+    @pytest.mark.parametrize("epsilon, max_share, chunk_rows, expect_pruned", [
+        (1.5, None, None, True),   # about 4.4% of the first chunk's cells reachable
+        (1.5, None, 2, True),
+        (1.5, 0.0, 100, False),
+        (1.0, None, None, False),  # 33% reachable: past PRUNE_MAX_SHARE
+    ])
+    def test_first_chunk_share_picks_the_path(self, monkeypatch, epsilon, max_share, chunk_rows,
+                                              expect_pruned):
+        block = block_513()
+        oracle = SimilarityOracle(block, PrivacyParams(epsilon=epsilon, seed=5))
+        max_share = graphsynth.PRUNE_MAX_SHARE if max_share is None else max_share
+        nbrs, sims, pruned = table_and_path(monkeypatch, block, oracle, 10, chunk_rows, max_share)
+        assert pruned == expect_pruned
+        ref_nbrs, ref_sims = lexsort_top_neighbors(oracle.noisy_rows(0, len(block)), 10)
+        assert np.array_equal(nbrs, ref_nbrs) and np.array_equal(sims, ref_sims)
+
+    @pytest.mark.parametrize("epsilon", [None, 3.0])
+    def test_off_and_global_noise_stay_dense(self, monkeypatch, epsilon):
+        # global mode: the bound is 36.7 * 2 / eps, far above any spread
+        block = dyadic_block()
+        oracle = SimilarityOracle(block, PrivacyParams(epsilon=epsilon, sensitivity_mode="global"))
+        assert not table_and_path(monkeypatch, block, oracle, 5, None)[2]
 
 
 def test_build_graph_peak_memory_is_flat():

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import block_513, dyadic_embeddings
 
+from dpevent import privacy
 from dpevent.corpus import Corpus, MessageRecord, SynthConfig, generate
 from dpevent.privacy import (GLOBAL_SENSITIVITY, ROW_CHUNK_ELEMS, PrivacyError, PrivacyParams,
                              SensitivityReport, SimilarityOracle, _row_chunks, derive_block_seed,
@@ -132,6 +133,35 @@ class TestSubstream:
     def test_open_interval(self):
         u = substream_uniforms(0, np.arange(100_000))
         assert u.min() > -0.5 and u.max() < 0.5
+
+    @pytest.mark.parametrize("bits, sign", [(0xFFFFFFFFFFFFFFFF, 1.0), (0, -1.0)])
+    def test_extreme_bits_give_the_bound(self, monkeypatch, bits, sign):
+        # all-ones bits map to k + 0.5 = 2^53 after rounding, i.e. u = 0.5 and
+        # an infinite draw, unless clamped to the bottom value's magnitude
+        def fill(z):
+            z[...] = np.uint64(bits)
+            return z
+
+        monkeypatch.setattr(privacy, "_mix64", fill)
+        u = substream_uniforms(0, np.arange(4))
+        assert np.all(np.abs(u) < 0.5)
+        oracle = SimilarityOracle(corpus_from_rows([[1, 0], [0, 1], [1, 1]]),
+                                  PrivacyParams(epsilon=1.0, sensitivity_mode="global"))
+        draws = laplace_from_uniform(u, oracle.noise_scale)
+        assert np.all(np.isfinite(draws))
+        assert np.all(draws == sign * oracle.noise_bound)
+
+    def test_no_draw_exceeds_noise_bound(self):
+        oracle = SimilarityOracle(corpus_from_rows(dyadic_embeddings(1500, seed=2)),
+                                  PrivacyParams(epsilon=0.3, sensitivity_mode="global", seed=4))
+        assert oracle.noise_bound == pytest.approx(36.74 * oracle.noise_scale, rel=1e-4)
+        u, v = np.triu_indices(oracle.n, k=1)
+        draws = oracle.pair_noise(u, v)
+        assert np.abs(draws).max() <= oracle.noise_bound
+        # the largest |u| values, where the inverse CDF is steepest
+        top = 0.5 - 2.0 ** -54 * np.arange(1, 1 << 16)
+        tail = laplace_from_uniform(np.concatenate([top, -top]), oracle.noise_scale)
+        assert np.abs(tail).max() <= oracle.noise_bound
 
     def test_block_seed_separation(self):
         assert derive_block_seed(1, 0) != derive_block_seed(1, 1)
