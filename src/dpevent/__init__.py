@@ -10,8 +10,8 @@ from .graphsynth import (GraphError, KnnTrace, MessageGraph, build_attribute_edg
                          build_knn_edges, one_dim_se, synthesize_graph)
 from .metrics import ContingencyTable, MetricsError, ami, ari
 from .partition import ClusterRun, SuperGraph, build_supergraph, cluster, extract_subgraphs
-from .privacy import (PrivacyError, PrivacyParams, SensitivityReport, SimilarityOracle,
-                      local_sensitivity, sensitivity_report, smooth_sensitivity)
+from .privacy import (BlockPairs, PrivacyError, PrivacyParams, SensitivityReport,
+                      SimilarityOracle, local_sensitivity, sensitivity_report, smooth_sensitivity)
 
 __all__ = [
     "Corpus", "CorpusError", "MessageRecord", "SynthConfig", "generate", "ingest", "split_blocks",
@@ -21,6 +21,6 @@ __all__ = [
     "build_knn_edges", "one_dim_se", "synthesize_graph",
     "ContingencyTable", "MetricsError", "ami", "ari",
     "ClusterRun", "SuperGraph", "build_supergraph", "cluster", "extract_subgraphs",
-    "PrivacyError", "PrivacyParams", "SensitivityReport", "SimilarityOracle",
+    "BlockPairs", "PrivacyError", "PrivacyParams", "SensitivityReport", "SimilarityOracle",
     "local_sensitivity", "sensitivity_report", "smooth_sensitivity",
 ]

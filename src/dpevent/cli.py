@@ -24,15 +24,15 @@ from .partition import cluster
 from .persist import (config_hash, fmt9, read_graph_tsv, read_json,
                       read_partition_csv, write_graph_tsv, write_json,
                       write_partition_csv)
-from .privacy import PrivacyParams, sensitivity_report
+from .privacy import BlockPairs, PrivacyParams, sensitivity_report
 
 
 def _parse_epsilon(text: str) -> float | None:
     if text.lower() == "off":
         return None
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError("epsilon must be positive or 'off'")
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError("epsilon must be a positive finite number or 'off'")
     return value
 
 
@@ -72,9 +72,11 @@ def _privacy_params(args, epsilon) -> PrivacyParams:
     return PrivacyParams(epsilon=epsilon, sensitivity_mode=args.mode, seed=args.seed)
 
 
-def _build_block_graph(block_id: int, view: Corpus, params: PrivacyParams, k_max: int):
+def _build_block_graph(block_id: int, view: Corpus, params: PrivacyParams, k_max: int,
+                       pairs: BlockPairs | None = None):
+    """The block's graph and sidecar; pairs is the block's state, shared across epsilons."""
     from .privacy import SimilarityOracle
-    oracle = SimilarityOracle(view, params, block_id=block_id)
+    oracle = SimilarityOracle(view, params, block_id=block_id, pairs=pairs)
     graph, trace = build_graph(view, oracle, k_max=k_max)
     n = len(view)
     sidecar = {
@@ -208,9 +210,9 @@ def cmd_evaluate(args) -> int:
 
 
 def run_pipeline(view: Corpus, block_id: int, params: PrivacyParams, k_max: int, q0: int,
-                 grouping: str = "optimal"):
+                 grouping: str = "optimal", pairs: BlockPairs | None = None):
     """In-memory build-graph + cluster + evaluate for one block."""
-    graph, sidecar = _build_block_graph(block_id, view, params, k_max)
+    graph, sidecar = _build_block_graph(block_id, view, params, k_max, pairs)
     run = cluster(graph, q0=q0, grouping=grouping)
     result = {"block": block_id, "s_mixed": sidecar["sensitivity_report"]["s_mixed"],
               "num_communities": run.final.num_communities}
@@ -232,13 +234,14 @@ def cmd_sweep(args) -> int:
         "mode": args.mode, "seed": args.seed, "kmax": args.kmax,
         "q0": q0, "pooled": args.pooled,
     })
+    # each block's epsilon-independent state fills during its first pipeline
+    blocks = [(block_id, view, BlockPairs(view, args.seed, block_id))
+              for block_id, view in _blocks(data, args.pooled) if len(view) >= 2]
     rows = []
     for epsilon in epsilons:
         params = _privacy_params(args, epsilon)
-        for block_id, view in _blocks(data, args.pooled):
-            if len(view) < 2:
-                continue
-            result = run_pipeline(view, block_id, params, args.kmax, q0)
+        for block_id, view, pairs in blocks:
+            result = run_pipeline(view, block_id, params, args.kmax, q0, pairs=pairs)
             rows.append({"epsilon": "off" if epsilon is None else epsilon,
                          "block": block_id,
                          "ami": result.get("ami", math.nan),
@@ -281,10 +284,11 @@ def cmd_sensitivity_report(args) -> int:
         if len(view) < 2:
             print(f"sensitivity-report: block {block_id} too small; skipped", file=sys.stderr)
             continue
+        pairs = BlockPairs(view, block_id=block_id)  # s_local once for the grid
         reports = []
         for epsilon in args.epsilons:
             params = PrivacyParams(epsilon=epsilon, sensitivity_mode=args.mode)
-            rep = sensitivity_report(view, params, block_id)
+            rep = sensitivity_report(view, params, block_id, pairs)
             reports.append(dict(rep.to_dict(), epsilon="off" if epsilon is None else epsilon))
         write_json(out / f"sensitivity_block{block_id}.json",
                    {"block": block_id, "n": len(view), "reports": reports})
@@ -324,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="corpus JSONL")
     p.add_argument("--out", required=True)
     p.add_argument("--epsilon", type=_parse_epsilon, default=None,
-                   help="privacy budget (positive float) or 'off' (default: off)")
+                   help="privacy budget (positive finite float) or 'off' (default: off)")
     add_graph_flags(p)
     p.add_argument("--pooled", action="store_true", help="treat all blocks as one")
     p.set_defaults(func=cmd_build_graph)

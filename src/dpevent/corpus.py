@@ -87,6 +87,31 @@ class Corpus:
             self._embeddings = m
         return self._embeddings
 
+    def attribute_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Record pairs (u[k], v[k]), u < v, that share at least one attribute token.
+
+        Each pair once, sorted by (u, v). A pure function of the records that
+        is recomputed on every call; privacy.BlockPairs keeps the result for
+        as long as a block's graphs are being built.
+        """
+        n = len(self)
+        token_members: dict[tuple[str, str], list[int]] = {}
+        for i, rec in enumerate(self.records):
+            for cat, tokens in rec.attributes.items():
+                for tok in tokens:
+                    token_members.setdefault((cat, tok), []).append(i)
+        code_chunks = []
+        for members in token_members.values():
+            if len(members) < 2:
+                continue
+            m = np.asarray(members, dtype=np.int64)  # ascending by construction
+            a, b = np.triu_indices(m.size, k=1)
+            code_chunks.append(m[a] * n + m[b])
+        if not code_chunks:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        codes = np.unique(np.concatenate(code_chunks))
+        return codes // n, codes % n
+
     @property
     def ids(self) -> list[str]:
         return [r.id for r in self.records]

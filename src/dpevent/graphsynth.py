@@ -210,7 +210,7 @@ def top_neighbor_table(block: Corpus, oracle: SimilarityOracle, k_max: int,
                        chunk_rows: int | None = None):
     """Per-node neighbor ranking by descending noisy similarity, ties by ascending id.
 
-    The rows are visited in the oracle's row chunks (oracle.row_chunks, about
+    The rows are visited in the oracle's row chunks (oracle.pairs.row_chunks, about
     ROW_CHUNK_ELEMS cells each), so each chunk's temporaries stay a few MB
     whatever n is. chunk_rows sets another chunk height; that changes the
     work per step, not the result.
@@ -233,7 +233,7 @@ def top_neighbor_table(block: Corpus, oracle: SimilarityOracle, k_max: int,
     n = len(block)
     nbrs = np.empty((n, k_max), dtype=np.int64)
     sims = np.empty((n, k_max), dtype=np.float64)
-    chunks = oracle.row_chunks if chunk_rows is None else _row_chunks(n, chunk_rows * n)
+    chunks = oracle.pairs.row_chunks if chunk_rows is None else _row_chunks(n, chunk_rows * n)
     prune = 0.0 < 2.0 * oracle.noise_bound < oracle.report.s_local
     for lo, hi in chunks:
         if prune:
@@ -290,31 +290,15 @@ def build_knn_edges(block: Corpus, oracle: SimilarityOracle, k_max: int = 40):
 
 
 def build_attribute_edges(block: Corpus, oracle: SimilarityOracle):
-    """One edge per unordered pair sharing at least one attribute token.
+    """One edge per unordered pair of block records sharing at least one attribute token.
 
-    Weights come from the same oracle (and therefore the same per-pair draws)
-    as the kNN edges.
+    The pairs are block.attribute_pairs(); the oracle keeps them in its block
+    state, so an epsilon sweep enumerates them once per block. Weights come
+    from the same oracle (and therefore the same per-pair draws) as the kNN
+    edges.
     """
-    n = len(block)
-    token_members: dict[tuple[str, str], list[int]] = {}
-    for i, rec in enumerate(block.records):
-        for cat, tokens in rec.attributes.items():
-            for tok in tokens:
-                token_members.setdefault((cat, tok), []).append(i)
-    code_chunks = []
-    for members in token_members.values():
-        if len(members) < 2:
-            continue
-        m = np.asarray(members, dtype=np.int64)  # ascending by construction
-        a, b = np.triu_indices(m.size, k=1)
-        code_chunks.append(m[a] * n + m[b])
-    if not code_chunks:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), np.empty(0, dtype=np.float64)
-    codes = np.unique(np.concatenate(code_chunks))
-    u = codes // n
-    v = codes % n
-    return u, v, clip_weights(oracle.noisy_pairs(u, v))
+    u, v, sims = oracle.noisy_attribute_pairs()
+    return u, v, clip_weights(sims)
 
 
 def synthesize_graph(n: int, se_edges, attr_edges) -> MessageGraph:

@@ -15,6 +15,14 @@ only for the cells that can still reach a row's top k, which noise_bound, the
 largest possible |draw|, decides (see graphsynth.top_neighbor_table). So the
 draws per pair depend on the block's exact cosines, not only on n.
 
+The state of a block splits by epsilon. BlockPairs holds what does not
+depend on it: the noise substream key, the pair indexing, s_local, and the
+attribute pairs with their exact cosines and the epsilon-free part of their
+draws. A SimilarityOracle is the view of that state at one epsilon: the
+sensitivity report, the noise scale, and the perturbed values. An epsilon
+sweep builds one BlockPairs per block and one oracle per (epsilon, block), so
+the epsilon-free work runs once per block.
+
 Every O(n^2) pass works in row chunks of about ROW_CHUNK_ELEMS cells (a 2 MB
 float64 temporary), and the noise in tiles of about NOISE_TILE_ELEMS cells, so
 peak memory stays flat as the block grows and each pass runs in cache.
@@ -63,8 +71,9 @@ class PrivacyParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epsilon is not None and not self.epsilon > 0:
-            raise PrivacyError("epsilon must be positive (or None for off)")
+        # an infinite budget would release the exact graph labelled with a budget
+        if self.epsilon is not None and not (self.epsilon > 0 and math.isfinite(self.epsilon)):
+            raise PrivacyError("epsilon must be positive and finite (or None for off)")
         if self.sensitivity_mode not in ("global", "smooth", "mixed"):
             raise PrivacyError(f"unknown sensitivity_mode {self.sensitivity_mode!r}")
 
@@ -150,16 +159,23 @@ def smooth_sensitivity(s_local: float, epsilon: float, n: int) -> float:
     return 2.0 * math.exp(-(epsilon / 2.0) * math.log(2.0 / delta)) * s_local
 
 
-def sensitivity_report(block: Corpus, params: PrivacyParams, block_id: int | None = None) -> SensitivityReport:
+def sensitivity_report(block: Corpus, params: PrivacyParams, block_id: int | None = None,
+                       pairs: BlockPairs | None = None) -> SensitivityReport:
     """Calibrate the noise for one block under the given parameters.
 
     The mode decides the sensitivity used: global (2), smooth, or for mixed
     the smaller of the two. With epsilon off there is no noise: smooth/mixed
-    are reported as 0, chosen is "off" and the noise scale is 0.
+    are reported as 0, chosen is "off" and the noise scale is 0. s_local
+    comes from pairs, the block's state, when given (computed there once for
+    every epsilon), and raises PrivacyError if pairs is for another block.
     """
     if block_id is None:
         block_id = block.records[0].block
-    s_local = local_sensitivity(block)
+    if pairs is None:
+        s_local = local_sensitivity(block)
+    else:
+        pairs.check(block, block_id)
+        s_local = pairs.s_local
     if params.off:
         return SensitivityReport(block=block_id, s_global=GLOBAL_SENSITIVITY, s_local=s_local,
                                  s_smooth=0.0, s_mixed=0.0, chosen="off", noise_scale=0.0)
@@ -230,6 +246,30 @@ def laplace_from_uniform(u, scale: float):
     return out if out.ndim else float(out)
 
 
+def signed_log_uniforms(u: np.ndarray) -> np.ndarray:
+    """log1p(-2|u|) carrying the sign of u, for uniforms u in (-1/2, 1/2).
+
+    The scale-free part of laplace_from_uniform, computed by the same
+    operations; laplace_from_log finishes the draw at any scale.
+    """
+    out = np.abs(u, out=np.empty_like(u))
+    out *= -2.0
+    np.log1p(out, out=out)
+    np.copysign(out, u, out=out)
+    return out
+
+
+def laplace_from_log(m: np.ndarray, scale: float) -> np.ndarray:
+    """Laplace(0, scale) draws from m = signed_log_uniforms(u), into a new array.
+
+    Bit-identical to laplace_from_uniform(u, scale) for scale > 0: the
+    magnitude is the same product m * -scale, and m carries u's sign.
+    """
+    out = m * -scale
+    np.copysign(out, m, out=out)
+    return out
+
+
 def derive_block_seed(seed: int, block: int) -> int:
     """Stable per-block substream key for the pairwise noise."""
     with np.errstate(over="ignore"):
@@ -237,35 +277,121 @@ def derive_block_seed(seed: int, block: int) -> int:
     return int(_mix64(np.array(z ^ _SPLITMIX_GAMMA)))
 
 
-class SimilarityOracle:
-    """Noisy cosine similarities with one deterministic draw per unordered pair.
+def _pair_cosines(emb: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise dot products emb[u[k]] . emb[v[k]].
 
-    The Laplace sample for pair (i, j) is a pure function of the block seed
-    and the pair's position in the condensed upper-triangle ordering, so
-    repeated queries (in either order, from any worker) return the same value
-    without any shared state. The noise scale is the one sensitivity_report
-    calibrates; with epsilon off it is 0 and the oracle returns exact cosines.
-    noise_bound is the largest |draw| the sampler can return at that scale
-    (about 36.74 * noise_scale; 0 when off).
+    The pairs go in tiles whose gathered embeddings hold about
+    NOISE_TILE_ELEMS values; a pair's dot product does not depend on the tile.
+    """
+    sims = np.empty(u.size)
+    step = max(1, NOISE_TILE_ELEMS // emb.shape[1])
+    for a in range(0, u.size, step):
+        np.einsum("ij,ij->i", emb[u[a:a + step]], emb[v[a:a + step]], out=sims[a:a + step])
+    return sims
+
+
+class BlockPairs:
+    """The epsilon-independent state of one block's pairs.
+
+    Built once per block and shared by the block's SimilarityOracles, one
+    per epsilon. Construction only indexes the pairs: the substream key of
+    (seed, block_id), the condensed pair index and the row chunks. The rest
+    fills on first use and is then kept:
+    - s_local, from local_sensitivity;
+    - the attribute pairs (Corpus.attribute_pairs) and their exact cosines;
+    - signed_log_uniforms of those pairs' draws, from which laplace_from_log
+      gives the draw at any noise scale.
+    The state is O(n + attribute pairs). It keeps no n x n array, so the
+    dense similarity rows still draw once per oracle.
     """
 
-    def __init__(self, block: Corpus, params: PrivacyParams, block_id: int | None = None):
+    def __init__(self, block: Corpus, seed: int = 0, block_id: int | None = None):
+        self.block = block
+        self.n = len(block)
+        self.block_id = block.records[0].block if block_id is None else block_id
+        self.seed = seed
+        self.key = derive_block_seed(seed, self.block_id)
+        # condensed index of pair (i, j), i < j, is pair_base[i] + j
+        i = np.arange(self.n, dtype=np.int64)
+        self.pair_base = i * (2 * self.n - i - 1) // 2 - i - 1
+        # the exact cosines of a row always come from its chunk's product
+        self.row_chunks = _row_chunks(self.n, ROW_CHUNK_ELEMS)
+        self.row_bounds = np.array([lo for lo, _ in self.row_chunks] + [self.n], dtype=np.int64)
+        self._s_local: float | None = None
+        self._attribute_pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._attribute_logs: np.ndarray | None = None
+
+    def check(self, block: Corpus, block_id: int) -> None:
+        """Raise PrivacyError unless this state was built for this block object and id."""
+        if block is not self.block or block_id != self.block_id:
+            raise PrivacyError(f"block state was built for block {self.block_id}, "
+                               f"not for the given block {block_id}")
+
+    @property
+    def s_local(self) -> float:
+        if self._s_local is None:
+            self._s_local = local_sensitivity(self.block)
+        return self._s_local
+
+    def attribute_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(u, v, cosines) of the pairs sharing an attribute token; read-only arrays."""
+        if self._attribute_pairs is None:
+            u, v = self.block.attribute_pairs()
+            sims = _pair_cosines(self.block.embeddings, u, v)
+            for arr in (u, v, sims):
+                arr.setflags(write=False)
+            self._attribute_pairs = (u, v, sims)
+        return self._attribute_pairs
+
+    def attribute_logs(self) -> np.ndarray:
+        """signed_log_uniforms of the attribute pairs' draws; read-only."""
+        if self._attribute_logs is None:
+            u, v, _ = self.attribute_pairs()
+            self._attribute_logs = self.signed_logs(u, v)
+            self._attribute_logs.setflags(write=False)
+        return self._attribute_logs
+
+    def signed_logs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """signed_log_uniforms of the draws of pairs (u[k], v[k]), in tiles of NOISE_TILE_ELEMS."""
+        out = np.empty(u.size)
+        for a in range(0, u.size, NOISE_TILE_ELEMS):
+            ut, vt = u[a:a + NOISE_TILE_ELEMS], v[a:a + NOISE_TILE_ELEMS]
+            p = self.pair_base[np.minimum(ut, vt)] + np.maximum(ut, vt)
+            out[a:a + NOISE_TILE_ELEMS] = signed_log_uniforms(substream_uniforms(self.key, p))
+        return out
+
+
+class SimilarityOracle:
+    """Noisy cosine similarities of one block at one epsilon.
+
+    The oracle is a view of the block's epsilon-independent state (pairs, a
+    BlockPairs) at the noise scale that sensitivity_report calibrates; with
+    epsilon off that scale is 0 and the oracle returns exact cosines. Given
+    no state, it builds its own. Every unordered pair has one deterministic
+    draw: the Laplace sample for pair (i, j) is a pure function of the block
+    seed and the pair's position in the condensed upper-triangle ordering, so
+    repeated queries (in either order, from any worker) return the same value
+    without any shared state. noise_bound is the largest |draw| the sampler
+    can return at that scale (about 36.74 * noise_scale; 0 when off).
+    """
+
+    def __init__(self, block: Corpus, params: PrivacyParams, block_id: int | None = None,
+                 pairs: BlockPairs | None = None):
+        if block_id is None:
+            block_id = block.records[0].block
+        if pairs is None:
+            pairs = BlockPairs(block, params.seed, block_id)
+        elif pairs.seed != params.seed:
+            raise PrivacyError(f"block state was built for seed {pairs.seed}, "
+                               f"not for seed {params.seed}")
         self.block = block
         self.params = params
         self.n = len(block)
-        if block_id is None:
-            block_id = block.records[0].block
         self.block_id = block_id
-        self.report = sensitivity_report(block, params, block_id)
+        self.pairs = pairs
+        self.report = sensitivity_report(block, params, block_id, pairs)
         self.noise_scale = self.report.noise_scale
         self.noise_bound = float(laplace_from_uniform(_U_MAX, self.noise_scale))
-        self._seed = derive_block_seed(params.seed, block_id)
-        # condensed index of pair (i, j), i < j, is _pair_base[i] + j
-        i = np.arange(self.n, dtype=np.int64)
-        self._pair_base = i * (2 * self.n - i - 1) // 2 - i - 1
-        # the exact cosines of a row always come from its chunk's product
-        self.row_chunks = _row_chunks(self.n, ROW_CHUNK_ELEMS)
-        self._row_bounds = np.array([lo for lo, _ in self.row_chunks] + [self.n], dtype=np.int64)
 
     def pair_index(self, i: int, j: int) -> int:
         """Condensed index of unordered pair (i, j) in the upper triangle."""
@@ -275,7 +401,7 @@ class SimilarityOracle:
             i, j = j, i
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise PrivacyError(f"pair ({i}, {j}) out of range for block of size {self.n}")
-        return int(self._pair_base[i]) + j
+        return int(self.pairs.pair_base[i]) + j
 
     def exact_similarity(self, i: int, j: int) -> float:
         emb = self.block.embeddings
@@ -295,34 +421,42 @@ class SimilarityOracle:
         A pair's draw is a pure function of the block seed and its condensed
         index, the same in either order and on every path.
         """
-        p = self._pair_base[np.minimum(u, v)] + np.maximum(u, v)
-        return laplace_from_uniform(substream_uniforms(self._seed, p), self.noise_scale)
+        p = self.pairs.pair_base[np.minimum(u, v)] + np.maximum(u, v)
+        return laplace_from_uniform(substream_uniforms(self.pairs.key, p), self.noise_scale)
 
     def noisy_pairs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Perturbed similarities for arrays of pairs (u[k] != v[k]).
 
-        Same substream values as the scalar and row paths. The pairs go in
-        tiles whose gathered embeddings hold about NOISE_TILE_ELEMS values; a
-        pair's row-wise dot product does not depend on the tile.
+        Same substream values as the scalar and row paths; the exact cosines
+        are row-wise dot products (_pair_cosines).
         """
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
         if np.any(u == v):
             raise PrivacyError("self-pairs are not valid similarity queries")
-        emb = self.block.embeddings
-        sims = np.empty(u.size)
-        step = max(1, NOISE_TILE_ELEMS // emb.shape[1])
-        for a in range(0, u.size, step):
-            ut, vt, out = u[a:a + step], v[a:a + step], sims[a:a + step]
-            np.einsum("ij,ij->i", emb[ut], emb[vt], out=out)
-            if self.noise_scale > 0.0:
-                out += self.pair_noise(ut, vt)
+        sims = _pair_cosines(self.block.embeddings, u, v)
+        if self.noise_scale > 0.0:
+            sims += laplace_from_log(self.pairs.signed_logs(u, v), self.noise_scale)
         return sims
+
+    def noisy_attribute_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(u, v, perturbed similarities) of the pairs sharing an attribute token.
+
+        The values equal noisy_pairs(u, v) bit for bit. The pairs, their
+        cosines and the epsilon-free part of their draws come from the block
+        state, so only the scaling to this oracle's noise runs per epsilon.
+        """
+        u, v, cosines = self.pairs.attribute_pairs()
+        if self.noise_scale == 0.0:
+            return u, v, cosines.copy()
+        sims = laplace_from_log(self.pairs.attribute_logs(), self.noise_scale)
+        sims += cosines
+        return u, v, sims
 
     def exact_rows(self, lo: int, hi: int) -> np.ndarray:
         """Exact cosines of rows [lo, hi), cut from the products of their row chunks."""
         emb = self.block.embeddings
-        bounds = self._row_bounds
+        bounds = self.pairs.row_bounds
         first = int(np.searchsorted(bounds, lo, side="right")) - 1
         last = int(np.searchsorted(bounds, hi, side="left"))
         if last == first + 1 and bounds[first] == lo and bounds[last] == hi:
@@ -337,7 +471,7 @@ class SimilarityOracle:
         """Perturbed similarities of rows [lo, hi) against all records.
 
         The exact cosines come from one matrix product per row chunk of the
-        block (self.row_chunks); a range that is not one whole chunk is cut
+        block (pairs.row_chunks); a range that is not one whole chunk is cut
         out of the products of the chunks it overlaps. So a row's values do
         not depend on the range asked for, but can differ from noisy_pairs'
         row-wise dot product in the last ulp. The noise is added in tiles of
@@ -347,14 +481,15 @@ class SimilarityOracle:
         """
         sims = self.exact_rows(lo, hi)
         if self.noise_scale > 0.0:
+            base = self.pairs.pair_base
             step = max(1, NOISE_TILE_ELEMS // self.n)
             cols = np.arange(self.n)
             for a in range(lo, hi, step):
                 b = min(hi, a + step)
                 rows = np.arange(a, b)[:, None]
-                p = self._pair_base + rows  # column j < row i: pair (j, i)
-                np.add(self._pair_base[a:b, None], cols, out=p, where=cols >= rows)  # pair (i, j)
-                sims[a - lo:b - lo] += laplace_from_uniform(substream_uniforms(self._seed, p),
+                p = base + rows  # column j < row i: pair (j, i)
+                np.add(base[a:b, None], cols, out=p, where=cols >= rows)  # pair (i, j)
+                sims[a - lo:b - lo] += laplace_from_uniform(substream_uniforms(self.pairs.key, p),
                                                             self.noise_scale)
         sims[np.arange(hi - lo), np.arange(lo, hi)] = np.nan
         return sims

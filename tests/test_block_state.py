@@ -1,0 +1,148 @@
+"""The epsilon-independent block state (privacy.BlockPairs) and its epsilon views.
+
+An epsilon sweep builds one BlockPairs per block and shares it across the
+grid. These tests pin that the shared state changes no released value, that
+its epsilon-free work runs once per block inside the timed graph stage, and
+that a state cannot be used for another block or seed.
+"""
+
+import numpy as np
+import pytest
+
+from dpevent import cli, privacy
+from dpevent.corpus import (Corpus, MessageRecord, SynthConfig, export, generate, ingest,
+                            split_blocks)
+from dpevent.graphsynth import build_graph
+from dpevent.privacy import (BlockPairs, PrivacyError, PrivacyParams, SimilarityOracle,
+                             laplace_from_log, laplace_from_uniform, sensitivity_report,
+                             signed_log_uniforms, substream_uniforms)
+
+SHARES = (0.6, 0.0, 0.9)  # block 1 shares no tokens: it has no attribute pairs
+
+
+def sweep_corpus(points=15):
+    """Three blocks of 3 events, one with no shared attribute tokens."""
+    records = []
+    for b, share in enumerate(SHARES):
+        block = generate(SynthConfig(num_events=3, points_per_event=points, dim=16,
+                                     attribute_sharing_prob=share, seed=40 + b))
+        for r in block.records:
+            records.append(MessageRecord(
+                id=f"b{b}_{r.id}", block=b, embedding=r.embedding,
+                attributes={c: frozenset(f"b{b}_{t}" for t in toks)
+                            for c, toks in r.attributes.items()},
+                label=f"b{b}_{r.label}"))
+    return Corpus(records)
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return sweep_corpus()
+
+
+@pytest.fixture(scope="module")
+def corpus_file(tmp_path_factory, corpus):
+    path = tmp_path_factory.mktemp("state") / "corpus.jsonl"
+    export(corpus, path)
+    return path
+
+
+def test_corpus_has_a_block_without_attribute_pairs(corpus):
+    sizes = [view.attribute_pairs()[0].size for view in split_blocks(corpus)]
+    assert sizes[1] == 0 and sizes[0] > 0 and sizes[2] > 0
+
+
+def test_laplace_from_log_is_bit_identical():
+    u = substream_uniforms(3, np.arange(20_000, dtype=np.uint64))
+    u = np.concatenate([u, [0.0, privacy._U_MAX, -privacy._U_MAX, 1e-300, -1e-300]])
+    m = signed_log_uniforms(u)
+    for scale in (1e-30, 0.2, 2.0 / 3.0, 7.5, 1e6):
+        assert laplace_from_log(m, scale).tobytes() == laplace_from_uniform(u, scale).tobytes()
+
+
+@pytest.mark.parametrize("epsilon", [None, 0.5, 10.0])
+def test_attribute_path_equals_noisy_pairs(corpus, epsilon):
+    view = split_blocks(corpus)[0]
+    oracle = SimilarityOracle(view, PrivacyParams(epsilon=epsilon, sensitivity_mode="global",
+                                                  seed=2))
+    u, v, sims = oracle.noisy_attribute_pairs()
+    assert u.size > 0
+    assert sims.tobytes() == oracle.noisy_pairs(u, v).tobytes()
+    scalar = [oracle.noisy_similarity(int(a), int(b)) for a, b in zip(u[:50], v[:50])]
+    assert np.allclose(sims[:50], scalar, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["global", "mixed", "smooth"])
+def test_sweep_graphs_equal_fresh_per_epsilon_graphs(tmp_path, monkeypatch, corpus_file, mode):
+    built = []
+
+    def spy(view, oracle, k_max=40):
+        graph, trace = build_graph(view, oracle, k_max=k_max)
+        built.append((oracle.params.epsilon, oracle.block_id, graph))
+        return graph, trace
+
+    monkeypatch.setattr(cli, "build_graph", spy)
+    assert cli.main(["sweep", "--input", str(corpus_file), "--out", str(tmp_path / "s"),
+                     "--epsilons", "0.5,1,10", "--mode", mode, "--seed", "9"]) == 0
+    views = split_blocks(ingest(corpus_file))  # the JSONL holds 9 significant digits
+    assert [(e, b) for e, b, _ in built] == [(e, b) for e in (0.5, 1.0, 10.0, None)
+                                             for b in range(len(views))]
+    for epsilon, block_id, graph in built:
+        view = views[block_id]
+        params = PrivacyParams(epsilon=epsilon, sensitivity_mode=mode, seed=9)
+        fresh, _ = build_graph(view, SimilarityOracle(view, params), k_max=40)
+        assert np.array_equal(graph.u, fresh.u) and np.array_equal(graph.v, fresh.v)
+        assert graph.w.tobytes() == fresh.w.tobytes()
+        assert np.array_equal(graph.provenance, fresh.provenance)
+
+
+def test_sweep_fills_the_state_once_per_block_inside_the_graph_stage(tmp_path, monkeypatch,
+                                                                     corpus):
+    two_blocks = Corpus([r for r in corpus.records if r.block < 2])
+    path = tmp_path / "corpus.jsonl"
+    export(two_blocks, path)
+    depth = [0]
+    calls = {"local_sensitivity": [], "attribute_pairs": []}
+
+    def stage(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return build_block_graph(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def counted(name, fn):
+        def wrapper(block, *args):
+            calls[name].append((block.records[0].block, depth[0] > 0))
+            return fn(block, *args)
+        return wrapper
+
+    build_block_graph = cli._build_block_graph
+    monkeypatch.setattr(cli, "_build_block_graph", stage)
+    monkeypatch.setattr(privacy, "local_sensitivity",
+                        counted("local_sensitivity", privacy.local_sensitivity))
+    monkeypatch.setattr(Corpus, "attribute_pairs",
+                        counted("attribute_pairs", Corpus.attribute_pairs))
+    assert cli.main(["sweep", "--input", str(path), "--out", str(tmp_path / "s"),
+                     "--epsilons", "1,2,5", "--mode", "global"]) == 0  # 3 + off
+    assert calls == {"local_sensitivity": [(0, True), (1, True)],
+                     "attribute_pairs": [(0, True), (1, True)]}
+
+
+def test_state_for_another_block_or_seed_raises(corpus):
+    first, second = split_blocks(corpus)[:2]
+    pairs = BlockPairs(first, seed=1, block_id=0)
+    params = PrivacyParams(epsilon=1.0, seed=1)
+    SimilarityOracle(first, params, block_id=0, pairs=pairs)  # the matching view
+    with pytest.raises(PrivacyError, match="block"):
+        SimilarityOracle(second, params, block_id=1, pairs=pairs)
+    with pytest.raises(PrivacyError, match="block"):
+        SimilarityOracle(first, params, block_id=1, pairs=pairs)
+    same_records = Corpus(list(first.records), require_contiguous_blocks=False)
+    with pytest.raises(PrivacyError, match="block"):
+        SimilarityOracle(same_records, params, block_id=0, pairs=pairs)
+    with pytest.raises(PrivacyError, match="seed"):
+        SimilarityOracle(first, PrivacyParams(epsilon=1.0, seed=2), block_id=0, pairs=pairs)
+    with pytest.raises(PrivacyError, match="block"):
+        sensitivity_report(second, params, 1, pairs)
+

@@ -319,7 +319,40 @@ def test_removed_flags_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["build-graph", "--input", "c.jsonl", "--out", "o", "--epsilon", "inf"],
+    ["build-graph", "--input", "c.jsonl", "--out", "o", "--epsilon", "nan"],
+    ["sweep", "--input", "c.jsonl", "--out", "o", "--epsilons", "1,inf"],
+    ["sweep", "--input", "c.jsonl", "--out", "o", "--epsilons=-inf"],
+    ["sensitivity-report", "--input", "c.jsonl", "--out", "o", "--epsilons", "Infinity"],
+])
+def test_non_finite_epsilon_rejected(argv, capsys):
+    # an infinite budget would release the exact graph and write "Infinity" into JSON
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "epsilon must be a positive finite number or 'off'" in capsys.readouterr().err
+
+
 class TestSensitivityReport:
+    def test_local_sensitivity_once_per_block(self, tmp_path, monkeypatch):
+        from dpevent import privacy
+        from test_multiblock import multi_block_corpus
+        path = tmp_path / "corpus.jsonl"
+        export(multi_block_corpus(num_blocks=2, points=8), path)
+        seen = []
+        real = privacy.local_sensitivity
+
+        def spy(block):
+            seen.append(block.records[0].block)
+            return real(block)
+
+        monkeypatch.setattr(privacy, "local_sensitivity", spy)
+        assert main(["sensitivity-report", "--input", str(path), "--out",
+                     str(tmp_path / "sens")]) == 0  # the default grid has 10 epsilons
+        assert seen == [0, 1]
+        assert len(read_json(tmp_path / "sens" / "sensitivity_block1.json")["reports"]) == 10
+
     def test_per_block_grid(self, tmp_path, corpus_file):
         out = tmp_path / "sens"
         assert main(["sensitivity-report", "--input", str(corpus_file), "--out", str(out),

@@ -329,6 +329,9 @@ class TestDpRatioProperty:
 def test_params_validation():
     with pytest.raises(PrivacyError):
         PrivacyParams(epsilon=-1.0)
+    for epsilon in (math.inf, -math.inf, math.nan):
+        with pytest.raises(PrivacyError, match="finite"):
+            PrivacyParams(epsilon=epsilon)
     with pytest.raises(PrivacyError):
         PrivacyParams(epsilon=1.0, sensitivity_mode="??")
     assert PrivacyParams().off
