@@ -24,7 +24,7 @@ from .partition import cluster
 from .persist import (config_hash, fmt9, read_graph_tsv, read_json,
                       read_partition_csv, write_graph_tsv, write_json,
                       write_partition_csv)
-from .privacy import BlockPairs, PrivacyParams, sensitivity_report
+from .privacy import BlockPairs, PrivacyError, PrivacyParams, sensitivity_report
 
 
 def _parse_epsilon(text: str) -> float | None:
@@ -38,6 +38,17 @@ def _parse_epsilon(text: str) -> float | None:
 
 def _parse_epsilon_list(text: str) -> list[float | None]:
     return [_parse_epsilon(tok.strip()) for tok in text.split(",") if tok.strip()]
+
+
+def _int_at_least(lo: int):
+    """argparse type: an integer no smaller than lo."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {lo}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
 
 
 def _outdir(args) -> Path:
@@ -311,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_graph_flags(p):
         add_mode_flag(p)
         p.add_argument("--seed", type=int, default=0, help="base seed (default: 0)")
-        p.add_argument("--kmax", type=int, default=40,
+        p.add_argument("--kmax", type=_int_at_least(1), default=40,
                        help="maximum kNN neighborhood size (default: 40)")
 
     p = add_command("synth", help="generate a synthetic labeled corpus")
@@ -336,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("cluster", help="cluster graphs by 2D SE minimization")
     p.add_argument("--graphs", required=True, help="directory written by build-graph")
     p.add_argument("--out", required=True)
-    p.add_argument("--q0", type=int, default=400,
+    p.add_argument("--q0", type=_int_at_least(2), default=400,
                    help="initial subgraph size (default: 400; 300 suits pooled graphs)")
     p.add_argument("--grouping", choices=["optimal", "sequential"], default="optimal")
     p.set_defaults(func=cmd_cluster)
@@ -356,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--include-off", action=argparse.BooleanOptionalAction, default=True,
                    help="append a no-noise ceiling row (default: on)")
     add_graph_flags(p)
-    p.add_argument("--q0", type=int, default=None,
+    p.add_argument("--q0", type=_int_at_least(2), default=None,
                    help="initial subgraph size (default: 400, or 300 with --pooled)")
     p.add_argument("--pooled", action="store_true")
     p.set_defaults(func=cmd_sweep)
@@ -375,7 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except PrivacyError as exc:
+        # e.g. an epsilon whose noise scale overflows; build-graph fails the block instead
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

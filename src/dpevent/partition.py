@@ -4,9 +4,11 @@ Each round contracts the current communities into a super-graph, greedily
 carves the super-graph into high-weight subgraphs of at most q super-nodes,
 and runs the vanilla minimizer inside each subgraph. Merges are confined to a
 subgraph within a round, but every delta is evaluated against the full graph's
-volume and cut state, so H2 of the full graph never increases. When a round
-leaves the partition unchanged, q doubles; once that happens with a single
-subgraph covering everything, no further merge can help and the loop stops.
+volume and cut state, so H2 of the full graph never increases. A round's
+grouping is one label per super-node, and the round stays in numpy: its cost
+does not grow with the number of singleton groups. When a round accepts no
+merge, q doubles; once that happens with a single subgraph covering
+everything, no further merge can help and the loop stops.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ MAX_ROUNDS = 64
 class SuperGraph:
     """Contraction of a graph under a partition, one super-node per community.
 
-    Cross-community weights are summed per super-edge; internal weights are
-    kept as per-super-node self-weights so total weight is conserved.
+    Super-node c is community c. Cross-community weights are summed per
+    super-edge (ea < eb); internal weights are kept as per-super-node
+    self-weights so total weight is conserved.
     """
 
-    members: list[np.ndarray]
     ea: np.ndarray
     eb: np.ndarray
     ew: np.ndarray
@@ -40,7 +42,7 @@ class SuperGraph:
 
     @property
     def num_nodes(self) -> int:
-        return len(self.members)
+        return int(self.volume_per_node.size)
 
     @property
     def num_edges(self) -> int:
@@ -85,24 +87,26 @@ def build_supergraph(graph: MessageGraph, partition: Partition,
     cu = assignment[graph.u]
     internal = cu == assignment[graph.v]
     self_weight = np.bincount(cu[internal], weights=graph.w[internal], minlength=volume.size)
-    return SuperGraph(members=partition.groups(), ea=ea, eb=eb, ew=ew,
-                      self_weight=self_weight, volume_per_node=volume)
+    return SuperGraph(ea=ea, eb=eb, ew=ew, self_weight=self_weight, volume_per_node=volume)
 
 
-def extract_subgraphs(sg: SuperGraph, q: int) -> list[np.ndarray]:
+def extract_subgraphs(sg: SuperGraph, q: int) -> np.ndarray:
     """Greedily carve the super-graph into groups of up to q super-nodes.
 
-    Up to ceil(|sg|/q) groups are seeded with the endpoints of the heaviest
-    remaining edge and grown by repeatedly adding the unassigned neighbor with
-    the highest total weight into the group (ties: smallest id). Extracted
-    nodes are removed before the next group; whatever remains afterwards is
-    appended as singleton groups and passes through the round unchanged.
+    Returns one int64 group label per super-node. Up to ceil(|sg|/q) groups
+    are seeded with the endpoints of the heaviest remaining edge and grown by
+    repeatedly adding the unassigned neighbor with the highest total weight
+    into the group (ties: smallest id); they get labels 0..k-1 in extraction
+    order. Extracted nodes are removed before the next group. Each node left
+    over afterwards gets a label of its own, k, k+1, ... in ascending id
+    order, and passes through the round unchanged.
     """
     if q < 2:
         raise ValueError("subgraph size q must be at least 2")
     m = sg.num_nodes
+    labels = np.full(m, -1, dtype=np.int64)
     if m == 0:
-        return []
+        return labels
     k_max = math.ceil(m / q)
 
     # CSR adjacency over super-nodes
@@ -118,10 +122,17 @@ def extract_subgraphs(sg: SuperGraph, q: int) -> list[np.ndarray]:
     # heaviest-first edge order; ties by lexicographically smallest pair
     edge_order = np.lexsort((sg.eb, sg.ea, -sg.ew))
     assigned = np.zeros(m, dtype=bool)
-    groups: list[np.ndarray] = []
+    num_groups = 0
     cursor = 0
     cut = np.zeros(m, dtype=np.float64)
-    for _ in range(k_max):
+
+    def add(node: int, label: int) -> None:
+        labels[node] = label
+        assigned[node] = True
+        sl = slice(indptr[node], indptr[node + 1])
+        np.add.at(cut, nbr[sl], nbw[sl])
+
+    for label in range(k_max):
         while cursor < edge_order.size:
             e = edge_order[cursor]
             if not assigned[sg.ea[e]] and not assigned[sg.eb[e]]:
@@ -129,43 +140,42 @@ def extract_subgraphs(sg: SuperGraph, q: int) -> list[np.ndarray]:
             cursor += 1
         else:
             break
-        seed_a = int(sg.ea[edge_order[cursor]])
-        seed_b = int(sg.eb[edge_order[cursor]])
-        group = [seed_a, seed_b]
         cut[:] = 0.0
-        for node in (seed_a, seed_b):
-            assigned[node] = True
-            sl = slice(indptr[node], indptr[node + 1])
-            np.add.at(cut, nbr[sl], nbw[sl])
-        while len(group) < q:
+        add(int(sg.ea[edge_order[cursor]]), label)
+        add(int(sg.eb[edge_order[cursor]]), label)
+        size = 2
+        while size < q:
             candidate_cut = np.where(assigned, -1.0, cut)
             nxt = int(np.argmax(candidate_cut))
             if candidate_cut[nxt] <= 0.0:
                 break  # no connected unassigned candidate remains
-            group.append(nxt)
-            assigned[nxt] = True
-            sl = slice(indptr[nxt], indptr[nxt + 1])
-            np.add.at(cut, nbr[sl], nbw[sl])
-        groups.append(np.asarray(sorted(group), dtype=np.int64))
-    for node in np.flatnonzero(~assigned):
-        groups.append(np.asarray([node], dtype=np.int64))
-    return groups
+            add(nxt, label)
+            size += 1
+        num_groups = label + 1
+    left = ~assigned
+    labels[left] = np.arange(num_groups, num_groups + int(left.sum()), dtype=np.int64)
+    return labels
 
 
-def sequential_subgraphs(num_nodes: int, q: int) -> list[np.ndarray]:
-    """Baseline grouping: consecutive id-order chunks of size q."""
+def sequential_subgraphs(num_nodes: int, q: int) -> np.ndarray:
+    """Baseline grouping: consecutive id-order chunks of size q, as one label per node."""
     if q < 2:
         raise ValueError("subgraph size q must be at least 2")
-    return [np.arange(lo, min(lo + q, num_nodes), dtype=np.int64)
-            for lo in range(0, num_nodes, q)]
+    return np.arange(num_nodes, dtype=np.int64) // q
 
 
 def cluster(graph: MessageGraph, q0: int = 400, init: Partition | None = None,
             grouping: str = "optimal") -> ClusterRun:
     """Full optimal-subgraph minimization with the q-doubling outer loop.
 
-    grouping="sequential" replaces the greedy extraction with id-order chunks
-    (the prior-work baseline) while keeping the rest of the loop identical.
+    A round labels each community with its group (extract_subgraphs; all
+    zero when one group must cover everything), sorts the edges inside the
+    groups by label with one stable argsort, and runs minimize_edges on each
+    group's edges in ascending label order. A round that accepts no merge is
+    stable: q doubles, or the loop stops when the round covered the whole
+    graph. grouping="sequential" replaces the greedy extraction with id-order
+    chunks (the prior-work baseline) while keeping the rest of the loop
+    identical.
     """
     if q0 < 2:
         raise ValueError("q0 must be at least 2")
@@ -184,46 +194,42 @@ def cluster(graph: MessageGraph, q0: int = 400, init: Partition | None = None,
     # starts the next round
     aggregates = _community_aggregates(graph, current.assignment)
     for _ in range(MAX_ROUNDS):
-        assignment = current.assignment
         vol, V, g, ilog, ea, eb, ew = aggregates
         ncomm = int(V.size)
         k_max = math.ceil(ncomm / q)
         if k_max == 1:
             # a single subgraph must cover everything: the round is exactly a
             # whole-supergraph vanilla minimization, component boundaries included
-            groups = [np.arange(ncomm, dtype=np.int64)]
+            labels = np.zeros(ncomm, dtype=np.int64)
         elif grouping == "optimal":
-            groups = extract_subgraphs(build_supergraph(graph, current, aggregates), q)
+            labels = extract_subgraphs(build_supergraph(graph, current, aggregates), q)
         else:
-            groups = sequential_subgraphs(ncomm, q)
+            labels = sequential_subgraphs(ncomm, q)
 
-        # group id per community; -1 marks edges crossing group boundaries
-        group_of = np.full(ncomm, -1, dtype=np.int64)
-        for gi, members in enumerate(groups):
-            group_of[members] = gi
+        # the edges inside groups, by label; the stable sort keeps each
+        # group's edges in index order
+        la = labels[ea]
+        inside = np.flatnonzero(la == labels[eb])
+        inside = inside[np.argsort(la[inside], kind="stable")]
+        starts = np.flatnonzero(np.diff(la[inside])) + 1
         parent = np.arange(ncomm, dtype=np.int64)
-        if ea.size:
-            edge_group = np.where(group_of[ea] == group_of[eb], group_of[ea], -1)
-            for gi, members in enumerate(groups):
-                if members.size < 2:
-                    continue
-                sel = edge_group == gi
-                if not np.any(sel):
-                    continue
-                minimize_edges(ea[sel], eb[sel], ew[sel], V, g, ilog, parent, vol)
+        merges = 0
+        for sel in np.split(inside, starts):
+            if sel.size:
+                merges += minimize_edges(ea[sel], eb[sel], ew[sel], V, g, ilog, parent, vol).size
+        # every merge removes a community, so no merge means an unchanged partition
+        stable = merges == 0
         root = resolve_parents(parent)
-        new_partition = Partition(dense_labels(root[assignment]))
-        stable = new_partition.same_as(current)
+        current = Partition(dense_labels(root[current.assignment]))
         # minimize_edges changed V, g and ilog in place: aggregate afresh
-        aggregates = _community_aggregates(graph, new_partition.assignment)
+        aggregates = _community_aggregates(graph, current.assignment)
         run.rounds.append({
             "q": q,
             "k_max": k_max,
-            "num_communities": new_partition.num_communities,
+            "num_communities": current.num_communities,
             "h2": _two_dim_se_from_aggregates(aggregates),
             "stable": stable,
         })
-        current = new_partition
         if stable:
             if k_max == 1:
                 run.converged = True

@@ -168,6 +168,8 @@ def sensitivity_report(block: Corpus, params: PrivacyParams, block_id: int | Non
     are reported as 0, chosen is "off" and the noise scale is 0. s_local
     comes from pairs, the block's state, when given (computed there once for
     every epsilon), and raises PrivacyError if pairs is for another block.
+    It also raises PrivacyError when the noise scale overflows float64 (an
+    epsilon so small that the chosen sensitivity / epsilon is not finite).
     """
     if block_id is None:
         block_id = block.records[0].block
@@ -184,9 +186,13 @@ def sensitivity_report(block: Corpus, params: PrivacyParams, block_id: int | Non
     if chosen == "mixed":
         chosen = "smooth" if s_smooth < GLOBAL_SENSITIVITY else "global"
     used = s_smooth if chosen == "smooth" else GLOBAL_SENSITIVITY
+    noise_scale = used / params.epsilon
+    if not math.isfinite(noise_scale):
+        raise PrivacyError(f"noise scale {used!r}/{params.epsilon!r} overflows float64 "
+                           f"in block {block_id}; use a larger epsilon")
     return SensitivityReport(block=block_id, s_global=GLOBAL_SENSITIVITY, s_local=s_local,
                              s_smooth=s_smooth, s_mixed=min(GLOBAL_SENSITIVITY, s_smooth),
-                             chosen=chosen, noise_scale=used / params.epsilon)
+                             chosen=chosen, noise_scale=noise_scale)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:

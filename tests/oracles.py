@@ -221,3 +221,140 @@ def lexsort_top_neighbors(rows, k_max):
         nbrs[i] = ids[order]
         sims[i] = row[order]
     return nbrs, sims
+
+
+def list_extract_subgraphs(sg, q):
+    """Greedy extraction returning a list of groups: the extracted groups in
+    extraction order (each sorted), then every leftover node as a singleton
+    group in ascending id order."""
+    if q < 2:
+        raise ValueError("subgraph size q must be at least 2")
+    m = sg.num_nodes
+    if m == 0:
+        return []
+    k_max = math.ceil(m / q)
+
+    # CSR adjacency over super-nodes
+    src = np.concatenate([sg.ea, sg.eb])
+    dst = np.concatenate([sg.eb, sg.ea])
+    wts = np.concatenate([sg.ew, sg.ew])
+    order = np.argsort(src, kind="stable")
+    nbr = dst[order]
+    nbw = wts[order]
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=m), out=indptr[1:])
+
+    # heaviest-first edge order; ties by lexicographically smallest pair
+    edge_order = np.lexsort((sg.eb, sg.ea, -sg.ew))
+    assigned = np.zeros(m, dtype=bool)
+    groups = []
+    cursor = 0
+    cut = np.zeros(m, dtype=np.float64)
+    for _ in range(k_max):
+        while cursor < edge_order.size:
+            e = edge_order[cursor]
+            if not assigned[sg.ea[e]] and not assigned[sg.eb[e]]:
+                break
+            cursor += 1
+        else:
+            break
+        seed_a = int(sg.ea[edge_order[cursor]])
+        seed_b = int(sg.eb[edge_order[cursor]])
+        group = [seed_a, seed_b]
+        cut[:] = 0.0
+        for node in (seed_a, seed_b):
+            assigned[node] = True
+            sl = slice(indptr[node], indptr[node + 1])
+            np.add.at(cut, nbr[sl], nbw[sl])
+        while len(group) < q:
+            candidate_cut = np.where(assigned, -1.0, cut)
+            nxt = int(np.argmax(candidate_cut))
+            if candidate_cut[nxt] <= 0.0:
+                break  # no connected unassigned candidate remains
+            group.append(nxt)
+            assigned[nxt] = True
+            sl = slice(indptr[nxt], indptr[nxt + 1])
+            np.add.at(cut, nbr[sl], nbw[sl])
+        groups.append(np.asarray(sorted(group), dtype=np.int64))
+    for node in np.flatnonzero(~assigned):
+        groups.append(np.asarray([node], dtype=np.int64))
+    return groups
+
+
+def list_sequential_subgraphs(num_nodes, q):
+    """Consecutive id-order chunks of size q, as a list of groups."""
+    if q < 2:
+        raise ValueError("subgraph size q must be at least 2")
+    return [np.arange(lo, min(lo + q, num_nodes), dtype=np.int64)
+            for lo in range(0, num_nodes, q)]
+
+
+def list_groups_cluster(graph, q0=400, init=None, grouping="optimal"):
+    """The optimal-subgraph round loop with one array per group.
+
+    Each round builds the groups as a list of member arrays, selects each
+    group's edges with its own mask over all cross-community edges and calls
+    the round stable when the new partition equals the old one. Unlike
+    the rest of this module it shares the package's aggregation and merge
+    step, so agreement checks the round's grouping and bookkeeping only.
+    Returns a ClusterRun.
+    """
+    from dpevent.entropy import (Partition, _community_aggregates,
+                                 _two_dim_se_from_aggregates, dense_labels, minimize_edges,
+                                 resolve_parents)
+    from dpevent.graphsynth import one_dim_se
+    from dpevent.partition import MAX_ROUNDS, ClusterRun, build_supergraph
+
+    if init is None:
+        init = Partition.singletons(graph.n)
+    run = ClusterRun(q0=q0)
+    run.h1 = one_dim_se(graph)
+
+    current = init
+    q = q0
+    aggregates = _community_aggregates(graph, current.assignment)
+    for _ in range(MAX_ROUNDS):
+        assignment = current.assignment
+        vol, V, g, ilog, ea, eb, ew = aggregates
+        ncomm = int(V.size)
+        k_max = math.ceil(ncomm / q)
+        if k_max == 1:
+            groups = [np.arange(ncomm, dtype=np.int64)]
+        elif grouping == "optimal":
+            groups = list_extract_subgraphs(build_supergraph(graph, current, aggregates), q)
+        else:
+            groups = list_sequential_subgraphs(ncomm, q)
+
+        # group id per community; -1 marks edges crossing group boundaries
+        group_of = np.full(ncomm, -1, dtype=np.int64)
+        for gi, members in enumerate(groups):
+            group_of[members] = gi
+        parent = np.arange(ncomm, dtype=np.int64)
+        if ea.size:
+            edge_group = np.where(group_of[ea] == group_of[eb], group_of[ea], -1)
+            for gi, members in enumerate(groups):
+                if members.size < 2:
+                    continue
+                sel = edge_group == gi
+                if not np.any(sel):
+                    continue
+                minimize_edges(ea[sel], eb[sel], ew[sel], V, g, ilog, parent, vol)
+        root = resolve_parents(parent)
+        new_partition = Partition(dense_labels(root[assignment]))
+        stable = new_partition.same_as(current)
+        aggregates = _community_aggregates(graph, new_partition.assignment)
+        run.rounds.append({
+            "q": q,
+            "k_max": k_max,
+            "num_communities": new_partition.num_communities,
+            "h2": _two_dim_se_from_aggregates(aggregates),
+            "stable": stable,
+        })
+        current = new_partition
+        if stable:
+            if k_max == 1:
+                run.converged = True
+                break
+            q *= 2
+    run.final = current
+    return run

@@ -19,8 +19,8 @@ from dpevent.entropy import CommunityState, Partition, two_dim_se, vanilla_minim
 from dpevent.graphsynth import build_graph, one_dim_se
 from dpevent.metrics import ami, ari
 from dpevent.partition import cluster
-from dpevent.privacy import (PrivacyParams, SimilarityOracle, laplace_from_uniform,
-                             sensitivity_report, substream_uniforms)
+from dpevent.privacy import (BlockPairs, PrivacyParams, SimilarityOracle,
+                             laplace_from_uniform, sensitivity_report, substream_uniforms)
 
 ACCEPT_CORPUS = dict(num_events=5, points_per_event=100, dim=32,
                      intra_concentration=20.0, attribute_sharing_prob=0.7)
@@ -31,10 +31,13 @@ def _report(name, ok, detail=""):
     assert ok, f"{name}: {detail}"
 
 
-def _pipeline_ari(seed, epsilon, mode="mixed", q0=400):
-    corpus = generate(SynthConfig(seed=seed, **ACCEPT_CORPUS))
+def _pipeline_ari(seed, epsilon, mode="mixed", q0=400, corpus=None, pairs=None):
+    """ARI and AMI of one pipeline run. corpus and pairs, when given, are the
+    seed's corpus and its BlockPairs at seed + 1000, shared across epsilons."""
+    if corpus is None:
+        corpus = generate(SynthConfig(seed=seed, **ACCEPT_CORPUS))
     params = PrivacyParams(epsilon=epsilon, sensitivity_mode=mode, seed=seed + 1000)
-    graph, _ = build_graph(corpus, SimilarityOracle(corpus, params), k_max=40)
+    graph, _ = build_graph(corpus, SimilarityOracle(corpus, params, pairs=pairs), k_max=40)
     run = cluster(graph, q0=q0)
     truth = [r.label for r in corpus.records]
     pred = run.final.assignment.tolist()
@@ -166,11 +169,15 @@ def test_criterion_6_end_to_end_quality():
 def test_criterion_7_epsilon_monotonicity():
     seeds = range(10)
     grid = list(range(1, 11))
-    mean_ari = {}
-    for eps in grid + [None]:
-        mean_ari[eps] = float(np.mean([
-            _pipeline_ari(seed, epsilon=None if eps is None else float(eps), mode="global")[0]
-            for seed in seeds]))
+    scores = {eps: [] for eps in grid + [None]}
+    for seed in seeds:
+        # one corpus and one epsilon-independent block state per seed
+        corpus = generate(SynthConfig(seed=seed, **ACCEPT_CORPUS))
+        pairs = BlockPairs(corpus, seed + 1000)
+        for eps in scores:
+            scores[eps].append(_pipeline_ari(seed, epsilon=None if eps is None else float(eps),
+                                             mode="global", corpus=corpus, pairs=pairs)[0])
+    mean_ari = {eps: float(np.mean(values)) for eps, values in scores.items()}
     rho = float(spearmanr(grid, [mean_ari[e] for e in grid]).statistic)
     chain_ok = (mean_ari[1] <= mean_ari[10] + 0.05
                 and mean_ari[10] + 0.05 <= mean_ari[None] + 0.05)

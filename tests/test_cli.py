@@ -334,6 +334,43 @@ def test_non_finite_epsilon_rejected(argv, capsys):
     assert "epsilon must be a positive finite number or 'off'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["cluster", "--graphs", "g", "--q0", "1"],
+    ["sweep", "--input", "c.jsonl", "--q0", "1"],
+    ["build-graph", "--input", "c.jsonl", "--kmax", "0"],
+    ["sweep", "--input", "c.jsonl", "--kmax", "0"],
+])
+def test_too_small_q0_or_kmax_rejected(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "must be an integer >=" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["global", "smooth", "mixed"])
+def test_overflowing_noise_scale_fails(mode, tmp_path, capsys):
+    # 2/1e-310 is not a finite float64: no file may carry an infinite scale
+    path = tmp_path / "corpus.jsonl"
+    export(generate(SynthConfig(num_events=2, points_per_event=10, seed=3)), path)
+    runs = [
+        ["build-graph", "--input", str(path), "--out", str(tmp_path / "g"),
+         "--epsilon", "1e-310"],
+        ["sweep", "--input", str(path), "--out", str(tmp_path / "s"),
+         "--epsilons", "1e-310", "--no-include-off"],
+        ["sensitivity-report", "--input", str(path), "--out", str(tmp_path / "r"),
+         "--epsilons", "1,1e-310"],
+    ]
+    for argv in runs:
+        assert main(argv + ["--mode", mode]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "noise scale" in err[0] and "overflows" in err[0]
+    for out in ("g", "s", "r"):
+        for f in (tmp_path / out).iterdir():
+            assert "Infinity" not in f.read_text(), f
+
+
 class TestSensitivityReport:
     def test_local_sensitivity_once_per_block(self, tmp_path, monkeypatch):
         from dpevent import privacy

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import make_graph
-from oracles import enumerate_partitions, direct_two_dim_se, random_graph
+from oracles import (direct_two_dim_se, enumerate_partitions, list_extract_subgraphs,
+                     list_groups_cluster, list_sequential_subgraphs, random_graph)
 
 from dpevent.corpus import SynthConfig, generate
 from dpevent.entropy import Partition, two_dim_se, vanilla_minimize
@@ -43,45 +44,86 @@ class TestBuildSupergraph:
             assert float(sg.volume_per_node.sum()) == pytest.approx(g.volume, abs=1e-9)
 
 
+def groups_of(labels):
+    """Members of each label, in ascending label order."""
+    return [np.flatnonzero(labels == lab).tolist() for lab in range(int(labels.max()) + 1)]
+
+
 class TestExtractSubgraphs:
     def test_small_supergraph_single_group(self):
         g = make_graph(5, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 0.4)])  # node 4 isolated
         sg = build_supergraph(g, Partition.singletons(5))
-        groups = extract_subgraphs(sg, q=10)
-        assert [grp.tolist() for grp in groups] == [[0, 1, 2, 3], [4]]
+        labels = extract_subgraphs(sg, q=10)
+        assert labels.dtype == np.int64
+        assert labels.tolist() == [0, 0, 0, 0, 1]
 
     def test_heavy_pairs_stay_together(self):
         g = make_graph(4, [(0, 1, 0.9), (2, 3, 0.9), (1, 2, 0.1), (0, 3, 0.1)])
         sg = build_supergraph(g, Partition.singletons(4))
-        groups = extract_subgraphs(sg, q=2)
-        assert sorted(map(tuple, (grp.tolist() for grp in groups))) == [(0, 1), (2, 3)]
+        labels = extract_subgraphs(sg, q=2)
+        # the tied heavy edges go in lexicographic order: 0-1 first
+        assert labels.tolist() == [0, 0, 1, 1]
+
+    def test_leftover_nodes_labelled_in_id_order(self):
+        # seeds in weight order: 2-3, then 4-5 (which grows by 0), then 1-6
+        g = make_graph(7, [(2, 3, 0.9), (4, 5, 0.8), (0, 5, 0.7), (1, 6, 0.1)])
+        sg = build_supergraph(g, Partition.singletons(7))
+        labels = extract_subgraphs(sg, q=3)
+        # k_max = 3: groups {2,3}, {4,5,0}, {1,6}; nothing is left over
+        assert groups_of(labels) == [[2, 3], [0, 4, 5], [1, 6]]
+        labels = extract_subgraphs(sg, q=4)
+        # k_max = 2: groups {2,3}, {0,4,5}; nodes 1 and 6 get labels 2 and 3
+        assert labels.tolist() == [1, 2, 0, 0, 1, 1, 3]
 
     def test_edgeless_supergraph_all_singletons(self):
         g = make_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
         sg = build_supergraph(g, Partition(np.zeros(3, np.int64)))  # one super-node, no edges
-        groups = extract_subgraphs(sg, q=2)
-        assert [grp.tolist() for grp in groups] == [[0]]
+        assert sg.num_nodes == 1
+        assert extract_subgraphs(sg, q=2).tolist() == [0]
 
     def test_group_count_and_coverage(self, rng):
         n, u, v, w = random_graph(rng, min_n=20, max_n=40, density=3.0)
         g = make_graph(n, list(zip(u.tolist(), v.tolist(), w.tolist())))
         sg = build_supergraph(g, Partition.singletons(n))
         q = 5
-        groups = extract_subgraphs(sg, q)
-        covered = np.concatenate(groups)
-        assert sorted(covered.tolist()) == list(range(n))
-        assert all(len(grp) <= q for grp in groups)
-        seeded = [grp for grp in groups if len(grp) >= 2]
-        assert len(seeded) <= math.ceil(n / q)
+        labels = extract_subgraphs(sg, q)
+        assert labels.shape == (n,)
+        # every node has a label and the labels are dense from 0
+        assert np.array_equal(np.unique(labels), np.arange(int(labels.max()) + 1))
+        sizes = np.bincount(labels)
+        assert sizes.max() <= q
+        seeded = np.flatnonzero(sizes >= 2)
+        assert seeded.size <= math.ceil(n / q)
+        # seeded groups come first; the singletons follow in ascending id order
+        assert seeded.tolist() == list(range(seeded.size))
+        single_nodes = np.flatnonzero(sizes[labels] == 1)
+        assert labels[single_nodes].tolist() == list(range(seeded.size, sizes.size))
+
+    def test_matches_list_of_groups_reference(self, rng):
+        for trial in range(40):
+            n, u, v, w = random_graph(rng, min_n=2, max_n=60, density=[0.4, 3.0][trial % 2])
+            g = make_graph(n, list(zip(u.tolist(), v.tolist(), w.tolist())))
+            sg = build_supergraph(g, Partition.singletons(n))
+            for q in (2, 3, 7):
+                groups = list_extract_subgraphs(sg, q)
+                assert groups_of(extract_subgraphs(sg, q)) == [grp.tolist() for grp in groups]
 
     def test_q_too_small_rejected(self):
+        empty = SuperGraph(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0),
+                           np.empty(0), np.empty(0))
+        assert empty.num_nodes == 0
+        assert extract_subgraphs(empty, q=2).size == 0
         with pytest.raises(ValueError):
-            extract_subgraphs(SuperGraph([], np.empty(0, np.int64), np.empty(0, np.int64),
-                                         np.empty(0), np.empty(0), np.empty(0)), q=1)
+            extract_subgraphs(empty, q=1)
 
     def test_sequential_grouping(self):
-        groups = sequential_subgraphs(7, 3)
-        assert [grp.tolist() for grp in groups] == [[0, 1, 2], [3, 4, 5], [6]]
+        assert sequential_subgraphs(7, 3).tolist() == [0, 0, 0, 1, 1, 1, 2]
+        assert sequential_subgraphs(6, 3).tolist() == [0, 0, 0, 1, 1, 1]
+        assert sequential_subgraphs(0, 3).size == 0
+        groups = list_sequential_subgraphs(7, 3)
+        assert groups_of(sequential_subgraphs(7, 3)) == [grp.tolist() for grp in groups]
+        with pytest.raises(ValueError):
+            sequential_subgraphs(7, 1)
 
 
 class TestCluster:
@@ -178,6 +220,34 @@ class TestCluster:
         assert len(run.rounds) > 2
         assert len(calls) == len(run.rounds) + 1
         assert run.rounds[-1]["h2"] == two_dim_se(g, run.final)
+
+    def test_matches_list_of_groups_rounds(self, rng):
+        # sparse graphs with isolated nodes, dense graphs and tied weights,
+        # every q0 with both groupings, some from a scrambled non-singleton init
+        q0s = (2, 3, 5, 400)
+        for trial in range(240):
+            kind = trial % 3
+            if kind == 0:
+                n, u, v, w = random_graph(rng, min_n=4, max_n=80, density=0.4)
+            else:
+                n, u, v, w = random_graph(rng, min_n=4, max_n=40, density=6.0)
+                if kind == 2:
+                    w = rng.choice([0.25, 0.5, 1.0], size=w.size)
+            g = make_graph(n, list(zip(u.tolist(), v.tolist(), w.tolist())))
+            q0 = q0s[trial % 4]
+            grouping = ("optimal", "sequential")[(trial // 4) % 2]
+            init = None
+            if trial % 5 == 4:
+                labels = Partition.from_labels(rng.integers(0, max(1, n // 2), size=n).tolist())
+                perm = rng.permutation(labels.num_communities)
+                init = Partition(perm[labels.assignment])
+            got = cluster(g, q0=q0, init=init, grouping=grouping)
+            ref = list_groups_cluster(g, q0=q0, init=init, grouping=grouping)
+            assert np.array_equal(got.final.assignment, ref.final.assignment)
+            assert got.converged == ref.converged
+            assert got.h1.hex() == ref.h1.hex()
+            assert ([dict(r, h2=r["h2"].hex()) for r in got.rounds]
+                    == [dict(r, h2=r["h2"].hex()) for r in ref.rounds])
 
     def test_sequential_grouping_runs(self, rng):
         n, u, v, w = random_graph(rng, min_n=12, max_n=24)

@@ -102,6 +102,15 @@ class TestSensitivities:
             rep = sensitivity_report(block, PrivacyParams(epsilon=0.1))
             assert rep.chosen == "global" and rep.noise_scale == 2.0 / 0.1
 
+    @pytest.mark.parametrize("mode", ["global", "smooth", "mixed"])
+    def test_report_rejects_overflowing_scale(self, mode):
+        block = corpus_from_rows([[1, 0], [0, 1], [1, 1]])
+        with pytest.raises(PrivacyError, match="overflows"):
+            sensitivity_report(block, PrivacyParams(epsilon=1e-310, sensitivity_mode=mode))
+        # at 1e-300 the scale (about 2e300) is still finite
+        rep = sensitivity_report(block, PrivacyParams(epsilon=1e-300, sensitivity_mode=mode))
+        assert math.isfinite(rep.noise_scale) and rep.noise_scale > 0.0
+
     def test_report_off_mode(self):
         block = corpus_from_rows([[1, 0], [0, 1], [1, 1]])
         rep = sensitivity_report(block, PrivacyParams(epsilon=None, seed=0))
