@@ -84,11 +84,6 @@ class Partition:
     def same_as(self, other: "Partition") -> bool:
         return self.n == other.n and bool(np.array_equal(self.canonical(), other.canonical()))
 
-    def groups(self) -> list[np.ndarray]:
-        order = np.argsort(self.assignment, kind="stable")
-        bounds = np.searchsorted(self.assignment[order], np.arange(self.num_communities + 1))
-        return [order[bounds[c]:bounds[c + 1]] for c in range(self.num_communities)]
-
 
 def _contributions(V, g, ilog, log2vol: float) -> np.ndarray:
     """Per-community terms c_j = (V-g)*log2(V) + g*log2(vol) - ilog, elementwise.
@@ -304,11 +299,6 @@ class CommunityState:
     def partition(self) -> Partition:
         root = resolve_parents(self.parent)
         return Partition(dense_labels(root[self._base_assignment]))
-
-
-def merge_delta(state: CommunityState, a: int, b: int) -> float:
-    """Change in 2D structural entropy if communities a and b were merged."""
-    return state.merge_delta(a, b)
 
 
 def resolve_parents(parent: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Corpus
-from .privacy import NOISE_TILE_ELEMS, SimilarityOracle, _row_chunks
+from .privacy import SimilarityOracle, _row_chunks
 
 W_FLOOR = 1e-6
 W_CEIL = 1.0
@@ -130,9 +130,11 @@ def _dedupe_undirected(n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray):
     """Canonicalize to u < v and keep the first occurrence of each pair.
 
     For directed kNN selections in row-major order, a pair that both of its
-    rows select keeps the smaller endpoint's value. The two values can differ
-    in the last ulp: each row's exact cosines come from its own chunk's
-    matrix product, and the two products can round a cosine differently.
+    rows select keeps the smaller endpoint's value, the pair's released value
+    (SimilarityOracle). A pair that only its larger endpoint selects keeps
+    that row's value: the same draw, but the cosine comes from the larger
+    endpoint's chunk product, which can round it differently in the last ulp
+    (a 2-row tail chunk does on a 513-record block).
     """
     u = np.minimum(us, vs)
     v = np.maximum(us, vs)
@@ -173,7 +175,7 @@ def _reachable_cells(oracle: SimilarityOracle, lo: int, hi: int, k_max: int):
     k-th value, so it cannot be selected, not even by a tie. The returned
     cosines have the row's own cell set to -inf.
     """
-    exact = oracle.exact_rows(lo, hi)
+    exact = oracle.pairs.exact_rows(lo, hi)
     h, n = exact.shape
     exact[np.arange(h), np.arange(lo, hi)] = -np.inf  # self never selected
     part = np.partition(exact, n - k_max, axis=1)
@@ -186,7 +188,7 @@ def _noisy_candidates(oracle: SimilarityOracle, exact: np.ndarray, reachable: np
                       lo: int):
     """Noisy values and ids of the reachable cells, one row per row of exact.
 
-    Only these cells get a draw, in tiles of NOISE_TILE_ELEMS. Each row's
+    Only these cells get a draw (oracle.pairs.signed_logs). Each row's
     candidates are left-aligned in ascending id order and padded with -inf.
     """
     h, n = exact.shape
@@ -194,10 +196,9 @@ def _noisy_candidates(oracle: SimilarityOracle, exact: np.ndarray, reachable: np
     cells = np.flatnonzero(reachable)
     rows = np.repeat(np.arange(lo, lo + h), counts)
     cols = cells - (rows - lo) * n
-    vals = exact.ravel()[cells]
-    for a in range(0, cells.size, NOISE_TILE_ELEMS):
-        t = slice(a, a + NOISE_TILE_ELEMS)
-        vals[t] += oracle.pair_noise(rows[t], cols[t])
+    vals = oracle.pairs.signed_logs(rows, cols)
+    vals *= oracle.noise_scale
+    vals += exact.ravel()[cells]
     fill = np.arange(counts.max()) < counts[:, None]
     padded = np.full(fill.shape, -np.inf)
     padded[fill] = vals
@@ -304,7 +305,10 @@ def build_attribute_edges(block: Corpus, oracle: SimilarityOracle):
 def synthesize_graph(n: int, se_edges, attr_edges) -> MessageGraph:
     """Union of the SE and attribute edge sets over the same node universe.
 
-    A pair present in both keeps a single weight and is marked BOTH.
+    A pair present in both keeps a single weight and is marked BOTH. Both
+    sets take their weights from the same oracle, so the two weights agree
+    bit for bit whenever the SE weight came from the pair's smaller endpoint
+    (see _dedupe_undirected).
     """
     su, sv, sw = se_edges if se_edges is not None else (np.empty(0, np.int64),) * 2 + (np.empty(0),)
     au, av, aw = attr_edges
@@ -314,7 +318,7 @@ def synthesize_graph(n: int, se_edges, attr_edges) -> MessageGraph:
     attr, se = inverse[:au.size], inverse[au.size:]
     w = np.empty(uniq.size, np.float64)
     w[attr] = aw
-    w[se] = sw  # a pair in both keeps its SE-path value
+    w[se] = sw  # a pair in both keeps its SE weight
     p = np.zeros(uniq.size, np.uint8)
     p[attr] = PROV_ATTR
     p[se] |= PROV_SE

@@ -30,14 +30,13 @@ class SuperGraph:
     """Contraction of a graph under a partition, one super-node per community.
 
     Super-node c is community c. Cross-community weights are summed per
-    super-edge (ea < eb); internal weights are kept as per-super-node
-    self-weights so total weight is conserved.
+    super-edge (ea < eb); volume_per_node is each community's volume, so it
+    counts the internal edges too.
     """
 
     ea: np.ndarray
     eb: np.ndarray
     ew: np.ndarray
-    self_weight: np.ndarray
     volume_per_node: np.ndarray
 
     @property
@@ -47,9 +46,6 @@ class SuperGraph:
     @property
     def num_edges(self) -> int:
         return int(self.ea.size)
-
-    def total_weight(self) -> float:
-        return float(self.ew.sum() + self.self_weight.sum())
 
 
 @dataclass
@@ -84,10 +80,7 @@ def build_supergraph(graph: MessageGraph, partition: Partition,
     if aggregates is None:
         aggregates = _community_aggregates(graph, assignment)
     _, volume, _, _, ea, eb, ew = aggregates
-    cu = assignment[graph.u]
-    internal = cu == assignment[graph.v]
-    self_weight = np.bincount(cu[internal], weights=graph.w[internal], minlength=volume.size)
-    return SuperGraph(ea=ea, eb=eb, ew=ew, self_weight=self_weight, volume_per_node=volume)
+    return SuperGraph(ea=ea, eb=eb, ew=ew, volume_per_node=volume)
 
 
 def extract_subgraphs(sg: SuperGraph, q: int) -> np.ndarray:

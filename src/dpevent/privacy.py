@@ -4,24 +4,29 @@ The global sensitivity of cosine similarity is exactly 2 (range [-1, 1]). The
 local sensitivity of a block is smoothed with factor 2*exp(-(eps/2)*ln(2/delta)),
 delta = 1/n^2. The sensitivity mode picks the one the mechanism uses: global,
 smooth, or (mixed) the smaller of the two; sensitivity_report is the only place
-that makes this choice, and the oracle adds noise at the reported scale. Each
-unordered message pair has exactly one released value: its Laplace draw comes
-from a counter-based substream of the block seed, so reruns and concurrent
-queries reproduce it. A dense pass over the similarity rows (noisy_rows) meets
-every pair twice, once from each of its rows, and computes the same draw both
-times, so it generates two uniforms per pair. The top-k neighbour table takes
-that dense pass only when the noise can reach every cell; otherwise it draws
-only for the cells that can still reach a row's top k, which noise_bound, the
-largest possible |draw|, decides (see graphsynth.top_neighbor_table). So the
-draws per pair depend on the block's exact cosines, not only on n.
+that makes this choice, and the oracle adds noise at the reported scale.
+
+Each unordered message pair (i, j), i < j, has exactly one released value,
+cosine + noise_scale * m, whichever path asks for it (noisy_pairs, the
+attribute pairs, noisy_rows' row i). The cosine is cell (i, j) of the matrix
+product of row i's chunk (BlockPairs.exact_rows), and m is the pair's unit
+Laplace draw (signed_log_uniforms) from a counter-based substream of the
+block seed, so reruns and concurrent queries reproduce it. A dense pass over
+the similarity rows (noisy_rows) meets every pair twice, once from each of
+its rows, and computes the same draw both times, so it generates two
+uniforms per pair. The top-k neighbour table takes that dense pass only when
+the noise can reach every cell; otherwise it draws only for the cells that
+can still reach a row's top k, which noise_bound, the largest possible
+|draw|, decides (see graphsynth.top_neighbor_table). So the draws per pair
+depend on the block's exact cosines, not only on n.
 
 The state of a block splits by epsilon. BlockPairs holds what does not
-depend on it: the noise substream key, the pair indexing, s_local, and the
-attribute pairs with their exact cosines and the epsilon-free part of their
-draws. A SimilarityOracle is the view of that state at one epsilon: the
-sensitivity report, the noise scale, and the perturbed values. An epsilon
-sweep builds one BlockPairs per block and one oracle per (epsilon, block), so
-the epsilon-free work runs once per block.
+depend on it: the noise substream key, the pair indexing, the exact cosines,
+s_local, and the attribute pairs with their exact cosines and unit draws. A
+SimilarityOracle is the view of that state at one epsilon: the sensitivity
+report, the noise scale, and the perturbed values. An epsilon sweep builds
+one BlockPairs per block and one oracle per (epsilon, block), so the
+epsilon-free work runs once per block.
 
 Every O(n^2) pass works in row chunks of about ROW_CHUNK_ELEMS cells (a 2 MB
 float64 temporary), and the noise in tiles of about NOISE_TILE_ELEMS cells, so
@@ -48,9 +53,8 @@ _U53 = float(2.0 ** -53)
 _U_MAX = 0.5 - 2.0 ** -54
 
 # Cells per temporary: one matrix product, top-k selection or sensitivity
-# scan works on ROW_CHUNK_ELEMS cells; the counter -> Laplace pipeline and the
-# pair gathers of noisy_pairs on NOISE_TILE_ELEMS. Both are sized for a
-# few-MB L2 cache.
+# scan works on ROW_CHUNK_ELEMS cells; the counter -> Laplace pipeline on
+# NOISE_TILE_ELEMS. Both are sized for a few-MB L2 cache.
 ROW_CHUNK_ELEMS = 1 << 18
 NOISE_TILE_ELEMS = 1 << 16
 
@@ -132,7 +136,7 @@ def local_sensitivity(block: Corpus) -> float:
     records j, i.e. the largest change a single-record replacement within the
     block's empirical range can induce; the result is the max over anchors.
     The cosines come one row chunk at a time (_row_chunks at ROW_CHUNK_ELEMS),
-    from the same products as SimilarityOracle's exact cosines.
+    from the same products as BlockPairs.exact_rows.
     """
     n = len(block)
     if n < 2:
@@ -235,44 +239,18 @@ def substream_uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
     return u
 
 
-def laplace_from_uniform(u, scale: float):
-    """Inverse-CDF transform: u in (-1/2, 1/2) -> Laplace(0, scale).
-
-    Computes -scale * sign(u) * log1p(-2|u|) into a new array; u is not modified.
-    """
-    if scale == 0.0:
-        return np.zeros_like(u) if isinstance(u, np.ndarray) else 0.0
-    u = np.asarray(u, dtype=np.float64)
-    out = np.abs(u, out=np.empty_like(u))
-    out *= -2.0
-    np.log1p(out, out=out)
-    # -scale * log1p(-2|u|) >= 0 is the magnitude; the sign is u's
-    out *= -scale
-    np.copysign(out, u, out=out)
-    return out if out.ndim else float(out)
-
-
 def signed_log_uniforms(u: np.ndarray) -> np.ndarray:
-    """log1p(-2|u|) carrying the sign of u, for uniforms u in (-1/2, 1/2).
+    """Unit Laplace draws m = sign(u) * -log1p(-2|u|) for uniforms u in (-1/2, 1/2).
 
-    The scale-free part of laplace_from_uniform, computed by the same
-    operations; laplace_from_log finishes the draw at any scale.
+    The inverse Laplace CDF at scale 1, into a new array. scale * m is the
+    draw at any noise scale: a product by a positive scale rounds |m| * scale
+    and keeps m's sign, so it equals the direct transform
+    copysign(-scale * log1p(-2|u|), u) bit for bit.
     """
     out = np.abs(u, out=np.empty_like(u))
     out *= -2.0
     np.log1p(out, out=out)
     np.copysign(out, u, out=out)
-    return out
-
-
-def laplace_from_log(m: np.ndarray, scale: float) -> np.ndarray:
-    """Laplace(0, scale) draws from m = signed_log_uniforms(u), into a new array.
-
-    Bit-identical to laplace_from_uniform(u, scale) for scale > 0: the
-    magnitude is the same product m * -scale, and m carries u's sign.
-    """
-    out = m * -scale
-    np.copysign(out, m, out=out)
     return out
 
 
@@ -283,30 +261,19 @@ def derive_block_seed(seed: int, block: int) -> int:
     return int(_mix64(np.array(z ^ _SPLITMIX_GAMMA)))
 
 
-def _pair_cosines(emb: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise dot products emb[u[k]] . emb[v[k]].
-
-    The pairs go in tiles whose gathered embeddings hold about
-    NOISE_TILE_ELEMS values; a pair's dot product does not depend on the tile.
-    """
-    sims = np.empty(u.size)
-    step = max(1, NOISE_TILE_ELEMS // emb.shape[1])
-    for a in range(0, u.size, step):
-        np.einsum("ij,ij->i", emb[u[a:a + step]], emb[v[a:a + step]], out=sims[a:a + step])
-    return sims
-
-
 class BlockPairs:
     """The epsilon-independent state of one block's pairs.
 
     Built once per block and shared by the block's SimilarityOracles, one
-    per epsilon. Construction only indexes the pairs: the substream key of
-    (seed, block_id), the condensed pair index and the row chunks. The rest
-    fills on first use and is then kept:
+    per epsilon. It is the only source of a pair's exact cosine (exact_rows,
+    exact_pairs) and of its unit draw (signed_logs). Construction only
+    indexes the pairs: the substream key of (seed, block_id), the condensed
+    pair index and the row chunks. The rest fills on first use and is then
+    kept:
     - s_local, from local_sensitivity;
     - the attribute pairs (Corpus.attribute_pairs) and their exact cosines;
-    - signed_log_uniforms of those pairs' draws, from which laplace_from_log
-      gives the draw at any noise scale.
+    - the unit draws of those pairs, which the noise scale turns into the
+      draw at any epsilon.
     The state is O(n + attribute pairs). It keeps no n x n array, so the
     dense similarity rows still draw once per oracle.
     """
@@ -339,18 +306,50 @@ class BlockPairs:
             self._s_local = local_sensitivity(self.block)
         return self._s_local
 
+    def exact_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Exact cosines of rows [lo, hi), cut from the products of their row chunks."""
+        emb = self.block.embeddings
+        bounds = self.row_bounds
+        first = int(np.searchsorted(bounds, lo, side="right")) - 1
+        last = int(np.searchsorted(bounds, hi, side="left"))
+        if last == first + 1 and bounds[first] == lo and bounds[last] == hi:
+            return emb[lo:hi] @ emb.T
+        sims = np.empty((hi - lo, self.n))
+        for a, b in zip(bounds[first:last].tolist(), bounds[first + 1:last + 1].tolist()):
+            s, e = max(a, lo), min(b, hi)
+            sims[s - lo:e - lo] = (emb[a:b] @ emb.T)[s - a:e - a]
+        return sims
+
+    def exact_pairs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Exact cosines of pairs (u[k], v[k]), u[k] != v[k], unchecked.
+
+        Each is the cell (min, max) of the row-chunk product of its smaller
+        endpoint, so it equals that row's cell in exact_rows bit for bit.
+        The products run one chunk at a time, only for chunks that hold a
+        smaller endpoint.
+        """
+        i, j = np.minimum(u, v), np.maximum(u, v)
+        order = np.argsort(i, kind="stable")
+        cuts = np.searchsorted(i[order], self.row_bounds).tolist()
+        out = np.empty(i.shape)
+        for (lo, hi), a, b in zip(self.row_chunks, cuts, cuts[1:]):
+            if a < b:
+                sel = order[a:b]
+                out[sel] = self.exact_rows(lo, hi)[i[sel] - lo, j[sel]]
+        return out
+
     def attribute_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(u, v, cosines) of the pairs sharing an attribute token; read-only arrays."""
         if self._attribute_pairs is None:
             u, v = self.block.attribute_pairs()
-            sims = _pair_cosines(self.block.embeddings, u, v)
+            sims = self.exact_pairs(u, v)
             for arr in (u, v, sims):
                 arr.setflags(write=False)
             self._attribute_pairs = (u, v, sims)
         return self._attribute_pairs
 
     def attribute_logs(self) -> np.ndarray:
-        """signed_log_uniforms of the attribute pairs' draws; read-only."""
+        """Unit draws of the attribute pairs; read-only."""
         if self._attribute_logs is None:
             u, v, _ = self.attribute_pairs()
             self._attribute_logs = self.signed_logs(u, v)
@@ -358,7 +357,12 @@ class BlockPairs:
         return self._attribute_logs
 
     def signed_logs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """signed_log_uniforms of the draws of pairs (u[k], v[k]), in tiles of NOISE_TILE_ELEMS."""
+        """Unit draws (signed_log_uniforms) of pairs (u[k], v[k]), u[k] != v[k], unchecked.
+
+        A pair's draw is a pure function of the block seed and its condensed
+        index, the same in either order and on every path. The counters go
+        through the substream in tiles of NOISE_TILE_ELEMS.
+        """
         out = np.empty(u.size)
         for a in range(0, u.size, NOISE_TILE_ELEMS):
             ut, vt = u[a:a + NOISE_TILE_ELEMS], v[a:a + NOISE_TILE_ELEMS]
@@ -373,12 +377,14 @@ class SimilarityOracle:
     The oracle is a view of the block's epsilon-independent state (pairs, a
     BlockPairs) at the noise scale that sensitivity_report calibrates; with
     epsilon off that scale is 0 and the oracle returns exact cosines. Given
-    no state, it builds its own. Every unordered pair has one deterministic
-    draw: the Laplace sample for pair (i, j) is a pure function of the block
-    seed and the pair's position in the condensed upper-triangle ordering, so
-    repeated queries (in either order, from any worker) return the same value
-    without any shared state. noise_bound is the largest |draw| the sampler
-    can return at that scale (about 36.74 * noise_scale; 0 when off).
+    no state, it builds its own. Every unordered pair has one released value,
+    whichever path asks for it: the cosine from pairs.exact_rows (the row
+    chunk of the smaller endpoint) plus noise_scale times the pair's unit
+    draw, a pure function of the block seed and the pair's position in the
+    condensed upper-triangle ordering. So repeated queries (in either order,
+    from any worker) return the same value without any shared state.
+    noise_bound is the largest |draw| the sampler can return at that scale
+    (about 36.74 * noise_scale; 0 when off).
     """
 
     def __init__(self, block: Corpus, params: PrivacyParams, block_id: int | None = None,
@@ -397,95 +403,47 @@ class SimilarityOracle:
         self.pairs = pairs
         self.report = sensitivity_report(block, params, block_id, pairs)
         self.noise_scale = self.report.noise_scale
-        self.noise_bound = float(laplace_from_uniform(_U_MAX, self.noise_scale))
-
-    def pair_index(self, i: int, j: int) -> int:
-        """Condensed index of unordered pair (i, j) in the upper triangle."""
-        if i == j:
-            raise PrivacyError(f"similarity of a record with itself is not a valid pair query ({i})")
-        if i > j:
-            i, j = j, i
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise PrivacyError(f"pair ({i}, {j}) out of range for block of size {self.n}")
-        return int(self.pairs.pair_base[i]) + j
-
-    def exact_similarity(self, i: int, j: int) -> float:
-        emb = self.block.embeddings
-        return float(emb[i] @ emb[j])
-
-    def noisy_similarity(self, i: int, j: int) -> float:
-        """Perturbed cosine for one pair; the draw is a pure function of (seed, pair)."""
-        self.pair_index(i, j)  # validates the pair
-        value = self.exact_similarity(min(i, j), max(i, j))
-        if self.noise_scale > 0.0:
-            value += float(self.pair_noise(np.array([i]), np.array([j]))[0])
-        return value
-
-    def pair_noise(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Laplace draws of pairs (u[k], v[k]), u[k] != v[k], unchecked.
-
-        A pair's draw is a pure function of the block seed and its condensed
-        index, the same in either order and on every path.
-        """
-        p = self.pairs.pair_base[np.minimum(u, v)] + np.maximum(u, v)
-        return laplace_from_uniform(substream_uniforms(self.pairs.key, p), self.noise_scale)
+        self.noise_bound = self.noise_scale * float(signed_log_uniforms(np.array(_U_MAX)))
 
     def noisy_pairs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Perturbed similarities for arrays of pairs (u[k] != v[k]).
+        """Perturbed similarities for arrays of pairs (u[k], v[k]).
 
-        Same substream values as the scalar and row paths; the exact cosines
-        are row-wise dot products (_pair_cosines).
+        Raises PrivacyError for a self-pair or an index outside [0, n).
         """
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
         if np.any(u == v):
             raise PrivacyError("self-pairs are not valid similarity queries")
-        sims = _pair_cosines(self.block.embeddings, u, v)
+        if np.any((np.minimum(u, v) < 0) | (np.maximum(u, v) >= self.n)):
+            raise PrivacyError(f"pair index out of range for a block of size {self.n}")
+        sims = self.pairs.exact_pairs(u, v)
         if self.noise_scale > 0.0:
-            sims += laplace_from_log(self.pairs.signed_logs(u, v), self.noise_scale)
+            sims += self.noise_scale * self.pairs.signed_logs(u, v)
         return sims
 
     def noisy_attribute_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(u, v, perturbed similarities) of the pairs sharing an attribute token.
 
         The values equal noisy_pairs(u, v) bit for bit. The pairs, their
-        cosines and the epsilon-free part of their draws come from the block
-        state, so only the scaling to this oracle's noise runs per epsilon.
+        cosines and their unit draws come from the block state, so only the
+        scaling to this oracle's noise runs per epsilon.
         """
         u, v, cosines = self.pairs.attribute_pairs()
         if self.noise_scale == 0.0:
             return u, v, cosines.copy()
-        sims = laplace_from_log(self.pairs.attribute_logs(), self.noise_scale)
+        sims = self.noise_scale * self.pairs.attribute_logs()
         sims += cosines
         return u, v, sims
-
-    def exact_rows(self, lo: int, hi: int) -> np.ndarray:
-        """Exact cosines of rows [lo, hi), cut from the products of their row chunks."""
-        emb = self.block.embeddings
-        bounds = self.pairs.row_bounds
-        first = int(np.searchsorted(bounds, lo, side="right")) - 1
-        last = int(np.searchsorted(bounds, hi, side="left"))
-        if last == first + 1 and bounds[first] == lo and bounds[last] == hi:
-            return emb[lo:hi] @ emb.T
-        sims = np.empty((hi - lo, self.n))
-        for a, b in zip(bounds[first:last].tolist(), bounds[first + 1:last + 1].tolist()):
-            s, e = max(a, lo), min(b, hi)
-            sims[s - lo:e - lo] = (emb[a:b] @ emb.T)[s - a:e - a]
-        return sims
 
     def noisy_rows(self, lo: int, hi: int) -> np.ndarray:
         """Perturbed similarities of rows [lo, hi) against all records.
 
-        The exact cosines come from one matrix product per row chunk of the
-        block (pairs.row_chunks); a range that is not one whole chunk is cut
-        out of the products of the chunks it overlaps. So a row's values do
-        not depend on the range asked for, but can differ from noisy_pairs'
-        row-wise dot product in the last ulp. The noise is added in tiles of
+        The exact cosines come from pairs.exact_rows, so a row's values do
+        not depend on the range asked for. The noise is added in tiles of
         about NOISE_TILE_ELEMS cells, each with its own counters, and each
-        pair gets the same draw as in per-pair queries. The diagonal is set
-        to NaN.
+        pair gets the same draw as in noisy_pairs. The diagonal is set to NaN.
         """
-        sims = self.exact_rows(lo, hi)
+        sims = self.pairs.exact_rows(lo, hi)
         if self.noise_scale > 0.0:
             base = self.pairs.pair_base
             step = max(1, NOISE_TILE_ELEMS // self.n)
@@ -495,7 +453,8 @@ class SimilarityOracle:
                 rows = np.arange(a, b)[:, None]
                 p = base + rows  # column j < row i: pair (j, i)
                 np.add(base[a:b, None], cols, out=p, where=cols >= rows)  # pair (i, j)
-                sims[a - lo:b - lo] += laplace_from_uniform(substream_uniforms(self.pairs.key, p),
-                                                            self.noise_scale)
+                draws = signed_log_uniforms(substream_uniforms(self.pairs.key, p))
+                draws *= self.noise_scale
+                sims[a - lo:b - lo] += draws
         sims[np.arange(hi - lo), np.arange(lo, hi)] = np.nan
         return sims

@@ -19,8 +19,8 @@ from dpevent.entropy import CommunityState, Partition, two_dim_se, vanilla_minim
 from dpevent.graphsynth import build_graph, one_dim_se
 from dpevent.metrics import ami, ari
 from dpevent.partition import cluster
-from dpevent.privacy import (BlockPairs, PrivacyParams, SimilarityOracle,
-                             laplace_from_uniform, sensitivity_report, substream_uniforms)
+from dpevent.privacy import (BlockPairs, PrivacyParams, SimilarityOracle, sensitivity_report,
+                             signed_log_uniforms, substream_uniforms)
 
 ACCEPT_CORPUS = dict(num_events=5, points_per_event=100, dim=32,
                      intra_concentration=20.0, attribute_sharing_prob=0.7)
@@ -117,8 +117,8 @@ def test_criterion_4_dp_ratio():
     for epsilon in (1.0, 5.0, 10.0):
         b = sensitivity / epsilon
         c0, c1 = 0.3, 0.3 + sensitivity
-        s0 = c0 + laplace_from_uniform(substream_uniforms(404, np.arange(n)), b)
-        s1 = c1 + laplace_from_uniform(substream_uniforms(404, np.arange(n, 2 * n)), b)
+        s0 = c0 + b * signed_log_uniforms(substream_uniforms(404, np.arange(n)))
+        s1 = c1 + b * signed_log_uniforms(substream_uniforms(404, np.arange(n, 2 * n)))
         edges = np.linspace(c0 - 4 * b, c1 + 4 * b, 51)
         h0, _ = np.histogram(s0, bins=edges)
         h1, _ = np.histogram(s1, bins=edges)

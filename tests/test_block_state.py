@@ -9,13 +9,14 @@ that a state cannot be used for another block or seed.
 import numpy as np
 import pytest
 
+from conftest import block_513
+
 from dpevent import cli, privacy
 from dpevent.corpus import (Corpus, MessageRecord, SynthConfig, export, generate, ingest,
                             split_blocks)
-from dpevent.graphsynth import build_graph
+from dpevent.graphsynth import build_attribute_edges, build_graph, clip_weights
 from dpevent.privacy import (BlockPairs, PrivacyError, PrivacyParams, SimilarityOracle,
-                             laplace_from_log, laplace_from_uniform, sensitivity_report,
-                             signed_log_uniforms, substream_uniforms)
+                             sensitivity_report, signed_log_uniforms, substream_uniforms)
 
 SHARES = (0.6, 0.0, 0.9)  # block 1 shares no tokens: it has no attribute pairs
 
@@ -52,12 +53,14 @@ def test_corpus_has_a_block_without_attribute_pairs(corpus):
     assert sizes[1] == 0 and sizes[0] > 0 and sizes[2] > 0
 
 
-def test_laplace_from_log_is_bit_identical():
+def test_scaled_unit_draws_equal_the_inverse_cdf():
+    # the unit draw m, scaled afterwards, is the direct inverse-CDF draw
     u = substream_uniforms(3, np.arange(20_000, dtype=np.uint64))
-    u = np.concatenate([u, [0.0, privacy._U_MAX, -privacy._U_MAX, 1e-300, -1e-300]])
+    u = np.concatenate([u, [0.0, -0.0, privacy._U_MAX, -privacy._U_MAX, 1e-300, -1e-300]])
     m = signed_log_uniforms(u)
-    for scale in (1e-30, 0.2, 2.0 / 3.0, 7.5, 1e6):
-        assert laplace_from_log(m, scale).tobytes() == laplace_from_uniform(u, scale).tobytes()
+    for scale in (1e-59, 1e-30, 0.2, 2.0 / 3.0, 7.5, 1e6, 1e300):
+        direct = np.copysign(-scale * np.log1p(-2.0 * np.abs(u)), u)
+        assert (scale * m).tobytes() == direct.tobytes()
 
 
 @pytest.mark.parametrize("epsilon", [None, 0.5, 10.0])
@@ -68,8 +71,20 @@ def test_attribute_path_equals_noisy_pairs(corpus, epsilon):
     u, v, sims = oracle.noisy_attribute_pairs()
     assert u.size > 0
     assert sims.tobytes() == oracle.noisy_pairs(u, v).tobytes()
-    scalar = [oracle.noisy_similarity(int(a), int(b)) for a, b in zip(u[:50], v[:50])]
-    assert np.allclose(sims[:50], scalar, rtol=0, atol=1e-12)
+    assert sims.tobytes() == oracle.noisy_rows(0, oracle.n)[u, v].tobytes()
+
+
+@pytest.mark.parametrize("mode, epsilon", [("mixed", 1.0), ("global", 1.0), ("mixed", None)])
+def test_attribute_weights_equal_the_smaller_endpoints_row_cells(mode, epsilon):
+    # 513 records make two row chunks, (0, 511) and (511, 513); generic
+    # cosines can round differently in a row-wise dot product
+    block = block_513()
+    oracle = SimilarityOracle(block, PrivacyParams(epsilon=epsilon, sensitivity_mode=mode,
+                                                   seed=3))
+    u, v, w = build_attribute_edges(block, oracle)
+    assert np.all(u < v) and np.any(u >= 511) and np.any(u < 511)
+    rows = oracle.noisy_rows(0, oracle.n)
+    assert w.tobytes() == clip_weights(rows[u, v]).tobytes()
 
 
 @pytest.mark.parametrize("mode", ["global", "mixed", "smooth"])

@@ -7,7 +7,7 @@ from conftest import make_graph
 from oracles import direct_two_dim_se, enumerate_partitions, greedy_reference, random_graph
 
 from dpevent.entropy import (CommunityState, InvalidPartitionError, Partition,
-                             _community_aggregates, merge_delta, minimize_edges, resolve_parents,
+                             _community_aggregates, minimize_edges, resolve_parents,
                              two_dim_se, vanilla_minimize)
 from dpevent.graphsynth import GraphError, one_dim_se
 
@@ -28,10 +28,6 @@ class TestPartitionType:
         b = Partition(np.array([2, 2, 0, 1]))
         assert a.same_as(b)
         assert not a.same_as(Partition(np.array([0, 1, 1, 2])))
-
-    def test_groups(self):
-        groups = Partition(np.array([1, 0, 1])).groups()
-        assert [g.tolist() for g in groups] == [[1], [0, 2]]  # indexed by community id
 
 
 class TestTwoDimSe:
@@ -79,7 +75,7 @@ class TestMergeDelta:
     def test_single_edge_merge_is_zero(self):
         g = make_graph(2, [(0, 1, 0.8)])
         state = CommunityState(g, Partition.singletons(2))
-        assert merge_delta(state, 0, 1) == pytest.approx(0.0, abs=1e-12)
+        assert state.merge_delta(0, 1) == pytest.approx(0.0, abs=1e-12)
 
     def test_triangle_merge_matches_recompute(self, two_triangles):
         state = CommunityState(two_triangles, Partition.singletons(6))

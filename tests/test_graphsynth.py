@@ -315,9 +315,9 @@ class TestAttributeEdges:
         oracle = SimilarityOracle(block, PrivacyParams(epsilon=2.0, sensitivity_mode="global",
                                                        seed=3))
         u, v, w = build_attribute_edges(block, oracle)
+        assert u.size == 15
         for a, b, wt in zip(u.tolist(), v.tolist(), w.tolist()):
-            expected = min(max(oracle.noisy_similarity(a, b), W_FLOOR), 1.0)
-            assert wt == pytest.approx(expected, abs=1e-12)
+            assert wt == min(max(oracle.noisy_pairs([b], [a])[0], W_FLOOR), 1.0)
 
 
 class TestSynthesizeGraph:

@@ -49,11 +49,9 @@ def test_per_block_noise_streams_differ():
     params = PrivacyParams(epsilon=1.0, sensitivity_mode="global", seed=5)
     views = split_blocks(corpus)
     oracles = [SimilarityOracle(v, params) for v in views]
-    a = [oracles[0].noisy_similarity(i, j) for i in range(5) for j in range(i + 1, 5)]
-    b = [oracles[1].noisy_similarity(i, j) for i in range(5) for j in range(i + 1, 5)]
-    assert a != b
-    exact = [oracles[0].exact_similarity(i, j) for i in range(5) for j in range(i + 1, 5)]
-    assert exact == [oracles[1].exact_similarity(i, j) for i in range(5) for j in range(i + 1, 5)]
+    u, v = np.triu_indices(5, k=1)
+    assert not np.array_equal(oracles[0].noisy_pairs(u, v), oracles[1].noisy_pairs(u, v))
+    assert np.array_equal(oracles[0].pairs.exact_pairs(u, v), oracles[1].pairs.exact_pairs(u, v))
 
 
 def test_full_pipeline_three_blocks(tmp_path, corpus_path):

@@ -23,7 +23,6 @@ class TestBuildSupergraph:
         sg = build_supergraph(g, Partition.singletons(n))
         assert sg.num_nodes == n
         assert sg.num_edges == g.num_edges
-        assert np.all(sg.self_weight == 0.0)
         assert set(zip(sg.ea.tolist(), sg.eb.tolist())) == set(zip(g.u.tolist(), g.v.tolist()))
 
     def test_path_contraction(self):
@@ -32,7 +31,7 @@ class TestBuildSupergraph:
         assert sg.num_nodes == 2
         assert sg.ea.tolist() == [0] and sg.eb.tolist() == [1]
         assert sg.ew.tolist() == [1.0]
-        assert sg.self_weight.tolist() == [1.0, 1.0]
+        assert sg.volume_per_node.tolist() == [3.0, 3.0]
 
     def test_weight_conservation(self, rng):
         for _ in range(15):
@@ -40,7 +39,6 @@ class TestBuildSupergraph:
             g = make_graph(n, list(zip(u.tolist(), v.tolist(), w.tolist())))
             labels = rng.integers(0, max(1, n // 3), size=n)
             sg = build_supergraph(g, Partition.from_labels(labels.tolist()))
-            assert sg.total_weight() == pytest.approx(float(g.w.sum()), abs=1e-9)
             assert float(sg.volume_per_node.sum()) == pytest.approx(g.volume, abs=1e-9)
 
 
@@ -110,7 +108,7 @@ class TestExtractSubgraphs:
 
     def test_q_too_small_rejected(self):
         empty = SuperGraph(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0),
-                           np.empty(0), np.empty(0))
+                           np.empty(0))
         assert empty.num_nodes == 0
         assert extract_subgraphs(empty, q=2).size == 0
         with pytest.raises(ValueError):

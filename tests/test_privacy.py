@@ -9,13 +9,22 @@ from dpevent import privacy
 from dpevent.corpus import Corpus, MessageRecord, SynthConfig, generate
 from dpevent.privacy import (GLOBAL_SENSITIVITY, ROW_CHUNK_ELEMS, PrivacyError, PrivacyParams,
                              SensitivityReport, SimilarityOracle, _row_chunks, derive_block_seed,
-                             laplace_from_uniform, local_sensitivity, sensitivity_report,
+                             local_sensitivity, sensitivity_report, signed_log_uniforms,
                              smooth_sensitivity, substream_uniforms)
 
 
 def corpus_from_rows(rows):
     return Corpus([MessageRecord(id=f"m{i}", block=0, embedding=np.asarray(r, float))
                    for i, r in enumerate(rows)])
+
+
+def scalar_reference(oracle, i, j):
+    """Pair (i, j)'s released value in scalar arithmetic: the row-wise dot product
+    plus the inverse Laplace CDF of the pair's substream uniform."""
+    i, j = min(i, j), max(i, j)
+    u = float(substream_uniforms(oracle.pairs.key, np.array([oracle.pairs.pair_base[i] + j]))[0])
+    emb = oracle.block.embeddings
+    return float(emb[i] @ emb[j]) + math.copysign(-oracle.noise_scale * math.log1p(-2 * abs(u)), u)
 
 
 class TestSensitivities:
@@ -121,12 +130,12 @@ class TestSensitivities:
 
 class TestLaplace:
     def test_median_maps_to_zero(self):
-        assert laplace_from_uniform(0.0, 3.7) == 0.0
+        assert 3.7 * signed_log_uniforms(np.array([0.0]))[0] == 0.0
 
     def test_sample_statistics(self):
         b = 0.7
         u = substream_uniforms(123, np.arange(1_000_000))
-        vec = laplace_from_uniform(u, b)
+        vec = b * signed_log_uniforms(u)
         assert abs(vec.mean()) < 0.01 * b
         assert abs(vec.var() - 2 * b * b) < 0.05 * 2 * b * b
 
@@ -156,7 +165,7 @@ class TestSubstream:
         assert np.all(np.abs(u) < 0.5)
         oracle = SimilarityOracle(corpus_from_rows([[1, 0], [0, 1], [1, 1]]),
                                   PrivacyParams(epsilon=1.0, sensitivity_mode="global"))
-        draws = laplace_from_uniform(u, oracle.noise_scale)
+        draws = oracle.noise_scale * signed_log_uniforms(u)
         assert np.all(np.isfinite(draws))
         assert np.all(draws == sign * oracle.noise_bound)
 
@@ -165,11 +174,11 @@ class TestSubstream:
                                   PrivacyParams(epsilon=0.3, sensitivity_mode="global", seed=4))
         assert oracle.noise_bound == pytest.approx(36.74 * oracle.noise_scale, rel=1e-4)
         u, v = np.triu_indices(oracle.n, k=1)
-        draws = oracle.pair_noise(u, v)
+        draws = oracle.noise_scale * oracle.pairs.signed_logs(u, v)
         assert np.abs(draws).max() <= oracle.noise_bound
         # the largest |u| values, where the inverse CDF is steepest
         top = 0.5 - 2.0 ** -54 * np.arange(1, 1 << 16)
-        tail = laplace_from_uniform(np.concatenate([top, -top]), oracle.noise_scale)
+        tail = oracle.noise_scale * signed_log_uniforms(np.concatenate([top, -top]))
         assert np.abs(tail).max() <= oracle.noise_bound
 
     def test_block_seed_separation(self):
@@ -210,6 +219,18 @@ class TestRowsIndependentOfRange:
         for lo, hi in ((0, 2), (100, 400), (509, 513), (0, 512)):
             assert np.array_equal(oracle.noisy_rows(lo, hi), full[lo:hi], equal_nan=True)
 
+    @pytest.mark.parametrize("epsilon", [None, 1.0])
+    def test_pairs_equal_the_smaller_endpoints_row_cells(self, epsilon, rng):
+        # pairs whose smaller endpoint lies in either of the two row chunks
+        oracle = SimilarityOracle(block_513(), PrivacyParams(epsilon=epsilon,
+                                                            sensitivity_mode="global", seed=5))
+        full = oracle.noisy_rows(0, oracle.n)
+        u = np.concatenate([rng.integers(0, 513, 2000), [511, 512, 512]])
+        v = np.concatenate([rng.integers(0, 513, 2000), [512, 0, 511]])
+        u, v = u[u != v], v[u != v]
+        cells = full[np.minimum(u, v), np.maximum(u, v)]
+        assert oracle.noisy_pairs(u, v).tobytes() == cells.tobytes()
+
     def test_local_sensitivity_matches_oracle_rows(self):
         block = block_513()
         rows = SimilarityOracle(block, PrivacyParams(epsilon=None)).noisy_rows(0, len(block))
@@ -225,16 +246,23 @@ class TestOracle:
 
     def test_off_identical_vectors(self):
         oracle = self._oracle([[1, 0], [2, 0], [0, 1]])
-        assert oracle.noisy_similarity(0, 1) == pytest.approx(1.0, abs=1e-12)
+        assert oracle.noisy_pairs([0], [1])[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_cache_symmetry(self):
         oracle = self._oracle([[1, 0], [0.5, 0.5], [0, 1]], epsilon=1.0, mode="global")
-        assert oracle.noisy_similarity(0, 1) == oracle.noisy_similarity(1, 0)
+        assert oracle.noisy_pairs([0], [1])[0] == oracle.noisy_pairs([1], [0])[0]
 
     def test_self_pair_rejected(self):
         oracle = self._oracle([[1, 0], [0, 1]])
         with pytest.raises(PrivacyError):
-            oracle.noisy_similarity(1, 1)
+            oracle.noisy_pairs([1], [1])
+
+    @pytest.mark.parametrize("u, v", [([-1], [3]), ([3], [-1]), ([0], [10]), ([0, 10], [1, 2])])
+    def test_out_of_range_pair_rejected(self, rng, u, v):
+        # a negative index would wrap in the pair index and release another pair's value
+        oracle = self._oracle(rng.normal(size=(10, 4)), epsilon=1.0, mode="global")
+        with pytest.raises(PrivacyError, match="out of range"):
+            oracle.noisy_pairs(u, v)
 
     def test_cache_bound_and_stability(self, rng):
         emb = rng.normal(size=(8, 4))
@@ -242,9 +270,9 @@ class TestOracle:
         first = {}
         for i in range(8):
             for j in range(i + 1, 8):
-                first[(i, j)] = oracle.noisy_similarity(i, j)
+                first[(i, j)] = oracle.noisy_pairs([i], [j])[0]
         for (i, j), val in first.items():
-            assert oracle.noisy_similarity(j, i) == val
+            assert oracle.noisy_pairs([j], [i])[0] == val
 
     def test_rows_match_scalar_path(self, rng):
         emb = rng.normal(size=(10, 6))
@@ -253,7 +281,7 @@ class TestOracle:
         for i in range(10):
             for j in range(10):
                 if i != j:
-                    assert rows[i, j] == pytest.approx(oracle.noisy_similarity(i, j), abs=1e-12)
+                    assert rows[i, j] == pytest.approx(scalar_reference(oracle, i, j), abs=1e-12)
 
     @pytest.mark.parametrize("mode, epsilon", [("global", 1.5), ("mixed", 0.5)])
     def test_rows_bit_exact_with_pairs(self, mode, epsilon):
@@ -284,24 +312,22 @@ class TestOracle:
         v = np.array([5, 2, 1])
         vals = oracle.noisy_pairs(u, v)
         for k in range(3):
-            assert vals[k] == pytest.approx(oracle.noisy_similarity(int(u[k]), int(v[k])),
+            assert vals[k] == pytest.approx(scalar_reference(oracle, int(u[k]), int(v[k])),
                                             abs=1e-12)
 
     def test_rebuild_reproduces_values(self, rng):
         emb = rng.normal(size=(6, 4))
         a = self._oracle(emb, epsilon=1.0, mode="global", seed=77)
         b = self._oracle(emb, epsilon=1.0, mode="global", seed=77)
-        assert a.noisy_similarity(2, 5) == b.noisy_similarity(2, 5)
+        assert a.noisy_pairs([2], [5])[0] == b.noisy_pairs([2], [5])[0]
 
     def test_huge_epsilon_is_nearly_exact(self, rng):
         emb = rng.normal(size=(40, 8))
         oracle = self._oracle(emb, epsilon=1e6, mode="global", seed=1)
-        errors = []
-        for i in range(40):
-            for j in range(i + 1, 40):
-                errors.append(abs(oracle.noisy_similarity(i, j) - oracle.exact_similarity(i, j)))
+        u, v = np.triu_indices(40, k=1)
+        errors = np.abs(oracle.noisy_pairs(u, v) - oracle.pairs.exact_pairs(u, v))
         # P(|Lap(2e-6)| >= 1e-3) = exp(-500); all pairs are effectively exact
-        assert np.mean(np.asarray(errors) < 1e-3) >= 0.999
+        assert np.mean(errors < 1e-3) >= 0.999
 
 
 class TestDpRatioProperty:
@@ -313,8 +339,8 @@ class TestDpRatioProperty:
         n = 1_000_000
         u0 = substream_uniforms(101, np.arange(n))
         u1 = substream_uniforms(101, np.arange(n, 2 * n))
-        s0 = c0 + laplace_from_uniform(u0, b)
-        s1 = c1 + laplace_from_uniform(u1, b)
+        s0 = c0 + b * signed_log_uniforms(u0)
+        s1 = c1 + b * signed_log_uniforms(u1)
         lo, hi = c0 - 4 * b, c1 + 4 * b
         edges = np.linspace(lo, hi, 51)
         h0, _ = np.histogram(s0, bins=edges)
