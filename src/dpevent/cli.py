@@ -194,7 +194,12 @@ def cmd_evaluate(args) -> int:
     for block_id, path in files:
         try:
             ids, clusters = read_partition_csv(path)
-            truth = [labels_by_id.get(i) for i in ids]
+            unknown = [i for i in ids if i not in labels_by_id]
+            if unknown:
+                shown = ", ".join(repr(i) for i in unknown[:5])
+                raise ValueError(f"{len(unknown)} id(s) not in the corpus: {shown}"
+                                 + (", ..." if len(unknown) > 5 else ""))
+            truth = [labels_by_id[i] for i in ids]
             if any(t is None for t in truth):
                 print(f"evaluate: block {block_id} has unlabeled records; skipped",
                       file=sys.stderr)
@@ -246,8 +251,12 @@ def cmd_sweep(args) -> int:
         "q0": q0, "pooled": args.pooled,
     })
     # each block's epsilon-independent state fills during its first pipeline
-    blocks = [(block_id, view, BlockPairs(view, args.seed, block_id))
-              for block_id, view in _blocks(data, args.pooled) if len(view) >= 2]
+    blocks = []
+    for block_id, view in _blocks(data, args.pooled):
+        if len(view) < 2:
+            print(f"sweep: block {block_id} has {len(view)} record(s); skipped", file=sys.stderr)
+            continue
+        blocks.append((block_id, view, BlockPairs(view, args.seed, block_id)))
     rows = []
     for epsilon in epsilons:
         params = _privacy_params(args, epsilon)

@@ -143,20 +143,16 @@ def two_dim_se(graph: MessageGraph, partition: Partition) -> float:
     return _two_dim_se_from_aggregates(_community_aggregates(graph, assignment))
 
 
-def _merge_deltas(ea, eb, ew, V, g, ilog, vol, log2vol):
-    """H2 change of merging each pair (ea, eb) joined by cut weight ew."""
-    va = V[ea]
-    vb = V[eb]
-    ga = g[ea]
-    gb = g[eb]
-    ia = ilog[ea]
-    ib = ilog[eb]
-    gm = np.maximum(ga + gb - 2.0 * ew, 0.0)
-    # one call for the merged pair and both sides: the arrays are small, so the
-    # per-call cost dominates
-    cm, ca, cb = _contributions(np.array([va + vb, va, vb]), np.array([gm, ga, gb]),
-                                np.array([ia + ib, ia, ib]), log2vol)
-    return (cm - ca - cb) / vol
+def _merge_deltas(ea, eb, ew, V, g, ilog, C, vol, log2vol):
+    """H2 change of merging each pair (ea, eb) joined by cut weight ew.
+
+    C holds each community's contribution (_contributions of its V, g, ilog),
+    so only the merged pairs take a log. Also returns the merged pairs'
+    contributions: once a pair merges, its entry is the survivor's new C.
+    """
+    gm = np.maximum(g[ea] + g[eb] - 2.0 * ew, 0.0)
+    cm = _contributions(V[ea] + V[eb], gm, ilog[ea] + ilog[eb], log2vol)
+    return (cm - C[ea] - C[eb]) / vol, cm
 
 
 class _EdgeSlots:
@@ -208,6 +204,10 @@ class _EdgeSlots:
             ea[s] = eb[s] = -1
         sa = self.of(a)
         sb = self.of(b)
+        self._merged.pop(b, None)
+        if not sb.size:  # b bordered only a
+            self._merged[a] = sa
+            return sa, sb
         xa = ea[sa] + eb[sa] - a
         xb = ea[sb] + eb[sb] - b
         at = self._at
@@ -225,7 +225,6 @@ class _EdgeSlots:
         eb[sm] = np.maximum(xm, a)
         kept = np.concatenate([sa, sm])
         self._merged[a] = kept
-        self._merged.pop(b, None)
         return kept, dead
 
 
@@ -248,9 +247,10 @@ class CommunityState:
     """Per-community state and cross-community edges of a partitioned graph.
 
     Holds the state the greedy merge loop works on: merge_delta evaluates the
-    loop's delta for one pair and apply_merge runs its merge step. The edges
-    are the loop's fixed slots (`slots.ea`, `slots.eb`, `slots.ew`); a dead
-    slot holds ea = eb = -1.
+    loop's delta for one pair and apply_merge runs its merge step. C holds
+    each community's contribution, as in the loop. The edges are the loop's
+    fixed slots (`slots.ea`, `slots.eb`, `slots.ew`); a dead slot holds
+    ea = eb = -1.
     """
 
     def __init__(self, graph: MessageGraph, partition: Partition):
@@ -263,6 +263,7 @@ class CommunityState:
         self.V = V
         self.g = g
         self.ilog = ilog
+        self.C = _contributions(V, g, ilog, self.log2vol)
         self.slots = _EdgeSlots(ea, eb, ew, V.size)
         self.alive = np.ones(V.size, dtype=bool)
         self.parent = np.arange(V.size, dtype=np.int64)
@@ -278,23 +279,26 @@ class CommunityState:
         lo, hi = min(a, b), max(a, b)
         return lo, hi, self.slots.find(lo, hi)
 
+    def _merge_terms(self, lo: int, hi: int, s: int):
+        """The pair's merge delta and its merged contribution."""
+        w = self.slots.ew[s] if s >= 0 else 0.0
+        delta, merged = _merge_deltas(np.array([lo]), np.array([hi]), np.array([w]), self.V,
+                                      self.g, self.ilog, self.C, self.vol, self.log2vol)
+        return float(delta[0]), merged[0]
+
     def merge_delta(self, a: int, b: int) -> float:
         """H2(after merging a and b) - H2(before), from cached state."""
-        lo, hi, s = self._pair(a, b)
-        w = self.slots.ew[s] if s >= 0 else 0.0
-        return float(_merge_deltas(np.array([lo]), np.array([hi]), np.array([w]), self.V,
-                                   self.g, self.ilog, self.vol, self.log2vol)[0])
+        return self._merge_terms(*self._pair(a, b))[0]
 
     def apply_merge(self, a: int, b: int) -> None:
         """Merge the two communities; the smaller id survives."""
         lo, hi, s = self._pair(a, b)
+        _, self.C[lo] = self._merge_terms(lo, hi, s)
         _merge(lo, hi, s, self.V, self.g, self.ilog, self.parent, self.slots)
         self.alive[hi] = False
 
     def two_dim_se(self) -> float:
-        alive = self.alive
-        return float(_contributions(self.V[alive], self.g[alive], self.ilog[alive],
-                                   self.log2vol).sum()) / self.vol
+        return float(self.C[self.alive].sum()) / self.vol
 
     def partition(self) -> Partition:
         root = resolve_parents(self.parent)
@@ -322,9 +326,11 @@ def minimize_edges(ea, eb, ew, V, g, ilog, parent, vol):
     are copied and left unchanged. Returns the array of accepted merge
     deltas, each strictly below -MERGE_TOL.
 
-    The edges stay in fixed slots (see _EdgeSlots). A merge only changes the
-    state of the merged pair, so it recomputes the deltas of the survivor's
-    slots, sets dead slots to +inf and keeps every other delta.
+    The edges stay in fixed slots (see _EdgeSlots). Each community's
+    contribution is computed once; a merge only changes the state of the
+    merged pair, so it takes the survivor's contribution from the merged
+    slot, recomputes the deltas of the survivor's slots, sets dead slots to
+    +inf and keeps every other delta.
     """
     vol = float(vol)
     log2vol = math.log2(vol)
@@ -333,19 +339,25 @@ def minimize_edges(ea, eb, ew, V, g, ilog, parent, vol):
         return np.asarray(accepted, dtype=np.float64)
     slots = _EdgeSlots(ea, eb, ew, V.size)
     ea, eb, ew = slots.ea, slots.eb, slots.ew
-    delta = _merge_deltas(ea, eb, ew, V, g, ilog, vol, log2vol)
+    C = _contributions(V, g, ilog, log2vol)
+    delta, merged = _merge_deltas(ea, eb, ew, V, g, ilog, C, vol, log2vol)
     while True:
-        dmin = float(delta.min())
+        best = int(delta.argmin())  # the first minimum; a nan minimum stops the loop
+        dmin = float(delta[best])
         if not dmin < -MERGE_TOL:
             break
-        tied = np.flatnonzero(delta == dmin)
-        best = int(tied[0] if tied.size == 1 else tied[np.lexsort((eb[tied], ea[tied]))[0]])
-        kept, dead = _merge(int(ea[best]), int(eb[best]), best, V, g, ilog, parent, slots)
+        if delta[best + 1:].min(initial=np.inf) == dmin:  # a later slot ties
+            tied = np.flatnonzero(delta == dmin)
+            best = int(tied[np.lexsort((eb[tied], ea[tied]))[0]])
+        a = int(ea[best])
+        C[a] = merged[best]
+        kept, dead = _merge(a, int(eb[best]), best, V, g, ilog, parent, slots)
         accepted.append(dmin)
         delta[best] = np.inf
         delta[dead] = np.inf
         if kept.size:
-            delta[kept] = _merge_deltas(ea[kept], eb[kept], ew[kept], V, g, ilog, vol, log2vol)
+            delta[kept], merged[kept] = _merge_deltas(ea[kept], eb[kept], ew[kept], V, g, ilog,
+                                                      C, vol, log2vol)
     return np.asarray(accepted, dtype=np.float64)
 
 

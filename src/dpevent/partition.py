@@ -87,7 +87,8 @@ def extract_subgraphs(sg: SuperGraph, q: int) -> np.ndarray:
     """Greedily carve the super-graph into groups of up to q super-nodes.
 
     Returns one int64 group label per super-node. Up to ceil(|sg|/q) groups
-    are seeded with the endpoints of the heaviest remaining edge and grown by
+    are seeded with the endpoints of the heaviest remaining edge (ties:
+    lexicographically smallest pair, in any edge order) and grown by
     repeatedly adding the unassigned neighbor with the highest total weight
     into the group (ties: smallest id); they get labels 0..k-1 in extraction
     order. Extracted nodes are removed before the next group. Each node left
@@ -97,55 +98,56 @@ def extract_subgraphs(sg: SuperGraph, q: int) -> np.ndarray:
     if q < 2:
         raise ValueError("subgraph size q must be at least 2")
     m = sg.num_nodes
-    labels = np.full(m, -1, dtype=np.int64)
-    if m == 0:
-        return labels
+    if not sg.num_edges:
+        return np.arange(m, dtype=np.int64)  # every node is left over
     k_max = math.ceil(m / q)
+    labels = np.full(m, -1, dtype=np.int64)
 
-    # CSR adjacency over super-nodes
+    # CSR adjacency over super-nodes: the neighbour, weight and edge id of
+    # each incidence. A super-node's neighbours are distinct (one super-edge
+    # per community pair), so a fancy += adds each weight once.
     src = np.concatenate([sg.ea, sg.eb])
-    dst = np.concatenate([sg.eb, sg.ea])
-    wts = np.concatenate([sg.ew, sg.ew])
     order = np.argsort(src, kind="stable")
-    nbr = dst[order]
-    nbw = wts[order]
+    edge = order % sg.num_edges
+    nbr = np.concatenate([sg.eb, sg.ea])[order]
+    nbw = sg.ew[edge]
     indptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=m), out=indptr[1:])
 
-    # heaviest-first edge order; ties by lexicographically smallest pair
-    edge_order = np.lexsort((sg.eb, sg.ea, -sg.ew))
-    assigned = np.zeros(m, dtype=bool)
+    # free: each edge's weight, -inf once an endpoint is assigned; cut: each
+    # node's weight into the current group, -inf once it is assigned
+    free = np.array(sg.ew, dtype=np.float64)
+    cut = np.empty(m, dtype=np.float64)
     num_groups = 0
-    cursor = 0
-    cut = np.zeros(m, dtype=np.float64)
 
     def add(node: int, label: int) -> None:
         labels[node] = label
-        assigned[node] = True
         sl = slice(indptr[node], indptr[node + 1])
-        np.add.at(cut, nbr[sl], nbw[sl])
+        free[edge[sl]] = -np.inf
+        cut[node] = -np.inf
+        cut[nbr[sl]] += nbw[sl]
 
     for label in range(k_max):
-        while cursor < edge_order.size:
-            e = edge_order[cursor]
-            if not assigned[sg.ea[e]] and not assigned[sg.eb[e]]:
-                break
-            cursor += 1
-        else:
+        # seed: the heaviest free edge; ties by lexicographically smallest pair
+        e = int(free.argmax())
+        if free[e] == -np.inf:
             break
-        cut[:] = 0.0
-        add(int(sg.ea[edge_order[cursor]]), label)
-        add(int(sg.eb[edge_order[cursor]]), label)
+        tied = np.flatnonzero(free == free[e])
+        if tied.size > 1:  # clipped weights tie by the thousand: no sort
+            tied = tied[sg.ea[tied] == sg.ea[tied].min()]
+            e = int(tied[sg.eb[tied].argmin()])
+        cut[:] = np.where(labels < 0, 0.0, -np.inf)
+        add(int(sg.ea[e]), label)
+        add(int(sg.eb[e]), label)
         size = 2
         while size < q:
-            candidate_cut = np.where(assigned, -1.0, cut)
-            nxt = int(np.argmax(candidate_cut))
-            if candidate_cut[nxt] <= 0.0:
+            nxt = int(cut.argmax())
+            if cut[nxt] <= 0.0:
                 break  # no connected unassigned candidate remains
             add(nxt, label)
             size += 1
         num_groups = label + 1
-    left = ~assigned
+    left = labels < 0
     labels[left] = np.arange(num_groups, num_groups + int(left.sum()), dtype=np.int64)
     return labels
 

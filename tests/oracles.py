@@ -358,3 +358,163 @@ def list_groups_cluster(graph, q0=400, init=None, grouping="optimal"):
             q *= 2
     run.final = current
     return run
+
+
+# The merge loop as it stood before each community's contribution was cached:
+# every delta evaluates the merged pair and both sides in one stacked call.
+# Copied from dpevent.entropy with the names prefixed; the package's loop
+# must reproduce its accepted deltas and its V, g, ilog and parent bit for bit.
+
+REF_MERGE_TOL = 1e-12
+
+
+def _ref_contributions(V, g, ilog, log2vol: float) -> np.ndarray:
+    """Per-community terms c_j = (V-g)*log2(V) + g*log2(vol) - ilog, elementwise.
+
+    Zero-volume communities (all members isolated) contribute nothing.
+    """
+    pos = V > 0.0
+    if pos.all():
+        return (V - g) * np.log2(V) + g * log2vol - ilog
+    out = np.zeros(pos.shape)
+    out[pos] = _ref_contributions(V[pos], g[pos], ilog[pos], log2vol)
+    return out
+
+
+def _ref_merge_deltas(ea, eb, ew, V, g, ilog, vol, log2vol):
+    """H2 change of merging each pair (ea, eb) joined by cut weight ew."""
+    va = V[ea]
+    vb = V[eb]
+    ga = g[ea]
+    gb = g[eb]
+    ia = ilog[ea]
+    ib = ilog[eb]
+    gm = np.maximum(ga + gb - 2.0 * ew, 0.0)
+    # one call for the merged pair and both sides: the arrays are small, so the
+    # per-call cost dominates
+    cm, ca, cb = _ref_contributions(np.array([va + vb, va, vb]), np.array([gm, ga, gb]),
+                                    np.array([ia + ib, ia, ib]), log2vol)
+    return (cm - ca - cb) / vol
+
+
+class _RefEdgeSlots:
+    """Cross-community edges (ea < eb, cut weight ew) in fixed slots.
+
+    A merge rewrites the few slots at the merged pair instead of rebuilding
+    the arrays, and a slot that dies holds ea = eb = -1. Each community's
+    slots come from a CSR over both endpoints, built once from one argsort;
+    a community that absorbed another keeps its list in a dict instead. Lists
+    may still name slots that died since, so `of` filters them. The order
+    within a list is arbitrary: nothing computed from it depends on it.
+    """
+
+    def __init__(self, ea, eb, ew, ncomm: int):
+        self.ea = np.array(ea, dtype=np.int64)
+        self.eb = np.array(eb, dtype=np.int64)
+        self.ew = np.array(ew, dtype=np.float64)
+        ends = np.concatenate([self.ea, self.eb])
+        self._slot = np.argsort(ends) % max(self.ea.size, 1)
+        self._ptr = np.zeros(ncomm + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=ncomm), out=self._ptr[1:])
+        self._merged: dict[int, np.ndarray] = {}
+        self._at = np.full(ncomm, -1, dtype=np.int64)  # scratch: neighbour -> slot
+
+    def of(self, c: int) -> np.ndarray:
+        """The live slots of community c."""
+        s = self._merged.get(c)
+        if s is None:
+            s = self._slot[self._ptr[c]:self._ptr[c + 1]]
+        return s[self.ea[s] >= 0]
+
+    def find(self, a: int, b: int) -> int:
+        """The slot of the edge a-b (a < b), or -1 if they are not adjacent."""
+        s = self.of(a)
+        s = s[self.eb[s] == b]
+        return int(s[0]) if s.size else -1
+
+    def merge(self, a: int, b: int, s: int):
+        """Fold b's edges into a's (a < b); s is the slot of a-b, or -1.
+
+        The edge to each neighbour x keeps the slot of a-x, or of b-x if a
+        and x are not adjacent. Where both exist, b-x's weight is added to
+        a-x: at most two slots meet at one neighbour, so the sum is one
+        commutative addition. The a-b slot and each such b-x slot die.
+        Returns the slots of a and the b-x slots that died.
+        """
+        ea, eb, ew = self.ea, self.eb, self.ew
+        if s >= 0:
+            ea[s] = eb[s] = -1
+        sa = self.of(a)
+        sb = self.of(b)
+        xa = ea[sa] + eb[sa] - a
+        xb = ea[sb] + eb[sb] - b
+        at = self._at
+        at[xa] = sa
+        hit = at[xb]
+        at[xa] = -1
+        shared = hit >= 0
+        dead = sb[shared]
+        ew[hit[shared]] += ew[dead]
+        ea[dead] = eb[dead] = -1
+        moved = ~shared
+        sm = sb[moved]
+        xm = xb[moved]
+        ea[sm] = np.minimum(xm, a)
+        eb[sm] = np.maximum(xm, a)
+        kept = np.concatenate([sa, sm])
+        self._merged[a] = kept
+        self._merged.pop(b, None)
+        return kept, dead
+
+
+def _ref_merge(a, b, s, V, g, ilog, parent, slots: _RefEdgeSlots):
+    """Fold community b into a (a < b); s is the slot of the a-b edge, or -1.
+
+    Updates the state of a in place, records parent[b] = a and merges the
+    edges (see _RefEdgeSlots.merge). Returns the slots of a, which need new
+    deltas, and the b-x slots that died; the a-b slot dies as well.
+    """
+    w = slots.ew[s] if s >= 0 else 0.0
+    V[a] += V[b]
+    g[a] = max(g[a] + g[b] - 2.0 * w, 0.0)
+    ilog[a] += ilog[b]
+    parent[b] = a
+    return slots.merge(a, b, s)
+
+
+def reference_minimize_edges(ea, eb, ew, V, g, ilog, parent, vol):
+    """Run the greedy merge loop on pre-aggregated cross-community edges.
+
+    Edges satisfy ea < eb. Repeatedly merges the pair with the most negative
+    delta (ties: lexicographically smallest pair) until no pair improves H2 by
+    more than REF_MERGE_TOL. Only bit-equal deltas tie: two deltas that are equal
+    in exact arithmetic but round apart go to the smaller one, not to the
+    smaller pair. Mutates V, g, ilog, parent in place; ea, eb and ew
+    are copied and left unchanged. Returns the array of accepted merge
+    deltas, each strictly below -REF_MERGE_TOL.
+
+    The edges stay in fixed slots (see _RefEdgeSlots). A merge only changes the
+    state of the merged pair, so it recomputes the deltas of the survivor's
+    slots, sets dead slots to +inf and keeps every other delta.
+    """
+    vol = float(vol)
+    log2vol = math.log2(vol)
+    accepted = []
+    if not len(ea):
+        return np.asarray(accepted, dtype=np.float64)
+    slots = _RefEdgeSlots(ea, eb, ew, V.size)
+    ea, eb, ew = slots.ea, slots.eb, slots.ew
+    delta = _ref_merge_deltas(ea, eb, ew, V, g, ilog, vol, log2vol)
+    while True:
+        dmin = float(delta.min())
+        if not dmin < -REF_MERGE_TOL:
+            break
+        tied = np.flatnonzero(delta == dmin)
+        best = int(tied[0] if tied.size == 1 else tied[np.lexsort((eb[tied], ea[tied]))[0]])
+        kept, dead = _ref_merge(int(ea[best]), int(eb[best]), best, V, g, ilog, parent, slots)
+        accepted.append(dmin)
+        delta[best] = np.inf
+        delta[dead] = np.inf
+        if kept.size:
+            delta[kept] = _ref_merge_deltas(ea[kept], eb[kept], ew[kept], V, g, ilog, vol, log2vol)
+    return np.asarray(accepted, dtype=np.float64)

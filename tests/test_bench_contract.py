@@ -10,9 +10,15 @@ changes nothing in it or in dpevent.
 import ast
 import importlib
 import importlib.util
+import inspect
+from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from conftest import make_graph
+from oracles import random_graph
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -56,3 +62,20 @@ def test_worker_stage_timers_resolve():
     cli = importlib.import_module("dpevent.cli")
     for _, name in timers:
         assert callable(getattr(cli, name))
+
+
+def test_merge_counter_reads_edges_and_merges(rng):
+    # _count_merges takes the length of the first positional argument as the
+    # input edges and the length of the result as the accepted merges
+    from dpevent.entropy import _community_aggregates, minimize_edges
+    assert list(inspect.signature(minimize_edges).parameters)[:3] == ["ea", "eb", "ew"]
+    n, u, v, w = random_graph(rng, min_n=30, max_n=40)
+    graph = make_graph(n, list(zip(u.tolist(), v.tolist(), w.tolist())))
+    vol, V, g, ilog, ea, eb, ew = _community_aggregates(graph, np.arange(n))
+    args = (ea, eb, ew, V, g, ilog, np.arange(n), vol)
+    result = minimize_edges(*args)
+    counts = defaultdict(int)
+    SPANS._count_merges(counts, args, result)
+    merged = int((args[6] != np.arange(n)).sum())  # each merge points one parent away
+    assert merged > 0
+    assert dict(counts) == {"merge_calls": 1, "merge_input_edges": ea.size, "merges": merged}

@@ -248,6 +248,26 @@ class TestPipelineCommands:
         assert not (edir / "metrics_block0.json").exists()
         assert read_json(edir / "metrics_summary.json")["blocks"] == [1]
 
+    def test_evaluate_fails_on_unknown_ids(self, tmp_path, capsys):
+        path = tmp_path / "two_blocks.jsonl"
+        rows = [{"id": f"r{i}", "block": i % 2, "embedding": [1.0, float(i) / 10],
+                 "attributes": {}, "label": "e"} for i in range(8)]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        gdir, cdir, edir = (tmp_path / d for d in ("g", "c", "e"))
+        assert main(["build-graph", "--input", str(path), "--out", str(gdir)]) == 0
+        assert main(["cluster", "--graphs", str(gdir), "--out", str(cdir)]) == 0
+        bad = cdir / "partition_block0.csv"
+        bad.write_text(bad.read_text().replace("r0,", "zz,", 1).replace("r2,", "yy,", 1))
+        capsys.readouterr()
+        assert main(["evaluate", "--input", str(path), "--partitions", str(cdir),
+                     "--out", str(edir)]) == 1
+        err = capsys.readouterr().err
+        assert ("evaluate: partition_block0.csv failed: ValueError: "
+                "2 id(s) not in the corpus: 'zz', 'yy'") in err
+        assert "unlabeled" not in err
+        assert not (edir / "metrics_block0.json").exists()
+        assert read_json(edir / "metrics_summary.json")["blocks"] == [1]
+
     def test_evaluate_skips_unlabeled(self, tmp_path, capsys):
         path = tmp_path / "nolabel.jsonl"
         rows = [{"id": f"r{i}", "block": 0, "embedding": [1.0, float(i + 1)],
@@ -273,6 +293,20 @@ class TestSweep:
         summary = read_json(out / "sweep_summary.json")
         assert set(summary["mean_ari_by_epsilon"]) == {"2.0", "6.0"}
         assert "mean_ari_off" in summary
+
+    def test_small_block_skipped_with_warning(self, tmp_path, capsys):
+        path = tmp_path / "six_and_one.jsonl"
+        rows = [{"id": f"r{i}", "block": 0, "embedding": [1.0, float(i) / 10],
+                 "attributes": {}, "label": f"e{i % 2}"} for i in range(6)]
+        rows.append({"id": "lone", "block": 1, "embedding": [0.0, 1.0], "attributes": {},
+                     "label": "e0"})
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--input", str(path), "--out", str(out), "--epsilons", "2",
+                     "--mode", "global", "--no-include-off", "--kmax", "3"]) == 0
+        assert "sweep: block 1 has 1 record(s); skipped" in capsys.readouterr().err
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [["2.0", "0"]]
 
     def test_no_include_off(self, tmp_path, corpus_file):
         out = tmp_path / "sweep"

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import make_graph
-from oracles import direct_two_dim_se, enumerate_partitions, greedy_reference, random_graph
+from oracles import (direct_two_dim_se, enumerate_partitions, greedy_reference, random_graph,
+                     reference_minimize_edges)
 
 from dpevent.entropy import (CommunityState, InvalidPartitionError, Partition,
-                             _community_aggregates, minimize_edges, resolve_parents,
-                             two_dim_se, vanilla_minimize)
+                             _community_aggregates, dense_labels, minimize_edges,
+                             resolve_parents, two_dim_se, vanilla_minimize)
 from dpevent.graphsynth import GraphError, one_dim_se
 
 LOG2_3 = math.log2(3)
@@ -232,6 +233,61 @@ class TestMinimizeEdges:
         assert accepted.size == 4  # two triangles, two merges each
         assert all(np.array_equal(x, y) for x, y in zip((ea, eb, ew), before))
         assert resolve_parents(parent).tolist() == [0, 0, 0, 3, 3, 3]
+
+
+class TestMatchesStackedReference:
+    """minimize_edges reproduces the loop that evaluated every delta from a
+    stacked contribution call (oracles.reference_minimize_edges) bit for bit:
+    the accepted deltas, parent, V, g and ilog."""
+
+    @staticmethod
+    def _run(loop, graph, assignment, groups):
+        # one call per group on its inside edges, sharing V, g, ilog and
+        # parent across calls as a clustering round does
+        vol, V, g, ilog, ea, eb, ew = _community_aggregates(graph, assignment)
+        parent = np.arange(V.size, dtype=np.int64)
+        group_of = groups[:V.size]
+        accepted = []
+        for grp in np.unique(group_of):
+            sel = (group_of[ea] == grp) & (group_of[eb] == grp)
+            accepted += [float(d).hex() for d in
+                         loop(ea[sel], eb[sel], ew[sel], V, g, ilog, parent, vol)]
+        return accepted, parent, V, g, ilog
+
+    def _check(self, graph, assignment, groups):
+        ours = self._run(minimize_edges, graph, assignment, groups)
+        ref = self._run(reference_minimize_edges, graph, assignment, groups)
+        assert ours[0] == ref[0]
+        for x, y in zip(ours[1:], ref[1:]):
+            assert x.tobytes() == y.tobytes()
+        return len(ours[0])
+
+    @pytest.mark.parametrize("weights", ["uniform", "tied", "equal"])
+    def test_random_graphs(self, rng, weights):
+        merges = 0
+        for trial in range(30):
+            n, u, v, w = random_graph(rng, min_n=4, max_n=60, density=[1.0, 3.0][trial % 2])
+            if weights == "tied":
+                w = rng.choice([0.25, 0.5, 1.0], size=w.size)
+            elif weights == "equal":
+                w = np.ones(w.size)
+            isolated = int(rng.integers(0, 4))
+            g = make_graph(n + isolated, list(zip(u.tolist(), v.tolist(), w.tolist())))
+            singletons = np.arange(g.n)
+            # scrambled init: random labels, numbered by first occurrence
+            scrambled = dense_labels(rng.integers(0, max(2, g.n // 2), size=g.n))
+            for assignment in (singletons, scrambled):
+                ncomm = int(assignment.max()) + 1
+                merges += self._check(g, assignment, np.zeros(ncomm, dtype=np.int64))
+                merges += self._check(g, assignment, rng.integers(0, 3, size=ncomm))
+        assert merges > 500
+
+    def test_symmetric_ties(self):
+        # disjoint equal-weight paths and stars: every first delta ties
+        edges = [(s + i, s + i + 1, 1.0) for s in range(0, 20, 5) for i in range(4)]
+        edges += [(20 + 5 * k, 20 + 5 * k + i, 1.0) for k in range(3) for i in range(1, 5)]
+        g = make_graph(40, edges)  # nodes 35..39 isolated
+        assert self._check(g, np.arange(40), np.zeros(40, dtype=np.int64)) > 0
 
 
 class TestGreedyReference:

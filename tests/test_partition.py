@@ -106,6 +106,20 @@ class TestExtractSubgraphs:
                 groups = list_extract_subgraphs(sg, q)
                 assert groups_of(extract_subgraphs(sg, q)) == [grp.tolist() for grp in groups]
 
+    def test_shuffled_edges_and_tied_weights_match_reference(self, rng):
+        # seeds and growth must not depend on the edge order: the heaviest
+        # weights tie, and the edges come in a random order
+        for trial in range(40):
+            n, u, v, w = random_graph(rng, min_n=2, max_n=60, density=[0.6, 3.0][trial % 2])
+            w = rng.choice([0.5, 1.0, 2.0], size=w.size)
+            perm = rng.permutation(u.size)
+            volume = np.bincount(np.concatenate([u, v]), weights=np.concatenate([w, w]),
+                                 minlength=n)
+            sg = SuperGraph(ea=u[perm], eb=v[perm], ew=w[perm], volume_per_node=volume)
+            for q in (2, 3, 7):
+                groups = list_extract_subgraphs(sg, q)
+                assert groups_of(extract_subgraphs(sg, q)) == [grp.tolist() for grp in groups]
+
     def test_q_too_small_rejected(self):
         empty = SuperGraph(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0),
                            np.empty(0))
