@@ -128,7 +128,7 @@ def cmd_build_graph(args) -> int:
         "input": str(args.input), "epsilon": "off" if params.off else params.epsilon,
         "mode": args.mode, "seed": args.seed, "kmax": args.kmax, "pooled": args.pooled,
     })
-    failures = 0
+    built = failures = 0
     for block_id, view in _blocks(data, args.pooled):
         if len(view) < 2:
             print(f"build-graph: block {block_id} has {len(view)} record(s); skipped",
@@ -142,9 +142,12 @@ def cmd_build_graph(args) -> int:
             continue
         write_graph_tsv(out / f"graph_block{block_id}.tsv", graph, view.ids)
         write_json(out / f"graph_block{block_id}.json", sidecar)
+        built += 1
         print(f"build-graph: block {block_id}: n={sidecar['n']} edges={graph.num_edges} "
               f"chosen_k={sidecar['knn_trace']['chosen_k']}")
-    return 1 if failures else 0
+    if not built and not failures:  # every block was too small
+        print("build-graph: nothing built", file=sys.stderr)
+    return 1 if failures or not built else 0
 
 
 def cmd_cluster(args) -> int:
@@ -257,6 +260,9 @@ def cmd_sweep(args) -> int:
             print(f"sweep: block {block_id} has {len(view)} record(s); skipped", file=sys.stderr)
             continue
         blocks.append((block_id, view, BlockPairs(view, args.seed, block_id)))
+    if not blocks:
+        print("sweep: nothing swept", file=sys.stderr)
+        return 1
     rows = []
     for epsilon in epsilons:
         params = _privacy_params(args, epsilon)

@@ -109,7 +109,10 @@ class Corpus:
             code_chunks.append(m[a] * n + m[b])
         if not code_chunks:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        codes = np.unique(np.concatenate(code_chunks))
+        # sort and drop repeats: np.unique hashes int64 input, which is slower here
+        codes = np.concatenate(code_chunks)
+        codes.sort()
+        codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
         return codes // n, codes % n
 
     @property

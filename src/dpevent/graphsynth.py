@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Corpus
-from .privacy import SimilarityOracle, _row_chunks
+from .privacy import NOISE_TILE_ELEMS, SimilarityOracle, _row_chunks
 
 W_FLOOR = 1e-6
 W_CEIL = 1.0
@@ -24,9 +24,11 @@ W_CEIL = 1.0
 # improvements below this tolerance are treated as ties, not decreases.
 SE_IMPROVEMENT_TOL = 1e-9
 # Largest share of reachable cells at which top_neighbor_table still prunes.
-# A reachable cell goes through gathers and a padded buffer; on the sim-knn
-# shape (n = 5,000, k_max = 40) the pruned path costs as much as the dense
-# one at about 35% reachable cells.
+# A reachable cell goes through gathers and a padded buffer. On the sim-knn
+# block (n = 5,000, k_max = 40, one BLAS thread, mixed mode, epsilon swept
+# across 0.66-0.695) the pruned path costs as much as the dense one when
+# 48-59% of the first chunk's cells are reachable (21-28% with the per-chunk
+# temporaries that ChunkWorkspace replaced). 0.25 stays on the pruned side.
 PRUNE_MAX_SHARE = 0.25
 
 PROV_SE = 1
@@ -143,19 +145,61 @@ def _dedupe_undirected(n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray):
     return u[keep], v[keep], ws[keep]
 
 
-def _top_k(vals: np.ndarray, k_max: int, cols: np.ndarray | None = None):
+class ChunkWorkspace:
+    """Named flat buffers that the passes over one row chunk reuse.
+
+    array() hands out a view of the named buffer in the asked shape and
+    dtype; the buffer grows to the largest request and is then kept, so a
+    chunk loop allocates nothing chunk-sized after its first chunk. The
+    requests of top_neighbor_table are at most one row chunk (about
+    ROW_CHUNK_ELEMS cells with the default chunks), whatever n is. A view
+    holds what the last user left in it: callers overwrite before they read.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape: tuple[int, int], dtype=np.float64) -> np.ndarray:
+        size = shape[0] * shape[1]
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+def _kth_mask(vals: np.ndarray, k: int, b: float, work: ChunkWorkspace) -> np.ndarray:
+    """Cells of vals with fl(v + b) >= fl(T - b), T the k-th largest value of v's row.
+
+    The rows go in tiles of about NOISE_TILE_ELEMS cells: each tile is
+    copied into work's "part" buffer and partitioned there to find T, and
+    the same buffer then holds v + b. The mask is work's "mask" buffer.
+    With b = 0 it is the cells at or above T.
+    """
+    h, m = vals.shape
+    mask = work.array("mask", (h, m), bool)
+    step = max(1, NOISE_TILE_ELEMS // m)
+    for a in range(0, h, step):
+        tile = vals[a:a + step]
+        part = work.array("part", tile.shape)
+        np.copyto(part, tile)
+        part.partition(m - k, axis=1)
+        low = part[:, m - k, None] - b
+        np.greater_equal(np.add(tile, b, out=part), low, out=mask[a:a + step])
+    return mask
+
+
+def _top_k(vals: np.ndarray, k_max: int, work: ChunkWorkspace, cols: np.ndarray | None = None):
     """The k_max largest values of each row of vals, ties by ascending id.
 
     vals is (rows, m) with at least k_max finite values per row; cols maps
-    each slot to its neighbor id (None: the slot is the id). np.partition
-    finds each row's k_max-th largest value; every slot at or above it is
-    kept, so all ties at that boundary survive. One lexsort orders the
-    survivors by (row, descending value, ascending id) and the first k_max
-    of each row are taken: the same result as a full sort of every row.
+    each slot to its neighbor id (None: the slot is the id). _kth_mask
+    keeps every slot at or above its row's k_max-th largest value, so all
+    ties at that boundary survive. One lexsort orders the survivors by
+    (row, descending value, ascending id) and the first k_max of each row
+    are taken: the same result as a full sort of every row.
     """
     m = vals.shape[1]
-    kth = np.partition(vals, m - k_max, axis=1)[:, m - k_max]
-    keep = np.flatnonzero(vals >= kth[:, None])  # row-major: rows ascending
+    keep = np.flatnonzero(_kth_mask(vals, k_max, 0.0, work))  # row-major: rows ascending
     r, s = np.divmod(keep, m)
     v = vals.ravel()[keep]
     c = s if cols is None else cols.ravel()[keep]
@@ -165,7 +209,8 @@ def _top_k(vals: np.ndarray, k_max: int, cols: np.ndarray | None = None):
     return c[take], v[take]
 
 
-def _reachable_cells(oracle: SimilarityOracle, lo: int, hi: int, k_max: int):
+def _reachable_cells(oracle: SimilarityOracle, lo: int, hi: int, k_max: int,
+                     work: ChunkWorkspace):
     """Exact cosines of rows [lo, hi) and the mask of cells that can reach their row's top k_max.
 
     With b = oracle.noise_bound and T a row's k_max-th largest exact cosine
@@ -173,23 +218,23 @@ def _reachable_cells(oracle: SimilarityOracle, lo: int, hi: int, k_max: int):
     fl(T - b) and a cell's noisy value at most fl(e + b), as float addition
     is monotone. A cell with fl(e + b) < fl(T - b) is strictly below the
     k-th value, so it cannot be selected, not even by a tie. The returned
-    cosines have the row's own cell set to -inf.
+    cosines have the row's own cell set to -inf. Both returned arrays are
+    views of work's buffers ("exact" and "mask").
     """
-    exact = oracle.pairs.exact_rows(lo, hi)
-    h, n = exact.shape
+    h = hi - lo
+    exact = oracle.pairs.exact_rows(lo, hi, out=work.array("exact", (h, oracle.n)))
     exact[np.arange(h), np.arange(lo, hi)] = -np.inf  # self never selected
-    part = np.partition(exact, n - k_max, axis=1)
-    b = oracle.noise_bound
-    low = part[:, n - k_max, None] - b
-    return exact, np.add(exact, b, out=part) >= low  # part's buffer holds e + b
+    return exact, _kth_mask(exact, k_max, oracle.noise_bound, work)
 
 
 def _noisy_candidates(oracle: SimilarityOracle, exact: np.ndarray, reachable: np.ndarray,
-                      lo: int):
+                      lo: int, work: ChunkWorkspace):
     """Noisy values and ids of the reachable cells, one row per row of exact.
 
     Only these cells get a draw (oracle.pairs.signed_logs). Each row's
-    candidates are left-aligned in ascending id order and padded with -inf.
+    candidates are left-aligned in ascending id order and padded with -inf;
+    the ids of padding slots are left as they were, as no -inf is selected.
+    The two tables are work's "padded" and "ids" buffers.
     """
     h, n = exact.shape
     counts = np.count_nonzero(reachable, axis=1)
@@ -200,21 +245,27 @@ def _noisy_candidates(oracle: SimilarityOracle, exact: np.ndarray, reachable: np
     vals *= oracle.noise_scale
     vals += exact.ravel()[cells]
     fill = np.arange(counts.max()) < counts[:, None]
-    padded = np.full(fill.shape, -np.inf)
+    padded = work.array("padded", fill.shape)
+    padded.fill(-np.inf)
     padded[fill] = vals
-    ids = np.zeros(fill.shape, dtype=np.int64)
+    ids = work.array("ids", fill.shape, np.int64)
     ids[fill] = cols
     return padded, ids
 
 
 def top_neighbor_table(block: Corpus, oracle: SimilarityOracle, k_max: int,
-                       chunk_rows: int | None = None):
+                       chunk_rows: int | None = None, work: ChunkWorkspace | None = None):
     """Per-node neighbor ranking by descending noisy similarity, ties by ascending id.
 
     The rows are visited in the oracle's row chunks (oracle.pairs.row_chunks, about
     ROW_CHUNK_ELEMS cells each), so each chunk's temporaries stay a few MB
     whatever n is. chunk_rows sets another chunk height; that changes the
-    work per step, not the result.
+    work per step, not the result. The pruned path's chunk-sized
+    temporaries are views of work, reused from chunk to chunk; None makes a
+    workspace for this call, which is what graph building does. One
+    workspace may serve several calls, but across blocks it only held
+    memory longer: the buffers a call frees are reused for the next block's
+    table anyway.
 
     The table comes from one of two paths, which give the same result:
     - dense: oracle.noisy_rows draws for every cell;
@@ -236,18 +287,22 @@ def top_neighbor_table(block: Corpus, oracle: SimilarityOracle, k_max: int,
     sims = np.empty((n, k_max), dtype=np.float64)
     chunks = oracle.pairs.row_chunks if chunk_rows is None else _row_chunks(n, chunk_rows * n)
     prune = 0.0 < 2.0 * oracle.noise_bound < oracle.report.s_local
+    work = ChunkWorkspace() if work is None else work
     for lo, hi in chunks:
         if prune:
-            exact, reachable = _reachable_cells(oracle, lo, hi, k_max)
+            exact, reachable = _reachable_cells(oracle, lo, hi, k_max, work)
             # the first chunk's share of reachable cells decides for the block
             prune = lo > 0 or np.count_nonzero(reachable) <= PRUNE_MAX_SHARE * reachable.size
         if prune:
-            vals, ids = _noisy_candidates(oracle, exact, reachable, lo)
-            nbrs[lo:hi], sims[lo:hi] = _top_k(vals, k_max, ids)
+            vals, ids = _noisy_candidates(oracle, exact, reachable, lo, work)
+            nbrs[lo:hi], sims[lo:hi] = _top_k(vals, k_max, work, ids)
         else:
             rows = oracle.noisy_rows(lo, hi)
             rows[np.arange(hi - lo), np.arange(lo, hi)] = -np.inf  # self never selected
-            nbrs[lo:hi], sims[lo:hi] = _top_k(rows, k_max)
+            # noisy_rows returns a new array per chunk, and its scratch is new
+            # too: keeping it in work raised the peak RSS of dense runs (the
+            # eps-sweep benchmark) and did not make the table faster
+            nbrs[lo:hi], sims[lo:hi] = _top_k(rows, k_max, ChunkWorkspace())
     return nbrs, sims
 
 

@@ -306,15 +306,20 @@ class BlockPairs:
             self._s_local = local_sensitivity(self.block)
         return self._s_local
 
-    def exact_rows(self, lo: int, hi: int) -> np.ndarray:
-        """Exact cosines of rows [lo, hi), cut from the products of their row chunks."""
+    def exact_rows(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Exact cosines of rows [lo, hi), cut from the products of their row chunks.
+
+        out, a C-contiguous (hi - lo, n) float64 array, receives them in place
+        of a new array; a range that is one whole row chunk is multiplied
+        straight into it.
+        """
         emb = self.block.embeddings
         bounds = self.row_bounds
         first = int(np.searchsorted(bounds, lo, side="right")) - 1
         last = int(np.searchsorted(bounds, hi, side="left"))
         if last == first + 1 and bounds[first] == lo and bounds[last] == hi:
-            return emb[lo:hi] @ emb.T
-        sims = np.empty((hi - lo, self.n))
+            return np.matmul(emb[lo:hi], emb.T, out=out)
+        sims = np.empty((hi - lo, self.n)) if out is None else out
         for a, b in zip(bounds[first:last].tolist(), bounds[first + 1:last + 1].tolist()):
             s, e = max(a, lo), min(b, hi)
             sims[s - lo:e - lo] = (emb[a:b] @ emb.T)[s - a:e - a]

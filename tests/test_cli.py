@@ -161,6 +161,17 @@ class TestPipelineCommands:
         assert not (out / "graph_block0.tsv").exists()
         assert (out / "graph_block1.tsv").exists()
 
+    def test_only_small_blocks_fail(self, tmp_path, capsys):
+        path = tmp_path / "one.jsonl"
+        path.write_text(json.dumps({"id": "a", "block": 0, "embedding": [1.0, 0.0],
+                                    "attributes": {}, "label": None}) + "\n")
+        out = tmp_path / "out"
+        assert main(["build-graph", "--input", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "block 0 has 1 record(s); skipped" in err
+        assert "build-graph: nothing built" in err
+        assert not list(out.glob("graph_block*"))
+
     def test_pooled_merges_blocks(self, tmp_path):
         path = tmp_path / "two_blocks.jsonl"
         rows = []
@@ -307,6 +318,17 @@ class TestSweep:
         assert "sweep: block 1 has 1 record(s); skipped" in capsys.readouterr().err
         lines = (out / "sweep.csv").read_text().splitlines()
         assert [line.split(",")[:2] for line in lines[1:]] == [["2.0", "0"]]
+
+    def test_only_small_blocks_fail(self, tmp_path, capsys):
+        path = tmp_path / "one.jsonl"
+        path.write_text(json.dumps({"id": "a", "block": 0, "embedding": [1.0, 0.0],
+                                    "attributes": {}, "label": "e0"}) + "\n")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--input", str(path), "--out", str(out), "--epsilons", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "sweep: block 0 has 1 record(s); skipped" in err
+        assert "sweep: nothing swept" in err
+        assert not (out / "sweep.csv").exists() and not (out / "sweep_summary.json").exists()
 
     def test_no_include_off(self, tmp_path, corpus_file):
         out = tmp_path / "sweep"

@@ -8,9 +8,9 @@ from oracles import direct_one_dim_se, lexsort_top_neighbors
 
 from dpevent import graphsynth
 from dpevent.corpus import Corpus, MessageRecord, SynthConfig, generate
-from dpevent.graphsynth import (GraphError, W_FLOOR, _dedupe_undirected, build_attribute_edges,
-                                build_graph, build_knn_edges, one_dim_se, synthesize_graph,
-                                top_neighbor_table)
+from dpevent.graphsynth import (ChunkWorkspace, GraphError, W_FLOOR, _dedupe_undirected,
+                                build_attribute_edges, build_graph, build_knn_edges, one_dim_se,
+                                synthesize_graph, top_neighbor_table)
 from dpevent.privacy import ROW_CHUNK_ELEMS, PrivacyParams, SimilarityOracle
 
 
@@ -266,6 +266,37 @@ class TestPrunedTable:
         block = dyadic_block()
         oracle = SimilarityOracle(block, PrivacyParams(epsilon=epsilon, sensitivity_mode="global"))
         assert not table_and_path(monkeypatch, block, oracle, 5, None)[2]
+
+
+def test_shared_workspace_leaves_no_stale_state(monkeypatch):
+    # one workspace serves tables of other block sizes, chunk heights and
+    # paths in turn; each must equal the table built with a new workspace
+    monkeypatch.setattr(graphsynth, "PRUNE_MAX_SHARE", 1.0)  # prune whenever the bound allows
+    calls = []
+    candidates = graphsynth._noisy_candidates
+
+    def spy(*args):
+        calls.append(args)
+        return candidates(*args)
+
+    monkeypatch.setattr(graphsynth, "_noisy_candidates", spy)
+    big, small = block_513(), dyadic_block()
+    cases = [  # block, mode, epsilon, k_max, chunk_rows, pruned
+        (big, "mixed", 1.5, 10, 100, True),
+        (small, "mixed", 1.5, 5, None, True),
+        (small, "global", 3.0, 5, None, False),
+        (big, "mixed", 1.5, 10, None, True),
+    ]
+    work = ChunkWorkspace()
+    for block, mode, epsilon, k_max, chunk_rows, pruned in cases:
+        oracle = SimilarityOracle(block, PrivacyParams(epsilon=epsilon, sensitivity_mode=mode,
+                                                       seed=5))
+        calls.clear()
+        nbrs, sims = top_neighbor_table(block, oracle, k_max, chunk_rows, work)
+        assert bool(calls) == pruned
+        ref_nbrs, ref_sims = top_neighbor_table(block, oracle, k_max, chunk_rows)
+        assert np.array_equal(nbrs, ref_nbrs)
+        assert np.array_equal(sims.view(np.int64), ref_sims.view(np.int64))
 
 
 def test_build_graph_peak_memory_is_flat():

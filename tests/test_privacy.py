@@ -7,10 +7,10 @@ from conftest import block_513, dyadic_embeddings
 
 from dpevent import privacy
 from dpevent.corpus import Corpus, MessageRecord, SynthConfig, generate
-from dpevent.privacy import (GLOBAL_SENSITIVITY, ROW_CHUNK_ELEMS, PrivacyError, PrivacyParams,
-                             SensitivityReport, SimilarityOracle, _row_chunks, derive_block_seed,
-                             local_sensitivity, sensitivity_report, signed_log_uniforms,
-                             smooth_sensitivity, substream_uniforms)
+from dpevent.privacy import (GLOBAL_SENSITIVITY, ROW_CHUNK_ELEMS, BlockPairs, PrivacyError,
+                             PrivacyParams, SensitivityReport, SimilarityOracle, _row_chunks,
+                             derive_block_seed, local_sensitivity, sensitivity_report,
+                             signed_log_uniforms, smooth_sensitivity, substream_uniforms)
 
 
 def corpus_from_rows(rows):
@@ -230,6 +230,17 @@ class TestRowsIndependentOfRange:
         u, v = u[u != v], v[u != v]
         cells = full[np.minimum(u, v), np.maximum(u, v)]
         assert oracle.noisy_pairs(u, v).tobytes() == cells.tobytes()
+
+    def test_exact_rows_into_out_match_new_arrays(self):
+        # a whole row chunk is multiplied straight into out; other ranges are
+        # cut from their chunks' products into it
+        pairs = BlockPairs(block_513())
+        buf = np.full(pairs.n * pairs.n, np.nan)
+        for lo, hi in pairs.row_chunks + [(0, 2), (100, 400), (509, 513)]:
+            out = buf[:(hi - lo) * pairs.n].reshape(hi - lo, pairs.n)
+            rows = pairs.exact_rows(lo, hi, out=out)
+            assert rows is out
+            assert rows.tobytes() == pairs.exact_rows(lo, hi).tobytes()
 
     def test_local_sensitivity_matches_oracle_rows(self):
         block = block_513()
