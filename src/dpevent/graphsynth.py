@@ -167,14 +167,19 @@ class ChunkWorkspace:
         return buf[:size].reshape(shape)
 
 
-def _kth_mask(vals: np.ndarray, k: int, b: float, work: ChunkWorkspace) -> np.ndarray:
+def _kth_mask(vals: np.ndarray, k: int, b: float = 0.0,
+              work: ChunkWorkspace | None = None) -> np.ndarray:
     """Cells of vals with fl(v + b) >= fl(T - b), T the k-th largest value of v's row.
 
     The rows go in tiles of about NOISE_TILE_ELEMS cells: each tile is
     copied into work's "part" buffer and partitioned there to find T, and
-    the same buffer then holds v + b. The mask is work's "mask" buffer.
-    With b = 0 it is the cells at or above T.
+    with b != 0 the same buffer then holds v + b. With b = 0 the tile is
+    compared with T as it is. The mask is work's "mask" buffer; None makes
+    a new workspace. A chunk-sized "part" buffer instead of tiles faulted as
+    often as a new partition copy per chunk and raised peak RSS by about
+    2 MB on 500-record blocks.
     """
+    work = ChunkWorkspace() if work is None else work
     h, m = vals.shape
     mask = work.array("mask", (h, m), bool)
     step = max(1, NOISE_TILE_ELEMS // m)
@@ -183,12 +188,16 @@ def _kth_mask(vals: np.ndarray, k: int, b: float, work: ChunkWorkspace) -> np.nd
         part = work.array("part", tile.shape)
         np.copyto(part, tile)
         part.partition(m - k, axis=1)
-        low = part[:, m - k, None] - b
-        np.greater_equal(np.add(tile, b, out=part), low, out=mask[a:a + step])
+        low = part[:, m - k, None]
+        if b:
+            low = low - b
+            tile = np.add(tile, b, out=part)
+        np.greater_equal(tile, low, out=mask[a:a + step])
     return mask
 
 
-def _top_k(vals: np.ndarray, k_max: int, work: ChunkWorkspace, cols: np.ndarray | None = None):
+def _top_k(vals: np.ndarray, k_max: int, cols: np.ndarray | None = None,
+           work: ChunkWorkspace | None = None):
     """The k_max largest values of each row of vals, ties by ascending id.
 
     vals is (rows, m) with at least k_max finite values per row; cols maps
@@ -196,10 +205,13 @@ def _top_k(vals: np.ndarray, k_max: int, work: ChunkWorkspace, cols: np.ndarray 
     keeps every slot at or above its row's k_max-th largest value, so all
     ties at that boundary survive. One lexsort orders the survivors by
     (row, descending value, ascending id) and the first k_max of each row
-    are taken: the same result as a full sort of every row.
+    are taken: the same result as a full sort of every row. The scratch
+    comes from work; None makes it new, which the dense path does, as a
+    reused buffer there raised the peak RSS of dense runs (eps-sweep) and
+    did not make the table faster.
     """
     m = vals.shape[1]
-    keep = np.flatnonzero(_kth_mask(vals, k_max, 0.0, work))  # row-major: rows ascending
+    keep = np.flatnonzero(_kth_mask(vals, k_max, work=work))  # row-major: rows ascending
     r, s = np.divmod(keep, m)
     v = vals.ravel()[keep]
     c = s if cols is None else cols.ravel()[keep]
@@ -254,18 +266,16 @@ def _noisy_candidates(oracle: SimilarityOracle, exact: np.ndarray, reachable: np
 
 
 def top_neighbor_table(block: Corpus, oracle: SimilarityOracle, k_max: int,
-                       chunk_rows: int | None = None, work: ChunkWorkspace | None = None):
+                       chunk_rows: int | None = None):
     """Per-node neighbor ranking by descending noisy similarity, ties by ascending id.
 
     The rows are visited in the oracle's row chunks (oracle.pairs.row_chunks, about
     ROW_CHUNK_ELEMS cells each), so each chunk's temporaries stay a few MB
     whatever n is. chunk_rows sets another chunk height; that changes the
     work per step, not the result. The pruned path's chunk-sized
-    temporaries are views of work, reused from chunk to chunk; None makes a
-    workspace for this call, which is what graph building does. One
-    workspace may serve several calls, but across blocks it only held
-    memory longer: the buffers a call frees are reused for the next block's
-    table anyway.
+    temporaries are views of one ChunkWorkspace made per call and reused
+    from chunk to chunk. A workspace kept across calls only held memory
+    longer: the buffers a call frees are reused for the next block's table.
 
     The table comes from one of two paths, which give the same result:
     - dense: oracle.noisy_rows draws for every cell;
@@ -287,7 +297,7 @@ def top_neighbor_table(block: Corpus, oracle: SimilarityOracle, k_max: int,
     sims = np.empty((n, k_max), dtype=np.float64)
     chunks = oracle.pairs.row_chunks if chunk_rows is None else _row_chunks(n, chunk_rows * n)
     prune = 0.0 < 2.0 * oracle.noise_bound < oracle.report.s_local
-    work = ChunkWorkspace() if work is None else work
+    work = ChunkWorkspace()
     for lo, hi in chunks:
         if prune:
             exact, reachable = _reachable_cells(oracle, lo, hi, k_max, work)
@@ -295,14 +305,11 @@ def top_neighbor_table(block: Corpus, oracle: SimilarityOracle, k_max: int,
             prune = lo > 0 or np.count_nonzero(reachable) <= PRUNE_MAX_SHARE * reachable.size
         if prune:
             vals, ids = _noisy_candidates(oracle, exact, reachable, lo, work)
-            nbrs[lo:hi], sims[lo:hi] = _top_k(vals, k_max, work, ids)
+            nbrs[lo:hi], sims[lo:hi] = _top_k(vals, k_max, ids, work)
         else:
             rows = oracle.noisy_rows(lo, hi)
             rows[np.arange(hi - lo), np.arange(lo, hi)] = -np.inf  # self never selected
-            # noisy_rows returns a new array per chunk, and its scratch is new
-            # too: keeping it in work raised the peak RSS of dense runs (the
-            # eps-sweep benchmark) and did not make the table faster
-            nbrs[lo:hi], sims[lo:hi] = _top_k(rows, k_max, ChunkWorkspace())
+            nbrs[lo:hi], sims[lo:hi] = _top_k(rows, k_max)
     return nbrs, sims
 
 

@@ -270,7 +270,8 @@ class TestPrunedTable:
 
 def test_shared_workspace_leaves_no_stale_state(monkeypatch):
     # one workspace serves tables of other block sizes, chunk heights and
-    # paths in turn; each must equal the table built with a new workspace
+    # paths in turn (the dense path's per-chunk workspaces too); each must
+    # equal the table built with new workspaces
     monkeypatch.setattr(graphsynth, "PRUNE_MAX_SHARE", 1.0)  # prune whenever the bound allows
     calls = []
     candidates = graphsynth._noisy_candidates
@@ -281,20 +282,23 @@ def test_shared_workspace_leaves_no_stale_state(monkeypatch):
 
     monkeypatch.setattr(graphsynth, "_noisy_candidates", spy)
     big, small = block_513(), dyadic_block()
-    cases = [  # block, mode, epsilon, k_max, chunk_rows, pruned
+    cases = []
+    for block, mode, epsilon, k_max, chunk_rows, pruned in [
         (big, "mixed", 1.5, 10, 100, True),
         (small, "mixed", 1.5, 5, None, True),
         (small, "global", 3.0, 5, None, False),
         (big, "mixed", 1.5, 10, None, True),
-    ]
-    work = ChunkWorkspace()
-    for block, mode, epsilon, k_max, chunk_rows, pruned in cases:
+    ]:
         oracle = SimilarityOracle(block, PrivacyParams(epsilon=epsilon, sensitivity_mode=mode,
                                                        seed=5))
         calls.clear()
-        nbrs, sims = top_neighbor_table(block, oracle, k_max, chunk_rows, work)
+        ref = top_neighbor_table(block, oracle, k_max, chunk_rows)
         assert bool(calls) == pruned
-        ref_nbrs, ref_sims = top_neighbor_table(block, oracle, k_max, chunk_rows)
+        cases.append((block, oracle, k_max, chunk_rows, ref))
+    shared = ChunkWorkspace()
+    monkeypatch.setattr(graphsynth, "ChunkWorkspace", lambda: shared)
+    for block, oracle, k_max, chunk_rows, (ref_nbrs, ref_sims) in cases:
+        nbrs, sims = top_neighbor_table(block, oracle, k_max, chunk_rows)
         assert np.array_equal(nbrs, ref_nbrs)
         assert np.array_equal(sims.view(np.int64), ref_sims.view(np.int64))
 
