@@ -176,8 +176,8 @@ def _kth_mask(vals: np.ndarray, k: int, b: float = 0.0,
     with b != 0 the same buffer then holds v + b. With b = 0 the tile is
     compared with T as it is. The mask is work's "mask" buffer; None makes
     a new workspace. A chunk-sized "part" buffer instead of tiles faulted as
-    often as a new partition copy per chunk and raised peak RSS by about
-    2 MB on 500-record blocks.
+    often as a new partition copy per chunk and raised peak RSS by 1-2 MB
+    on 500-record blocks.
     """
     work = ChunkWorkspace() if work is None else work
     h, m = vals.shape
