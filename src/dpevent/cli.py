@@ -18,13 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, corpus as corpus_mod, metrics as metrics_mod
-from .corpus import Corpus, SynthConfig, split_blocks
+from .corpus import CorpusError, SynthConfig, split_blocks
 from .graphsynth import build_graph
 from .partition import cluster
 from .persist import (config_hash, fmt9, read_graph_tsv, read_json,
                       read_partition_csv, write_graph_tsv, write_json,
                       write_partition_csv)
-from .privacy import BlockPairs, PrivacyError, PrivacyParams, sensitivity_report
+from .privacy import (BlockPairs, PrivacyError, PrivacyParams, SimilarityOracle,
+                      sensitivity_report)
 
 
 def _parse_epsilon(text: str) -> float | None:
@@ -63,10 +64,19 @@ def _write_config(out: Path, command: str, config: dict) -> None:
     write_json(out / "config.json", payload)
 
 
-def _blocks(corpus: Corpus, pooled: bool) -> list[tuple[int, Corpus]]:
-    if pooled:
-        return [(0, corpus)]
-    return [(view.records[0].block, view) for view in split_blocks(corpus)]
+def _block_pairs(args, data, seed: int = 0):
+    """Yield (block id, BlockPairs) per block of data, or of the pooled corpus.
+
+    A block of fewer than 2 records has no pairs: it is reported on stderr
+    and skipped.
+    """
+    blocks = [(0, data)] if args.pooled else [(v.records[0].block, v) for v in split_blocks(data)]
+    for block_id, view in blocks:
+        if len(view) < 2:
+            print(f"{args.command}: block {block_id} has {len(view)} record(s); skipped",
+                  file=sys.stderr)
+            continue
+        yield block_id, BlockPairs(view, block_id, seed)
 
 
 def _block_files(directory: Path, prefix: str, suffix: str) -> list[tuple[int, Path]]:
@@ -79,21 +89,15 @@ def _block_files(directory: Path, prefix: str, suffix: str) -> list[tuple[int, P
                   if (m := name.fullmatch(path.name)))
 
 
-def _privacy_params(args, epsilon) -> PrivacyParams:
-    return PrivacyParams(epsilon=epsilon, sensitivity_mode=args.mode, seed=args.seed)
-
-
-def _build_block_graph(block_id: int, view: Corpus, params: PrivacyParams, k_max: int,
-                       pairs: BlockPairs | None = None):
+def _build_block_graph(pairs: BlockPairs, params: PrivacyParams, k_max: int):
     """The block's graph and sidecar; pairs is the block's state, shared across epsilons."""
-    from .privacy import SimilarityOracle
-    oracle = SimilarityOracle(view, params, block_id=block_id, pairs=pairs)
-    graph, trace = build_graph(view, oracle, k_max=k_max)
-    n = len(view)
+    oracle = SimilarityOracle(pairs, params)
+    graph, trace = build_graph(oracle, k_max=k_max)
+    n = pairs.n
     sidecar = {
-        "block": block_id,
+        "block": pairs.block_id,
         "n": n,
-        "nodes": view.ids,
+        "nodes": pairs.block.ids,
         "epsilon": "off" if params.off else params.epsilon,
         "mode": params.sensitivity_mode,
         "pairs_queried": 0 if params.off else n * (n - 1) // 2,
@@ -105,10 +109,10 @@ def _build_block_graph(block_id: int, view: Corpus, params: PrivacyParams, k_max
 
 
 def cmd_synth(args) -> int:
-    out = _outdir(args)
     config = SynthConfig(num_events=args.events, points_per_event=args.points,
                          dim=args.dim, intra_concentration=args.concentration,
                          attribute_sharing_prob=args.share_prob, seed=args.seed)
+    out = _outdir(args)
     generated = corpus_mod.generate(config)
     corpus_mod.export(generated, out / "corpus.jsonl")
     _write_config(out, "synth", config.to_dict())
@@ -123,24 +127,20 @@ def cmd_synth(args) -> int:
 def cmd_build_graph(args) -> int:
     out = _outdir(args)
     data = corpus_mod.ingest(args.input)
-    params = _privacy_params(args, args.epsilon)
+    params = PrivacyParams(epsilon=args.epsilon, sensitivity_mode=args.mode)
     _write_config(out, "build-graph", {
         "input": str(args.input), "epsilon": "off" if params.off else params.epsilon,
         "mode": args.mode, "seed": args.seed, "kmax": args.kmax, "pooled": args.pooled,
     })
     built = failures = 0
-    for block_id, view in _blocks(data, args.pooled):
-        if len(view) < 2:
-            print(f"build-graph: block {block_id} has {len(view)} record(s); skipped",
-                  file=sys.stderr)
-            continue
+    for block_id, pairs in _block_pairs(args, data, args.seed):
         try:
-            graph, sidecar = _build_block_graph(block_id, view, params, args.kmax)
+            graph, sidecar = _build_block_graph(pairs, params, args.kmax)
         except Exception as exc:  # noqa: BLE001 - per-block isolation
             print(f"build-graph: block {block_id} failed: {exc}", file=sys.stderr)
             failures += 1
             continue
-        write_graph_tsv(out / f"graph_block{block_id}.tsv", graph, view.ids)
+        write_graph_tsv(out / f"graph_block{block_id}.tsv", graph, sidecar["nodes"])
         write_json(out / f"graph_block{block_id}.json", sidecar)
         built += 1
         print(f"build-graph: block {block_id}: n={sidecar['n']} edges={graph.num_edges} "
@@ -228,15 +228,14 @@ def cmd_evaluate(args) -> int:
     return 1 if failures else 0
 
 
-def run_pipeline(view: Corpus, block_id: int, params: PrivacyParams, k_max: int, q0: int,
-                 grouping: str = "optimal", pairs: BlockPairs | None = None):
+def run_pipeline(pairs: BlockPairs, params: PrivacyParams, k_max: int, q0: int):
     """In-memory build-graph + cluster + evaluate for one block."""
-    graph, sidecar = _build_block_graph(block_id, view, params, k_max, pairs)
-    run = cluster(graph, q0=q0, grouping=grouping)
-    result = {"block": block_id, "s_mixed": sidecar["sensitivity_report"]["s_mixed"],
+    graph, sidecar = _build_block_graph(pairs, params, k_max)
+    run = cluster(graph, q0=q0)
+    result = {"block": pairs.block_id, "s_mixed": sidecar["sensitivity_report"]["s_mixed"],
               "num_communities": run.final.num_communities}
-    if view.has_labels():
-        result.update(metrics_mod.evaluate(view.labels, run.final.assignment.tolist()))
+    if pairs.block.has_labels():
+        result.update(metrics_mod.evaluate(pairs.block.labels, run.final.assignment.tolist()))
     return result
 
 
@@ -254,20 +253,15 @@ def cmd_sweep(args) -> int:
         "q0": q0, "pooled": args.pooled,
     })
     # each block's epsilon-independent state fills during its first pipeline
-    blocks = []
-    for block_id, view in _blocks(data, args.pooled):
-        if len(view) < 2:
-            print(f"sweep: block {block_id} has {len(view)} record(s); skipped", file=sys.stderr)
-            continue
-        blocks.append((block_id, view, BlockPairs(view, args.seed, block_id)))
+    blocks = list(_block_pairs(args, data, args.seed))
     if not blocks:
         print("sweep: nothing swept", file=sys.stderr)
         return 1
     rows = []
     for epsilon in epsilons:
-        params = _privacy_params(args, epsilon)
-        for block_id, view, pairs in blocks:
-            result = run_pipeline(view, block_id, params, args.kmax, q0, pairs=pairs)
+        params = PrivacyParams(epsilon=epsilon, sensitivity_mode=args.mode)
+        for block_id, pairs in blocks:
+            result = run_pipeline(pairs, params, args.kmax, q0)
             rows.append({"epsilon": "off" if epsilon is None else epsilon,
                          "block": block_id,
                          "ami": result.get("ami", math.nan),
@@ -306,19 +300,20 @@ def cmd_sensitivity_report(args) -> int:
         "epsilons": ["off" if e is None else e for e in args.epsilons],
         "mode": args.mode, "pooled": args.pooled,
     })
-    for block_id, view in _blocks(data, args.pooled):
-        if len(view) < 2:
-            print(f"sensitivity-report: block {block_id} too small; skipped", file=sys.stderr)
-            continue
-        pairs = BlockPairs(view, block_id=block_id)  # s_local once for the grid
+    reported = 0
+    for block_id, pairs in _block_pairs(args, data):  # s_local once for the grid
         reports = []
         for epsilon in args.epsilons:
             params = PrivacyParams(epsilon=epsilon, sensitivity_mode=args.mode)
-            rep = sensitivity_report(view, params, block_id, pairs)
+            rep = sensitivity_report(pairs, params)
             reports.append(dict(rep.to_dict(), epsilon="off" if epsilon is None else epsilon))
         write_json(out / f"sensitivity_block{block_id}.json",
-                   {"block": block_id, "n": len(view), "reports": reports})
+                   {"block": block_id, "n": pairs.n, "reports": reports})
+        reported += 1
         print(f"sensitivity-report: block {block_id}: s_local={reports[0]['s_local']:.6g}")
+    if not reported:
+        print("sensitivity-report: nothing reported", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -403,8 +398,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PrivacyError as exc:
-        # e.g. an epsilon whose noise scale overflows; build-graph fails the block instead
+    except (CorpusError, PrivacyError) as exc:
+        # a malformed corpus or synth configuration, or an epsilon whose noise
+        # scale overflows (build-graph fails that block instead)
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
 

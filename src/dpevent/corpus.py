@@ -136,6 +136,8 @@ def split_blocks(corpus: Corpus) -> list[Corpus]:
 
 
 def _parse_record(obj: dict, lineno: int) -> MessageRecord:
+    if not isinstance(obj, dict):
+        raise CorpusError(f"line {lineno}: a record must be a JSON object")
     try:
         rid = obj["id"]
         block = obj["block"]
@@ -157,7 +159,7 @@ def _parse_record(obj: dict, lineno: int) -> MessageRecord:
             id=rid, block=block, embedding=np.asarray(emb, dtype=np.float64),
             attributes={k: frozenset(v) for k, v in attrs.items()}, label=label,
         )
-    except CorpusError as exc:
+    except (TypeError, ValueError) as exc:  # CorpusError, or a non-numeric embedding
         raise CorpusError(f"line {lineno}: {exc}") from None
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Corpus
 from .privacy import NOISE_TILE_ELEMS, SimilarityOracle, _row_chunks
 
 W_FLOOR = 1e-6
@@ -265,8 +264,7 @@ def _noisy_candidates(oracle: SimilarityOracle, exact: np.ndarray, reachable: np
     return padded, ids
 
 
-def top_neighbor_table(block: Corpus, oracle: SimilarityOracle, k_max: int,
-                       chunk_rows: int | None = None):
+def top_neighbor_table(oracle: SimilarityOracle, k_max: int, chunk_rows: int | None = None):
     """Per-node neighbor ranking by descending noisy similarity, ties by ascending id.
 
     The rows are visited in the oracle's row chunks (oracle.pairs.row_chunks, about
@@ -292,7 +290,7 @@ def top_neighbor_table(block: Corpus, oracle: SimilarityOracle, k_max: int,
     Returns (nbrs, sims): (n, k_max) arrays of the k_max best neighbors per node
     and their unclipped noisy similarities.
     """
-    n = len(block)
+    n = oracle.n
     nbrs = np.empty((n, k_max), dtype=np.int64)
     sims = np.empty((n, k_max), dtype=np.float64)
     chunks = oracle.pairs.row_chunks if chunk_rows is None else _row_chunks(n, chunk_rows * n)
@@ -313,23 +311,22 @@ def top_neighbor_table(block: Corpus, oracle: SimilarityOracle, k_max: int,
     return nbrs, sims
 
 
-def build_knn_edges(block: Corpus, oracle: SimilarityOracle, k_max: int = 40):
+def build_knn_edges(oracle: SimilarityOracle, k_max: int = 40):
     """Grow per-node neighborhoods until the 1D SE stops strictly decreasing.
 
     For each k the directed top-k selections are symmetrized into an undirected
     edge set weighted by the clipped noisy similarities. Returns the edge set of
-    the accepted k (arrays u, v, w) and the KnnTrace.
+    the accepted k (arrays u, v, w) and the KnnTrace. The oracle's block has
+    at least 2 records: a smaller one has no sensitivity report, so no oracle.
     """
-    n = len(block)
-    if n < 2:
-        raise GraphError("kNN construction needs at least 2 records")
+    n = oracle.n
     if k_max < 1:
         raise GraphError("k_max must be at least 1")
     if k_max >= n:
         warnings.warn(f"k_max={k_max} >= block size {n}; clamping to {n - 1}", stacklevel=2)
         k_max = n - 1
 
-    nbrs, sims = top_neighbor_table(block, oracle, k_max)
+    nbrs, sims = top_neighbor_table(oracle, k_max)
     trace = KnnTrace()
     best_se = math.inf
     best_edges = None
@@ -352,13 +349,13 @@ def build_knn_edges(block: Corpus, oracle: SimilarityOracle, k_max: int = 40):
     return best_edges, trace
 
 
-def build_attribute_edges(block: Corpus, oracle: SimilarityOracle):
+def build_attribute_edges(oracle: SimilarityOracle):
     """One edge per unordered pair of block records sharing at least one attribute token.
 
-    The pairs are block.attribute_pairs(); the oracle keeps them in its block
-    state, so an epsilon sweep enumerates them once per block. Weights come
-    from the same oracle (and therefore the same per-pair draws) as the kNN
-    edges.
+    The pairs are the block's Corpus.attribute_pairs(), kept in the oracle's
+    block state (oracle.pairs), so an epsilon sweep enumerates them once per
+    block. Weights come from the same oracle (and therefore the same per-pair
+    draws) as the kNN edges.
     """
     u, v, sims = oracle.noisy_attribute_pairs()
     return u, v, clip_weights(sims)
@@ -387,9 +384,9 @@ def synthesize_graph(n: int, se_edges, attr_edges) -> MessageGraph:
     return MessageGraph(n=n, u=uniq // n, v=uniq % n, w=w, provenance=p)
 
 
-def build_graph(block: Corpus, oracle: SimilarityOracle, k_max: int = 40):
-    """Full synthesis for one block: kNN edges, attribute edges, union."""
-    se_edges, trace = build_knn_edges(block, oracle, k_max)
-    attr_edges = build_attribute_edges(block, oracle)
-    graph = synthesize_graph(len(block), se_edges, attr_edges)
+def build_graph(oracle: SimilarityOracle, k_max: int = 40):
+    """Full synthesis for the oracle's block: kNN edges, attribute edges, union."""
+    se_edges, trace = build_knn_edges(oracle, k_max)
+    attr_edges = build_attribute_edges(oracle)
+    graph = synthesize_graph(oracle.n, se_edges, attr_edges)
     return graph, trace

@@ -87,7 +87,8 @@ def write_partition_csv(path, ids: list[str], partition: Partition) -> None:
 
 
 def read_partition_csv(path) -> tuple[list[str], list[int]]:
-    ids, clusters = [], []
+    """(ids, clusters) of a partition CSV; a malformed row or a repeated id raises ValueError."""
+    ids, clusters, seen = [], [], set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != ["id", "cluster"]:
@@ -102,5 +103,8 @@ def read_partition_csv(path) -> tuple[list[str], list[int]]:
             except ValueError:
                 raise ValueError(f"{path}:{reader.line_num}: cluster {row[1]!r} "
                                  "is not an integer") from None
+            if row[0] in seen:
+                raise ValueError(f"{path}:{reader.line_num}: id {row[0]!r} is listed twice")
+            seen.add(row[0])
             ids.append(row[0])
     return ids, clusters

@@ -20,13 +20,14 @@ can still reach a row's top k, which noise_bound, the largest possible
 |draw|, decides (see graphsynth.top_neighbor_table). So the draws per pair
 depend on the block's exact cosines, not only on n.
 
-The state of a block splits by epsilon. BlockPairs holds what does not
-depend on it: the noise substream key, the pair indexing, the exact cosines,
-s_local, and the attribute pairs with their exact cosines and unit draws. A
-SimilarityOracle is the view of that state at one epsilon: the sensitivity
-report, the noise scale, and the perturbed values. An epsilon sweep builds
-one BlockPairs per block and one oracle per (epsilon, block), so the
-epsilon-free work runs once per block.
+The state of a block splits by epsilon. BlockPairs(block, block_id, seed) is
+the one handle of a block: the records, their block id, the noise substream
+key of (seed, block id), the pair indexing, the exact cosines, s_local, and
+the attribute pairs with their exact cosines and unit draws. A
+SimilarityOracle(pairs, params) is the view of that state at one epsilon:
+the sensitivity report, the noise scale, and the perturbed values. An
+epsilon sweep builds one BlockPairs per block and one oracle per (epsilon,
+block), so the epsilon-free work runs once per block.
 
 Every O(n^2) pass works in row chunks of about ROW_CHUNK_ELEMS cells (a 2 MB
 float64 temporary), and the noise in tiles of about NOISE_TILE_ELEMS cells, so
@@ -72,7 +73,6 @@ class PrivacyParams:
 
     epsilon: float | None = None
     sensitivity_mode: str = "mixed"
-    seed: int = 0
 
     def __post_init__(self):
         # an infinite budget would release the exact graph labelled with a budget
@@ -163,29 +163,21 @@ def smooth_sensitivity(s_local: float, epsilon: float, n: int) -> float:
     return 2.0 * math.exp(-(epsilon / 2.0) * math.log(2.0 / delta)) * s_local
 
 
-def sensitivity_report(block: Corpus, params: PrivacyParams, block_id: int | None = None,
-                       pairs: BlockPairs | None = None) -> SensitivityReport:
-    """Calibrate the noise for one block under the given parameters.
+def sensitivity_report(pairs: BlockPairs, params: PrivacyParams) -> SensitivityReport:
+    """Calibrate the noise for one block (pairs, its state) under the given parameters.
 
     The mode decides the sensitivity used: global (2), smooth, or for mixed
     the smaller of the two. With epsilon off there is no noise: smooth/mixed
     are reported as 0, chosen is "off" and the noise scale is 0. s_local
-    comes from pairs, the block's state, when given (computed there once for
-    every epsilon), and raises PrivacyError if pairs is for another block.
-    It also raises PrivacyError when the noise scale overflows float64 (an
-    epsilon so small that the chosen sensitivity / epsilon is not finite).
+    comes from pairs, which computes it once for every epsilon. Raises
+    PrivacyError when the noise scale overflows float64 (an epsilon so small
+    that the chosen sensitivity / epsilon is not finite).
     """
-    if block_id is None:
-        block_id = block.records[0].block
-    if pairs is None:
-        s_local = local_sensitivity(block)
-    else:
-        pairs.check(block, block_id)
-        s_local = pairs.s_local
+    block_id, s_local = pairs.block_id, pairs.s_local
     if params.off:
         return SensitivityReport(block=block_id, s_global=GLOBAL_SENSITIVITY, s_local=s_local,
                                  s_smooth=0.0, s_mixed=0.0, chosen="off", noise_scale=0.0)
-    s_smooth = smooth_sensitivity(s_local, params.epsilon, len(block))
+    s_smooth = smooth_sensitivity(s_local, params.epsilon, pairs.n)
     chosen = params.sensitivity_mode
     if chosen == "mixed":
         chosen = "smooth" if s_smooth < GLOBAL_SENSITIVITY else "global"
@@ -262,9 +254,10 @@ def derive_block_seed(seed: int, block: int) -> int:
 
 
 class BlockPairs:
-    """The epsilon-independent state of one block's pairs.
+    """One block and the epsilon-independent state of its pairs.
 
-    Built once per block and shared by the block's SimilarityOracles, one
+    The only per-block handle: it carries the block's records (block), its
+    id (block_id) and n, and is shared by the block's SimilarityOracles, one
     per epsilon. It is the only source of a pair's exact cosine (exact_rows,
     exact_pairs) and of its unit draw (signed_logs). Construction only
     indexes the pairs: the substream key of (seed, block_id), the condensed
@@ -278,12 +271,11 @@ class BlockPairs:
     dense similarity rows still draw once per oracle.
     """
 
-    def __init__(self, block: Corpus, seed: int = 0, block_id: int | None = None):
+    def __init__(self, block: Corpus, block_id: int, seed: int = 0):
         self.block = block
         self.n = len(block)
-        self.block_id = block.records[0].block if block_id is None else block_id
-        self.seed = seed
-        self.key = derive_block_seed(seed, self.block_id)
+        self.block_id = block_id
+        self.key = derive_block_seed(seed, block_id)
         # condensed index of pair (i, j), i < j, is pair_base[i] + j
         i = np.arange(self.n, dtype=np.int64)
         self.pair_base = i * (2 * self.n - i - 1) // 2 - i - 1
@@ -293,12 +285,6 @@ class BlockPairs:
         self._s_local: float | None = None
         self._attribute_pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._attribute_logs: np.ndarray | None = None
-
-    def check(self, block: Corpus, block_id: int) -> None:
-        """Raise PrivacyError unless this state was built for this block object and id."""
-        if block is not self.block or block_id != self.block_id:
-            raise PrivacyError(f"block state was built for block {self.block_id}, "
-                               f"not for the given block {block_id}")
 
     @property
     def s_local(self) -> float:
@@ -381,32 +367,22 @@ class SimilarityOracle:
 
     The oracle is a view of the block's epsilon-independent state (pairs, a
     BlockPairs) at the noise scale that sensitivity_report calibrates; with
-    epsilon off that scale is 0 and the oracle returns exact cosines. Given
-    no state, it builds its own. Every unordered pair has one released value,
-    whichever path asks for it: the cosine from pairs.exact_rows (the row
-    chunk of the smaller endpoint) plus noise_scale times the pair's unit
-    draw, a pure function of the block seed and the pair's position in the
-    condensed upper-triangle ordering. So repeated queries (in either order,
-    from any worker) return the same value without any shared state.
-    noise_bound is the largest |draw| the sampler can return at that scale
-    (about 36.74 * noise_scale; 0 when off).
+    epsilon off that scale is 0 and the oracle returns exact cosines. Every
+    unordered pair has one released value, whichever path asks for it: the
+    cosine from pairs.exact_rows (the row chunk of the smaller endpoint)
+    plus noise_scale times the pair's unit draw, a pure function of the
+    block seed and the pair's position in the condensed upper-triangle
+    ordering. So repeated queries (in either order, from any worker) return
+    the same value without any shared state. noise_bound is the largest
+    |draw| the sampler can return at that scale (about 36.74 * noise_scale;
+    0 when off).
     """
 
-    def __init__(self, block: Corpus, params: PrivacyParams, block_id: int | None = None,
-                 pairs: BlockPairs | None = None):
-        if block_id is None:
-            block_id = block.records[0].block
-        if pairs is None:
-            pairs = BlockPairs(block, params.seed, block_id)
-        elif pairs.seed != params.seed:
-            raise PrivacyError(f"block state was built for seed {pairs.seed}, "
-                               f"not for seed {params.seed}")
-        self.block = block
-        self.params = params
-        self.n = len(block)
-        self.block_id = block_id
+    def __init__(self, pairs: BlockPairs, params: PrivacyParams):
         self.pairs = pairs
-        self.report = sensitivity_report(block, params, block_id, pairs)
+        self.params = params
+        self.n = pairs.n
+        self.report = sensitivity_report(pairs, params)
         self.noise_scale = self.report.noise_scale
         self.noise_bound = self.noise_scale * float(signed_log_uniforms(np.array(_U_MAX)))
 

@@ -9,6 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from dpevent.corpus import SynthConfig, generate
 from dpevent.graphsynth import MessageGraph
+from dpevent.privacy import BlockPairs, PrivacyParams, SimilarityOracle
 
 
 def make_graph(n, edges):
@@ -32,6 +33,12 @@ def two_triangles():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def block_oracle(block, epsilon=None, mode="mixed", seed=0, block_id=0):
+    """The SimilarityOracle of block (a new BlockPairs) at one epsilon."""
+    return SimilarityOracle(BlockPairs(block, block_id, seed),
+                            PrivacyParams(epsilon=epsilon, sensitivity_mode=mode))
 
 
 def graph_from_arrays(n, u, v, w):

@@ -31,15 +31,15 @@ def _report(name, ok, detail=""):
     assert ok, f"{name}: {detail}"
 
 
-def _pipeline_ari(seed, epsilon, mode="mixed", q0=400, corpus=None, pairs=None):
-    """ARI and AMI of one pipeline run. corpus and pairs, when given, are the
-    seed's corpus and its BlockPairs at seed + 1000, shared across epsilons."""
-    if corpus is None:
-        corpus = generate(SynthConfig(seed=seed, **ACCEPT_CORPUS))
-    params = PrivacyParams(epsilon=epsilon, sensitivity_mode=mode, seed=seed + 1000)
-    graph, _ = build_graph(corpus, SimilarityOracle(corpus, params, pairs=pairs), k_max=40)
+def _pipeline_ari(seed, epsilon, mode="mixed", q0=400, pairs=None):
+    """ARI and AMI of one pipeline run. pairs is the seed's corpus as a
+    BlockPairs at seed + 1000; when given, it is shared across epsilons."""
+    if pairs is None:
+        pairs = BlockPairs(generate(SynthConfig(seed=seed, **ACCEPT_CORPUS)), 0, seed + 1000)
+    params = PrivacyParams(epsilon=epsilon, sensitivity_mode=mode)
+    graph, _ = build_graph(SimilarityOracle(pairs, params), k_max=40)
     run = cluster(graph, q0=q0)
-    truth = [r.label for r in corpus.records]
+    truth = [r.label for r in pairs.block.records]
     pred = run.final.assignment.tolist()
     return ari(truth, pred), ami(truth, pred)
 
@@ -146,7 +146,7 @@ def test_criterion_5_sensitivity_logic():
     for seed in range(3):
         block = generate(SynthConfig(seed=seed, **ACCEPT_CORPUS))
         for epsilon in (0.5, 1.0, 5.0, 10.0, 15.0):
-            rep = sensitivity_report(block, PrivacyParams(epsilon=epsilon, seed=seed))
+            rep = sensitivity_report(BlockPairs(block, 0, seed), PrivacyParams(epsilon=epsilon))
             if rep.s_mixed != min(2.0, rep.s_smooth):
                 exact_min = False
             if epsilon >= 5.0 and rep.chosen != "smooth":
@@ -172,11 +172,10 @@ def test_criterion_7_epsilon_monotonicity():
     scores = {eps: [] for eps in grid + [None]}
     for seed in seeds:
         # one corpus and one epsilon-independent block state per seed
-        corpus = generate(SynthConfig(seed=seed, **ACCEPT_CORPUS))
-        pairs = BlockPairs(corpus, seed + 1000)
+        pairs = BlockPairs(generate(SynthConfig(seed=seed, **ACCEPT_CORPUS)), 0, seed + 1000)
         for eps in scores:
             scores[eps].append(_pipeline_ari(seed, epsilon=None if eps is None else float(eps),
-                                             mode="global", corpus=corpus, pairs=pairs)[0])
+                                             mode="global", pairs=pairs)[0])
     mean_ari = {eps: float(np.mean(values)) for eps, values in scores.items()}
     rho = float(spearmanr(grid, [mean_ari[e] for e in grid]).statistic)
     chain_ok = (mean_ari[1] <= mean_ari[10] + 0.05
@@ -235,8 +234,8 @@ def test_criterion_10_scale_smoke():
     corpus = generate(SynthConfig(num_events=25, points_per_event=200, dim=32,
                                   intra_concentration=20.0, attribute_sharing_prob=0.7,
                                   seed=1010))
-    params = PrivacyParams(epsilon=15.0, sensitivity_mode="mixed", seed=2020)
-    graph, trace = build_graph(corpus, SimilarityOracle(corpus, params), k_max=40)
+    params = PrivacyParams(epsilon=15.0, sensitivity_mode="mixed")
+    graph, trace = build_graph(SimilarityOracle(BlockPairs(corpus, 0, 2020), params), k_max=40)
     run = cluster(graph, q0=400)
     elapsed = time.perf_counter() - start
     _report("C10 scale smoke (5000 nodes)",

@@ -1,22 +1,20 @@
 """The epsilon-independent block state (privacy.BlockPairs) and its epsilon views.
 
 An epsilon sweep builds one BlockPairs per block and shares it across the
-grid. These tests pin that the shared state changes no released value, that
-its epsilon-free work runs once per block inside the timed graph stage, and
-that a state cannot be used for another block or seed.
+grid. These tests pin that the shared state changes no released value and
+that its epsilon-free work runs once per block inside the timed graph stage.
 """
 
 import numpy as np
 import pytest
 
-from conftest import block_513
+from conftest import block_513, block_oracle
 
 from dpevent import cli, privacy
 from dpevent.corpus import (Corpus, MessageRecord, SynthConfig, export, generate, ingest,
                             split_blocks)
 from dpevent.graphsynth import build_attribute_edges, build_graph, clip_weights
-from dpevent.privacy import (BlockPairs, PrivacyError, PrivacyParams, SimilarityOracle,
-                             sensitivity_report, signed_log_uniforms, substream_uniforms)
+from dpevent.privacy import signed_log_uniforms, substream_uniforms
 
 SHARES = (0.6, 0.0, 0.9)  # block 1 shares no tokens: it has no attribute pairs
 
@@ -66,8 +64,7 @@ def test_scaled_unit_draws_equal_the_inverse_cdf():
 @pytest.mark.parametrize("epsilon", [None, 0.5, 10.0])
 def test_attribute_path_equals_noisy_pairs(corpus, epsilon):
     view = split_blocks(corpus)[0]
-    oracle = SimilarityOracle(view, PrivacyParams(epsilon=epsilon, sensitivity_mode="global",
-                                                  seed=2))
+    oracle = block_oracle(view, epsilon=epsilon, mode="global", seed=2)
     u, v, sims = oracle.noisy_attribute_pairs()
     assert u.size > 0
     assert sims.tobytes() == oracle.noisy_pairs(u, v).tobytes()
@@ -79,9 +76,8 @@ def test_attribute_weights_equal_the_smaller_endpoints_row_cells(mode, epsilon):
     # 513 records make two row chunks, (0, 511) and (511, 513); generic
     # cosines can round differently in a row-wise dot product
     block = block_513()
-    oracle = SimilarityOracle(block, PrivacyParams(epsilon=epsilon, sensitivity_mode=mode,
-                                                   seed=3))
-    u, v, w = build_attribute_edges(block, oracle)
+    oracle = block_oracle(block, epsilon=epsilon, mode=mode, seed=3)
+    u, v, w = build_attribute_edges(oracle)
     assert np.all(u < v) and np.any(u >= 511) and np.any(u < 511)
     rows = oracle.noisy_rows(0, oracle.n)
     assert w.tobytes() == clip_weights(rows[u, v]).tobytes()
@@ -91,9 +87,9 @@ def test_attribute_weights_equal_the_smaller_endpoints_row_cells(mode, epsilon):
 def test_sweep_graphs_equal_fresh_per_epsilon_graphs(tmp_path, monkeypatch, corpus_file, mode):
     built = []
 
-    def spy(view, oracle, k_max=40):
-        graph, trace = build_graph(view, oracle, k_max=k_max)
-        built.append((oracle.params.epsilon, oracle.block_id, graph))
+    def spy(oracle, k_max=40):
+        graph, trace = build_graph(oracle, k_max=k_max)
+        built.append((oracle.params.epsilon, oracle.pairs.block_id, graph))
         return graph, trace
 
     monkeypatch.setattr(cli, "build_graph", spy)
@@ -103,9 +99,8 @@ def test_sweep_graphs_equal_fresh_per_epsilon_graphs(tmp_path, monkeypatch, corp
     assert [(e, b) for e, b, _ in built] == [(e, b) for e in (0.5, 1.0, 10.0, None)
                                              for b in range(len(views))]
     for epsilon, block_id, graph in built:
-        view = views[block_id]
-        params = PrivacyParams(epsilon=epsilon, sensitivity_mode=mode, seed=9)
-        fresh, _ = build_graph(view, SimilarityOracle(view, params), k_max=40)
+        fresh, _ = build_graph(block_oracle(views[block_id], epsilon=epsilon, mode=mode,
+                                            seed=9, block_id=block_id), k_max=40)
         assert np.array_equal(graph.u, fresh.u) and np.array_equal(graph.v, fresh.v)
         assert graph.w.tobytes() == fresh.w.tobytes()
         assert np.array_equal(graph.provenance, fresh.provenance)
@@ -142,22 +137,4 @@ def test_sweep_fills_the_state_once_per_block_inside_the_graph_stage(tmp_path, m
                      "--epsilons", "1,2,5", "--mode", "global"]) == 0  # 3 + off
     assert calls == {"local_sensitivity": [(0, True), (1, True)],
                      "attribute_pairs": [(0, True), (1, True)]}
-
-
-def test_state_for_another_block_or_seed_raises(corpus):
-    first, second = split_blocks(corpus)[:2]
-    pairs = BlockPairs(first, seed=1, block_id=0)
-    params = PrivacyParams(epsilon=1.0, seed=1)
-    SimilarityOracle(first, params, block_id=0, pairs=pairs)  # the matching view
-    with pytest.raises(PrivacyError, match="block"):
-        SimilarityOracle(second, params, block_id=1, pairs=pairs)
-    with pytest.raises(PrivacyError, match="block"):
-        SimilarityOracle(first, params, block_id=1, pairs=pairs)
-    same_records = Corpus(list(first.records), require_contiguous_blocks=False)
-    with pytest.raises(PrivacyError, match="block"):
-        SimilarityOracle(same_records, params, block_id=0, pairs=pairs)
-    with pytest.raises(PrivacyError, match="seed"):
-        SimilarityOracle(first, PrivacyParams(epsilon=1.0, seed=2), block_id=0, pairs=pairs)
-    with pytest.raises(PrivacyError, match="block"):
-        sensitivity_report(second, params, 1, pairs)
 

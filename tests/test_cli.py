@@ -279,6 +279,29 @@ class TestPipelineCommands:
         assert not (edir / "metrics_block0.json").exists()
         assert read_json(edir / "metrics_summary.json")["blocks"] == [1]
 
+    def test_evaluate_fails_on_repeated_ids(self, tmp_path, capsys):
+        # a repeated row would be scored as one more record of the block
+        path = tmp_path / "two_blocks.jsonl"
+        rows = [{"id": f"r{i}", "block": i % 2, "embedding": [1.0, float(i) / 10],
+                 "attributes": {}, "label": f"e{i % 4}"} for i in range(20)]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        gdir, cdir, edir = (tmp_path / d for d in ("g", "c", "e"))
+        assert main(["build-graph", "--input", str(path), "--out", str(gdir)]) == 0
+        assert main(["cluster", "--graphs", str(gdir), "--out", str(cdir)]) == 0
+        bad = cdir / "partition_block0.csv"
+        lines = bad.read_text().splitlines()
+        assert len(lines) == 1 + 10
+        bad.write_text("\n".join(lines + [lines[3]]) + "\n")
+        capsys.readouterr()
+        assert main(["evaluate", "--input", str(path), "--partitions", str(cdir),
+                     "--out", str(edir)]) == 1
+        err = capsys.readouterr().err
+        assert (f"evaluate: partition_block0.csv failed: ValueError: {bad}:12: "
+                f"id {lines[3].split(',')[0]!r} is listed twice") in err
+        assert not (edir / "metrics_block0.json").exists()
+        assert read_json(edir / "metrics_block1.json")["n"] == 10
+        assert read_json(edir / "metrics_summary.json")["blocks"] == [1]
+
     def test_evaluate_skips_unlabeled(self, tmp_path, capsys):
         path = tmp_path / "nolabel.jsonl"
         rows = [{"id": f"r{i}", "block": 0, "embedding": [1.0, float(i + 1)],
@@ -405,6 +428,31 @@ def test_too_small_q0_or_kmax_rejected(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, line, message", [
+    ("build-graph", '{"id": "a", "block": 0, "embedding": [0, 0]}',
+     "build-graph: line 1: record 'a': zero or non-finite embedding cannot be normalized"),
+    ("build-graph", '{"id": "a", "block": 0, "embedding": [1, 0]',
+     "build-graph: line 1: invalid JSON (Expecting ',' delimiter)"),
+    ("sweep", '{"id": "a", "block": 0, "embedding": [1, "x"]}',
+     "sweep: line 1: could not convert string to float: 'x'"),
+    ("sweep", '["a", 0, [1, 0]]', "sweep: line 1: a record must be a JSON object"),
+    ("sensitivity-report", '{"id": "a", "block": 0, "embedding": [NaN, 1]}',
+     "sensitivity-report: line 1: record 'a': zero or non-finite embedding cannot be normalized"),
+])
+def test_corpus_error_is_one_line(command, line, message, tmp_path, capsys):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(line + "\n")
+    assert main([command, "--input", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+def test_invalid_synth_config_is_one_line(tmp_path, capsys):
+    out = tmp_path / "syn"
+    assert main(["synth", "--out", str(out), "--events", "0"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["synth: num_events must be positive"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["global", "smooth", "mixed"])
 def test_overflowing_noise_scale_fails(mode, tmp_path, capsys):
     # 2/1e-310 is not a finite float64: no file may carry an infinite scale
@@ -445,6 +493,20 @@ class TestSensitivityReport:
                      str(tmp_path / "sens")]) == 0  # the default grid has 10 epsilons
         assert seen == [0, 1]
         assert len(read_json(tmp_path / "sens" / "sensitivity_block1.json")["reports"]) == 10
+
+    def test_only_small_blocks_fail(self, tmp_path, capsys):
+        path = tmp_path / "two_ones.jsonl"
+        rows = [{"id": f"r{b}", "block": b, "embedding": [1.0, float(b)], "attributes": {},
+                 "label": None} for b in range(2)]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        out = tmp_path / "sens"
+        assert main(["sensitivity-report", "--input", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "sensitivity-report: block 0 has 1 record(s); skipped",
+            "sensitivity-report: block 1 has 1 record(s); skipped",
+            "sensitivity-report: nothing reported",
+        ]
+        assert not list(out.glob("sensitivity_block*"))
 
     def test_per_block_grid(self, tmp_path, corpus_file):
         out = tmp_path / "sens"

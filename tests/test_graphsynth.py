@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import block_513, dyadic_embeddings, make_graph
+from conftest import block_513, block_oracle, dyadic_embeddings, make_graph
 from oracles import direct_one_dim_se, lexsort_top_neighbors
 
 from dpevent import graphsynth
@@ -11,7 +11,7 @@ from dpevent.corpus import Corpus, MessageRecord, SynthConfig, generate
 from dpevent.graphsynth import (ChunkWorkspace, GraphError, W_FLOOR, _dedupe_undirected,
                                 build_attribute_edges, build_graph, build_knn_edges, one_dim_se,
                                 synthesize_graph, top_neighbor_table)
-from dpevent.privacy import ROW_CHUNK_ELEMS, PrivacyParams, SimilarityOracle
+from dpevent.privacy import ROW_CHUNK_ELEMS, PrivacyError
 
 
 def corpus_from_rows(rows, attrs=None):
@@ -19,10 +19,6 @@ def corpus_from_rows(rows, attrs=None):
     return Corpus([MessageRecord(id=f"m{i}", block=0, embedding=np.asarray(r, float),
                                  attributes=a)
                    for i, (r, a) in enumerate(zip(rows, attrs))])
-
-
-def off_oracle(block, seed=0):
-    return SimilarityOracle(block, PrivacyParams(epsilon=None, seed=seed))
 
 
 class TestOneDimSe:
@@ -80,7 +76,7 @@ class TestKnnEdges:
     def test_two_nodes(self):
         block = corpus_from_rows([[1, 0], [0.6, 0.8]])
         with pytest.warns(UserWarning, match="clamping"):
-            edges, trace = build_knn_edges(block, off_oracle(block), k_max=5)
+            edges, trace = build_knn_edges(block_oracle(block), k_max=5)
         u, v, w = edges
         assert trace.chosen_k == 1
         assert u.tolist() == [0] and v.tolist() == [1]
@@ -89,30 +85,31 @@ class TestKnnEdges:
         # cos 1 within pairs, exactly 0 across: the extra floor-weight edges at
         # k = 2 cannot beat the uniform degree profile of the two-pair matching
         block = corpus_from_rows([[1, 0], [1, 0], [0, 1], [0, 1]])
-        edges, trace = build_knn_edges(block, off_oracle(block), k_max=3)
+        edges, trace = build_knn_edges(block_oracle(block), k_max=3)
         u, v, _ = edges
         assert trace.chosen_k == 1
         assert set(zip(u.tolist(), v.tolist())) == {(0, 1), (2, 3)}
 
     def test_trace_strictly_decreasing_up_to_chosen(self):
         corpus = generate(SynthConfig(num_events=4, points_per_event=30, dim=16, seed=6))
-        _, trace = build_knn_edges(corpus, off_oracle(corpus), k_max=10)
+        _, trace = build_knn_edges(block_oracle(corpus), k_max=10)
         accepted = trace.se_values[:trace.chosen_k]
         assert all(b < a for a, b in zip(accepted, accepted[1:]))
         assert trace.chosen_k <= 10
 
     def test_duplicated_vectors_terminate(self):
         block = corpus_from_rows([[1, 0]] * 5)
-        edges, trace = build_knn_edges(block, off_oracle(block), k_max=4)
+        edges, trace = build_knn_edges(block_oracle(block), k_max=4)
         assert trace.chosen_k == 1
         u, v, w = edges
         # top-1 with all-equal similarities picks the smallest other id
         assert set(zip(u.tolist(), v.tolist())) == {(0, 1), (0, 2), (0, 3), (0, 4)}
 
     def test_small_block_rejected(self):
+        # a 1-record block has no sensitivity report, so no oracle to build from
         block = corpus_from_rows([[1, 0]])
-        with pytest.raises(GraphError):
-            build_knn_edges(block, None, k_max=1)
+        with pytest.raises(PrivacyError, match="at least 2 records"):
+            build_knn_edges(block_oracle(block), k_max=1)
 
     def test_mutual_pair_keeps_smaller_endpoints_weight(self):
         # Row i's cosine of (i, j) and row j's of (j, i) come from different
@@ -121,7 +118,7 @@ class TestKnnEdges:
         # min(i, j)'s value: it comes first in row-major order.
         block = block_513()
         n, k = len(block), 40
-        nbrs, sims = top_neighbor_table(block, off_oracle(block), k)
+        nbrs, sims = top_neighbor_table(block_oracle(block), k)
         u, v, w = _dedupe_undirected(n, np.repeat(np.arange(n), k), nbrs.ravel(), sims.ravel())
         row_value = {(i, int(j)): s for i in range(n) for j, s in zip(nbrs[i], sims[i])}
         mutual = [(a, b) for a, b in zip(u.tolist(), v.tolist())
@@ -154,9 +151,8 @@ class TestTopNeighborTable:
     ])
     def test_matches_full_row_sort(self, make_block, epsilon, k_max, chunk_rows):
         block = make_block()
-        oracle = SimilarityOracle(block, PrivacyParams(epsilon=epsilon, sensitivity_mode="global",
-                                                       seed=11))
-        nbrs, sims = top_neighbor_table(block, oracle, k_max, chunk_rows=chunk_rows)
+        oracle = block_oracle(block, epsilon=epsilon, mode="global", seed=11)
+        nbrs, sims = top_neighbor_table(oracle, k_max, chunk_rows=chunk_rows)
         ref_nbrs, ref_sims = lexsort_top_neighbors(oracle.noisy_rows(0, len(block)), k_max)
         assert np.array_equal(nbrs, ref_nbrs)
         assert np.array_equal(sims, ref_sims)
@@ -166,16 +162,15 @@ class TestTopNeighborTable:
         # at n = 513, 512-row chunks used to leave a 1-row chunk whose product
         # rounds some cosines differently from a 513-row one
         block = block_513()
-        oracle = SimilarityOracle(block, PrivacyParams(epsilon=epsilon, sensitivity_mode="global",
-                                                       seed=5))
-        ref_nbrs, ref_sims = top_neighbor_table(block, oracle, 10, chunk_rows=513)
+        oracle = block_oracle(block, epsilon=epsilon, mode="global", seed=5)
+        ref_nbrs, ref_sims = top_neighbor_table(oracle, 10, chunk_rows=513)
         for chunk_rows in (512, 100, 2, None):
-            nbrs, sims = top_neighbor_table(block, oracle, 10, chunk_rows=chunk_rows)
+            nbrs, sims = top_neighbor_table(oracle, 10, chunk_rows=chunk_rows)
             assert np.array_equal(nbrs, ref_nbrs)
             assert np.array_equal(sims, ref_sims)
 
 
-def table_and_path(monkeypatch, block, oracle, k_max, chunk_rows, max_share=1.0):
+def table_and_path(monkeypatch, oracle, k_max, chunk_rows, max_share=1.0):
     """top_neighbor_table with PRUNE_MAX_SHARE set to max_share (1.0: prune
     whenever the noise bound allows it), and whether the pruned path ran."""
     calls = []
@@ -187,7 +182,7 @@ def table_and_path(monkeypatch, block, oracle, k_max, chunk_rows, max_share=1.0)
 
     monkeypatch.setattr(graphsynth, "PRUNE_MAX_SHARE", max_share)
     monkeypatch.setattr(graphsynth, "_noisy_candidates", spy)
-    nbrs, sims = top_neighbor_table(block, oracle, k_max, chunk_rows=chunk_rows)
+    nbrs, sims = top_neighbor_table(oracle, k_max, chunk_rows=chunk_rows)
     return nbrs, sims, bool(calls)
 
 
@@ -195,7 +190,7 @@ def switch_epsilon(block):
     """Smooth-mode epsilon at which 2 * noise_bound crosses s_local (bisection:
     the ratio falls as epsilon grows)."""
     def ratio(eps):
-        oracle = SimilarityOracle(block, PrivacyParams(epsilon=eps, sensitivity_mode="smooth"))
+        oracle = block_oracle(block, epsilon=eps, mode="smooth")
         return 2.0 * oracle.noise_bound / oracle.report.s_local
 
     lo, hi = 0.01, 50.0
@@ -221,10 +216,9 @@ class TestPrunedTable:
     def test_matches_full_row_sort(self, monkeypatch, make_block, mode, epsilon, k_max,
                                    chunk_rows):
         block = make_block()
-        oracle = SimilarityOracle(block, PrivacyParams(epsilon=epsilon, sensitivity_mode=mode,
-                                                       seed=11))
+        oracle = block_oracle(block, epsilon=epsilon, mode=mode, seed=11)
         assert 0.0 < 2.0 * oracle.noise_bound < oracle.report.s_local
-        nbrs, sims, pruned = table_and_path(monkeypatch, block, oracle, k_max, chunk_rows)
+        nbrs, sims, pruned = table_and_path(monkeypatch, oracle, k_max, chunk_rows)
         assert pruned
         ref_nbrs, ref_sims = lexsort_top_neighbors(oracle.noisy_rows(0, len(block)), k_max)
         assert np.array_equal(nbrs, ref_nbrs)
@@ -235,12 +229,11 @@ class TestPrunedTable:
         block = make_block()
         below, above = switch_epsilon(block)
         for eps, expect_pruned in ((below, False), (above, True)):
-            oracle = SimilarityOracle(block, PrivacyParams(epsilon=eps, sensitivity_mode="smooth",
-                                                           seed=2))
+            oracle = block_oracle(block, epsilon=eps, mode="smooth", seed=2)
             assert (2.0 * oracle.noise_bound < oracle.report.s_local) == expect_pruned
             ref = lexsort_top_neighbors(oracle.noisy_rows(0, len(block)), 5)
             for chunk_rows in (3, None):
-                nbrs, sims, pruned = table_and_path(monkeypatch, block, oracle, 5, chunk_rows)
+                nbrs, sims, pruned = table_and_path(monkeypatch, oracle, 5, chunk_rows)
                 assert pruned == expect_pruned
                 assert np.array_equal(nbrs, ref[0]) and np.array_equal(sims, ref[1])
 
@@ -253,9 +246,9 @@ class TestPrunedTable:
     def test_first_chunk_share_picks_the_path(self, monkeypatch, epsilon, max_share, chunk_rows,
                                               expect_pruned):
         block = block_513()
-        oracle = SimilarityOracle(block, PrivacyParams(epsilon=epsilon, seed=5))
+        oracle = block_oracle(block, epsilon=epsilon, seed=5)
         max_share = graphsynth.PRUNE_MAX_SHARE if max_share is None else max_share
-        nbrs, sims, pruned = table_and_path(monkeypatch, block, oracle, 10, chunk_rows, max_share)
+        nbrs, sims, pruned = table_and_path(monkeypatch, oracle, 10, chunk_rows, max_share)
         assert pruned == expect_pruned
         ref_nbrs, ref_sims = lexsort_top_neighbors(oracle.noisy_rows(0, len(block)), 10)
         assert np.array_equal(nbrs, ref_nbrs) and np.array_equal(sims, ref_sims)
@@ -264,8 +257,8 @@ class TestPrunedTable:
     def test_off_and_global_noise_stay_dense(self, monkeypatch, epsilon):
         # global mode: the bound is 36.7 * 2 / eps, far above any spread
         block = dyadic_block()
-        oracle = SimilarityOracle(block, PrivacyParams(epsilon=epsilon, sensitivity_mode="global"))
-        assert not table_and_path(monkeypatch, block, oracle, 5, None)[2]
+        oracle = block_oracle(block, epsilon=epsilon, mode="global")
+        assert not table_and_path(monkeypatch, oracle, 5, None)[2]
 
 
 def test_shared_workspace_leaves_no_stale_state(monkeypatch):
@@ -289,16 +282,15 @@ def test_shared_workspace_leaves_no_stale_state(monkeypatch):
         (small, "global", 3.0, 5, None, False),
         (big, "mixed", 1.5, 10, None, True),
     ]:
-        oracle = SimilarityOracle(block, PrivacyParams(epsilon=epsilon, sensitivity_mode=mode,
-                                                       seed=5))
+        oracle = block_oracle(block, epsilon=epsilon, mode=mode, seed=5)
         calls.clear()
-        ref = top_neighbor_table(block, oracle, k_max, chunk_rows)
+        ref = top_neighbor_table(oracle, k_max, chunk_rows)
         assert bool(calls) == pruned
-        cases.append((block, oracle, k_max, chunk_rows, ref))
+        cases.append((oracle, k_max, chunk_rows, ref))
     shared = ChunkWorkspace()
     monkeypatch.setattr(graphsynth, "ChunkWorkspace", lambda: shared)
-    for block, oracle, k_max, chunk_rows, (ref_nbrs, ref_sims) in cases:
-        nbrs, sims = top_neighbor_table(block, oracle, k_max, chunk_rows)
+    for oracle, k_max, chunk_rows, (ref_nbrs, ref_sims) in cases:
+        nbrs, sims = top_neighbor_table(oracle, k_max, chunk_rows)
         assert np.array_equal(nbrs, ref_nbrs)
         assert np.array_equal(sims.view(np.int64), ref_sims.view(np.int64))
 
@@ -316,8 +308,8 @@ def test_build_graph_peak_memory_is_flat():
     bound = 8 * (6 * ROW_CHUNK_ELEMS + 6 * n * k_max)
     tracemalloc.start()
     try:
-        oracle = SimilarityOracle(block, PrivacyParams(epsilon=1.0, seed=3))
-        build_graph(block, oracle, k_max)
+        oracle = block_oracle(block, epsilon=1.0, seed=3)
+        build_graph(oracle, k_max)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -327,19 +319,19 @@ def test_build_graph_peak_memory_is_flat():
 class TestAttributeEdges:
     def test_no_attributes(self):
         block = corpus_from_rows([[1, 0], [0, 1]])
-        u, v, w = build_attribute_edges(block, off_oracle(block))
+        u, v, w = build_attribute_edges(block_oracle(block))
         assert u.size == 0
 
     def test_shared_token_triangle(self):
         attrs = [{"entity": {"x"}}] * 3
         block = corpus_from_rows([[1, 0], [0.9, 0.1], [0, 1]], attrs)
-        u, v, w = build_attribute_edges(block, off_oracle(block))
+        u, v, w = build_attribute_edges(block_oracle(block))
         assert set(zip(u.tolist(), v.tolist())) == {(0, 1), (0, 2), (1, 2)}
 
     def test_sharing_across_categories(self):
         attrs = [{"entity": {"x"}}, {"mention": {"x"}}, {"entity": {"x"}}]
         block = corpus_from_rows([[1, 0], [0.5, 0.5], [0, 1]], attrs)
-        u, v, _ = build_attribute_edges(block, off_oracle(block))
+        u, v, _ = build_attribute_edges(block_oracle(block))
         # tokens only match within the same category
         assert set(zip(u.tolist(), v.tolist())) == {(0, 2)}
 
@@ -347,9 +339,8 @@ class TestAttributeEdges:
         emb = rng.normal(size=(6, 4))
         attrs = [{"entity": {"t"}} for _ in range(6)]
         block = corpus_from_rows(emb, attrs)
-        oracle = SimilarityOracle(block, PrivacyParams(epsilon=2.0, sensitivity_mode="global",
-                                                       seed=3))
-        u, v, w = build_attribute_edges(block, oracle)
+        oracle = block_oracle(block, epsilon=2.0, mode="global", seed=3)
+        u, v, w = build_attribute_edges(oracle)
         assert u.size == 15
         for a, b, wt in zip(u.tolist(), v.tolist(), w.tolist()):
             assert wt == min(max(oracle.noisy_pairs([b], [a])[0], W_FLOOR), 1.0)
@@ -358,18 +349,18 @@ class TestAttributeEdges:
 class TestSynthesizeGraph:
     def test_attr_empty_gives_se_graph(self):
         block = corpus_from_rows([[1, 0], [0.9, 0.1], [0, 1]])
-        oracle = off_oracle(block)
-        se_edges, _ = build_knn_edges(block, oracle, k_max=2)
-        g = synthesize_graph(3, se_edges, build_attribute_edges(block, oracle))
+        oracle = block_oracle(block)
+        se_edges, _ = build_knn_edges(oracle, k_max=2)
+        g = synthesize_graph(3, se_edges, build_attribute_edges(oracle))
         assert g.num_edges == se_edges[0].size
         assert set(g.provenance.tolist()) == {1}
 
     def test_overlap_marked_both_weight_unchanged(self):
         attrs = [{"entity": {"x"}}, {"entity": {"x"}}, {}, {}]
         block = corpus_from_rows([[1, 0], [1, 0], [0, 1], [0, 1]], attrs)
-        oracle = off_oracle(block)
-        se_edges, _ = build_knn_edges(block, oracle, k_max=1)
-        attr_edges = build_attribute_edges(block, oracle)
+        oracle = block_oracle(block)
+        se_edges, _ = build_knn_edges(oracle, k_max=1)
+        attr_edges = build_attribute_edges(oracle)
         g = synthesize_graph(4, se_edges, attr_edges)
         both = [(u, v, w) for u, v, w, p in zip(g.u.tolist(), g.v.tolist(), g.w.tolist(),
                                                 g.provenance.tolist()) if p == 3]
@@ -384,9 +375,9 @@ class TestSynthesizeGraph:
 
     def test_union_bound(self, rng):
         corpus = generate(SynthConfig(num_events=3, points_per_event=20, dim=8, seed=8))
-        oracle = off_oracle(corpus)
-        se_edges, _ = build_knn_edges(corpus, oracle, k_max=3)
-        attr_edges = build_attribute_edges(corpus, oracle)
+        oracle = block_oracle(corpus)
+        se_edges, _ = build_knn_edges(oracle, k_max=3)
+        attr_edges = build_attribute_edges(oracle)
         g = synthesize_graph(len(corpus), se_edges, attr_edges)
         assert g.num_edges <= se_edges[0].size + attr_edges[0].size
 
@@ -394,17 +385,15 @@ class TestSynthesizeGraph:
 class TestReproducibility:
     def test_identical_inputs_identical_graph(self):
         corpus = generate(SynthConfig(num_events=3, points_per_event=25, dim=16, seed=12))
-        params = PrivacyParams(epsilon=5.0, sensitivity_mode="mixed", seed=21)
-        g1, t1 = build_graph(corpus, SimilarityOracle(corpus, params), k_max=8)
-        g2, t2 = build_graph(corpus, SimilarityOracle(corpus, params), k_max=8)
+        g1, t1 = build_graph(block_oracle(corpus, epsilon=5.0, seed=21), k_max=8)
+        g2, t2 = build_graph(block_oracle(corpus, epsilon=5.0, seed=21), k_max=8)
         assert np.array_equal(g1.u, g2.u) and np.array_equal(g1.v, g2.v)
         assert np.array_equal(g1.w, g2.w)
         assert t1.to_dict() == t2.to_dict()
 
     def test_weights_clipped_and_se_finite(self):
         corpus = generate(SynthConfig(num_events=2, points_per_event=30, dim=8, seed=13))
-        params = PrivacyParams(epsilon=0.5, sensitivity_mode="global", seed=5)
-        g, _ = build_graph(corpus, SimilarityOracle(corpus, params), k_max=5)
+        g, _ = build_graph(block_oracle(corpus, epsilon=0.5, mode="global", seed=5), k_max=5)
         assert g.w.min() >= W_FLOOR
         assert g.w.max() <= 1.0
         assert math.isfinite(one_dim_se(g))

@@ -8,7 +8,7 @@ import pytest
 from dpevent.cli import main
 from dpevent.corpus import Corpus, MessageRecord, export, generate, SynthConfig, split_blocks
 from dpevent.persist import read_json
-from dpevent.privacy import PrivacyParams, SimilarityOracle
+from dpevent.privacy import BlockPairs, PrivacyParams, SimilarityOracle
 
 
 def multi_block_corpus(num_blocks=3, events_per_block=3, points=20, dim=16, seed=0):
@@ -46,9 +46,9 @@ def test_per_block_noise_streams_differ():
                                          embedding=r.embedding, attributes=r.attributes,
                                          label=r.label))
     corpus = Corpus(records)
-    params = PrivacyParams(epsilon=1.0, sensitivity_mode="global", seed=5)
+    params = PrivacyParams(epsilon=1.0, sensitivity_mode="global")
     views = split_blocks(corpus)
-    oracles = [SimilarityOracle(v, params) for v in views]
+    oracles = [SimilarityOracle(BlockPairs(v, b, seed=5), params) for b, v in enumerate(views)]
     u, v = np.triu_indices(5, k=1)
     assert not np.array_equal(oracles[0].noisy_pairs(u, v), oracles[1].noisy_pairs(u, v))
     assert np.array_equal(oracles[0].pairs.exact_pairs(u, v), oracles[1].pairs.exact_pairs(u, v))

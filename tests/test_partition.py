@@ -13,7 +13,7 @@ from dpevent.graphsynth import build_graph
 from dpevent.metrics import ari
 from dpevent.partition import (ClusterRun, SuperGraph, build_supergraph, cluster,
                                extract_subgraphs, sequential_subgraphs)
-from dpevent.privacy import PrivacyParams, SimilarityOracle
+from dpevent.privacy import BlockPairs, PrivacyParams, SimilarityOracle
 
 
 class TestBuildSupergraph:
@@ -185,8 +185,8 @@ class TestCluster:
         cfg = SynthConfig(num_events=5, points_per_event=100, dim=32,
                           intra_concentration=20.0, attribute_sharing_prob=0.7, seed=0)
         corpus = generate(cfg)
-        oracle = SimilarityOracle(corpus, PrivacyParams(epsilon=None, seed=1))
-        graph, _ = build_graph(corpus, oracle, k_max=40)
+        oracle = SimilarityOracle(BlockPairs(corpus, 0, seed=1), PrivacyParams(epsilon=None))
+        graph, _ = build_graph(oracle, k_max=40)
         run = cluster(graph, q0=400)
         truth = [r.label for r in corpus.records]
         assert ari(truth, run.final.assignment.tolist()) >= 0.9

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import block_513, dyadic_embeddings
+from conftest import block_513, block_oracle, dyadic_embeddings
 
 from dpevent import privacy
 from dpevent.corpus import Corpus, MessageRecord, SynthConfig, generate
@@ -23,7 +23,7 @@ def scalar_reference(oracle, i, j):
     plus the inverse Laplace CDF of the pair's substream uniform."""
     i, j = min(i, j), max(i, j)
     u = float(substream_uniforms(oracle.pairs.key, np.array([oracle.pairs.pair_base[i] + j]))[0])
-    emb = oracle.block.embeddings
+    emb = oracle.pairs.block.embeddings
     return float(emb[i] @ emb[j]) + math.copysign(-oracle.noise_scale * math.log1p(-2 * abs(u)), u)
 
 
@@ -71,9 +71,9 @@ class TestSensitivities:
     ])
     def test_calibration(self, mode, epsilon, chosen):
         block = corpus_from_rows([[1, 0], [-1, 0], [1, 0]])
-        params = PrivacyParams(epsilon=epsilon, sensitivity_mode=mode, seed=0)
-        rep = sensitivity_report(block, params)
-        oracle = SimilarityOracle(block, params)
+        params = PrivacyParams(epsilon=epsilon, sensitivity_mode=mode)
+        rep = sensitivity_report(BlockPairs(block, 0), params)
+        oracle = SimilarityOracle(BlockPairs(block, 0), params)
         s_smooth = 0.0 if epsilon is None else 4.0 * math.exp(-(epsilon / 2.0) * math.log(18.0))
         sensitivity = {"off": 0.0, "global": 2.0, "smooth": s_smooth}[chosen]
         assert rep.chosen == oracle.report.chosen == chosen
@@ -85,8 +85,7 @@ class TestSensitivities:
 
     def test_report_consistency(self):
         block = generate(SynthConfig(num_events=3, points_per_event=30, dim=16, seed=4))
-        params = PrivacyParams(epsilon=2.0, seed=0)
-        rep = sensitivity_report(block, params)
+        rep = sensitivity_report(BlockPairs(block, 0), PrivacyParams(epsilon=2.0))
         assert rep.s_mixed == min(rep.s_global, rep.s_smooth)
         assert rep.s_mixed <= 2.0
         assert rep.chosen == ("smooth" if rep.s_smooth < 2.0 else "global")
@@ -94,7 +93,7 @@ class TestSensitivities:
 
     def test_report_clustered_eps15_chooses_smooth(self):
         block = generate(SynthConfig(num_events=3, points_per_event=50, dim=32, seed=7))
-        rep = sensitivity_report(block, PrivacyParams(epsilon=15.0, seed=0))
+        rep = sensitivity_report(BlockPairs(block, 0), PrivacyParams(epsilon=15.0))
         assert rep.chosen == "smooth"
         assert rep.s_smooth < 1e-30
 
@@ -108,21 +107,21 @@ class TestSensitivities:
         assert smooth_sensitivity(s_local, 0.1, n) == pytest.approx(expected, rel=1e-12)
         if expected >= 2.0:
             block = corpus_from_rows([[1, 0], [-1, 0]] * (n // 2))  # s_local = 2
-            rep = sensitivity_report(block, PrivacyParams(epsilon=0.1))
+            rep = sensitivity_report(BlockPairs(block, 0), PrivacyParams(epsilon=0.1))
             assert rep.chosen == "global" and rep.noise_scale == 2.0 / 0.1
 
     @pytest.mark.parametrize("mode", ["global", "smooth", "mixed"])
     def test_report_rejects_overflowing_scale(self, mode):
-        block = corpus_from_rows([[1, 0], [0, 1], [1, 1]])
+        pairs = BlockPairs(corpus_from_rows([[1, 0], [0, 1], [1, 1]]), 0)
         with pytest.raises(PrivacyError, match="overflows"):
-            sensitivity_report(block, PrivacyParams(epsilon=1e-310, sensitivity_mode=mode))
+            sensitivity_report(pairs, PrivacyParams(epsilon=1e-310, sensitivity_mode=mode))
         # at 1e-300 the scale (about 2e300) is still finite
-        rep = sensitivity_report(block, PrivacyParams(epsilon=1e-300, sensitivity_mode=mode))
+        rep = sensitivity_report(pairs, PrivacyParams(epsilon=1e-300, sensitivity_mode=mode))
         assert math.isfinite(rep.noise_scale) and rep.noise_scale > 0.0
 
     def test_report_off_mode(self):
         block = corpus_from_rows([[1, 0], [0, 1], [1, 1]])
-        rep = sensitivity_report(block, PrivacyParams(epsilon=None, seed=0))
+        rep = sensitivity_report(BlockPairs(block, 0), PrivacyParams(epsilon=None))
         assert rep.noise_scale == 0.0
         assert rep.s_mixed == 0.0
         assert rep.chosen == "off"
@@ -163,15 +162,15 @@ class TestSubstream:
         monkeypatch.setattr(privacy, "_mix64", fill)
         u = substream_uniforms(0, np.arange(4))
         assert np.all(np.abs(u) < 0.5)
-        oracle = SimilarityOracle(corpus_from_rows([[1, 0], [0, 1], [1, 1]]),
-                                  PrivacyParams(epsilon=1.0, sensitivity_mode="global"))
+        oracle = block_oracle(corpus_from_rows([[1, 0], [0, 1], [1, 1]]), epsilon=1.0,
+                              mode="global")
         draws = oracle.noise_scale * signed_log_uniforms(u)
         assert np.all(np.isfinite(draws))
         assert np.all(draws == sign * oracle.noise_bound)
 
     def test_no_draw_exceeds_noise_bound(self):
-        oracle = SimilarityOracle(corpus_from_rows(dyadic_embeddings(1500, seed=2)),
-                                  PrivacyParams(epsilon=0.3, sensitivity_mode="global", seed=4))
+        oracle = block_oracle(corpus_from_rows(dyadic_embeddings(1500, seed=2)), epsilon=0.3,
+                              mode="global", seed=4)
         assert oracle.noise_bound == pytest.approx(36.74 * oracle.noise_scale, rel=1e-4)
         u, v = np.triu_indices(oracle.n, k=1)
         draws = oracle.noise_scale * oracle.pairs.signed_logs(u, v)
@@ -211,8 +210,7 @@ class TestRowsIndependentOfRange:
 
     @pytest.mark.parametrize("epsilon", [None, 1.0])
     def test_single_rows_match_full_range(self, epsilon):
-        oracle = SimilarityOracle(block_513(), PrivacyParams(epsilon=epsilon,
-                                                            sensitivity_mode="global", seed=5))
+        oracle = block_oracle(block_513(), epsilon=epsilon, mode="global", seed=5)
         full = oracle.noisy_rows(0, oracle.n)
         for i in (0, 1, 255, 510, 511, 512):
             assert np.array_equal(oracle.noisy_rows(i, i + 1)[0], full[i], equal_nan=True)
@@ -222,8 +220,7 @@ class TestRowsIndependentOfRange:
     @pytest.mark.parametrize("epsilon", [None, 1.0])
     def test_pairs_equal_the_smaller_endpoints_row_cells(self, epsilon, rng):
         # pairs whose smaller endpoint lies in either of the two row chunks
-        oracle = SimilarityOracle(block_513(), PrivacyParams(epsilon=epsilon,
-                                                            sensitivity_mode="global", seed=5))
+        oracle = block_oracle(block_513(), epsilon=epsilon, mode="global", seed=5)
         full = oracle.noisy_rows(0, oracle.n)
         u = np.concatenate([rng.integers(0, 513, 2000), [511, 512, 512]])
         v = np.concatenate([rng.integers(0, 513, 2000), [512, 0, 511]])
@@ -234,7 +231,7 @@ class TestRowsIndependentOfRange:
     def test_exact_rows_into_out_match_new_arrays(self):
         # a whole row chunk is multiplied straight into out; other ranges are
         # cut from their chunks' products into it
-        pairs = BlockPairs(block_513())
+        pairs = BlockPairs(block_513(), 0)
         buf = np.full(pairs.n * pairs.n, np.nan)
         for lo, hi in pairs.row_chunks + [(0, 2), (100, 400), (509, 513)]:
             out = buf[:(hi - lo) * pairs.n].reshape(hi - lo, pairs.n)
@@ -244,16 +241,14 @@ class TestRowsIndependentOfRange:
 
     def test_local_sensitivity_matches_oracle_rows(self):
         block = block_513()
-        rows = SimilarityOracle(block, PrivacyParams(epsilon=None)).noisy_rows(0, len(block))
+        rows = block_oracle(block, epsilon=None).noisy_rows(0, len(block))
         spread = np.nanmax(rows, axis=1) - np.nanmin(rows, axis=1)
         assert local_sensitivity(block) == float(spread.max())
 
 
 class TestOracle:
     def _oracle(self, rows, epsilon=None, seed=0, mode="mixed"):
-        block = corpus_from_rows(rows)
-        return SimilarityOracle(block, PrivacyParams(epsilon=epsilon, sensitivity_mode=mode,
-                                                     seed=seed))
+        return block_oracle(corpus_from_rows(rows), epsilon=epsilon, mode=mode, seed=seed)
 
     def test_off_identical_vectors(self):
         oracle = self._oracle([[1, 0], [2, 0], [0, 1]])
