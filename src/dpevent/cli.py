@@ -38,7 +38,10 @@ def _parse_epsilon(text: str) -> float | None:
 
 
 def _parse_epsilon_list(text: str) -> list[float | None]:
-    return [_parse_epsilon(tok.strip()) for tok in text.split(",") if tok.strip()]
+    values = [_parse_epsilon(tok.strip()) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError("the epsilon grid has no values")
+    return values
 
 
 def _int_at_least(lo: int):
@@ -53,6 +56,7 @@ def _int_at_least(lo: int):
 
 
 def _outdir(args) -> Path:
+    """Make --out; each command calls it only once its input is read and checked."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -125,9 +129,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_build_graph(args) -> int:
-    out = _outdir(args)
     data = corpus_mod.ingest(args.input)
     params = PrivacyParams(epsilon=args.epsilon, sensitivity_mode=args.mode)
+    out = _outdir(args)
     _write_config(out, "build-graph", {
         "input": str(args.input), "epsilon": "off" if params.off else params.epsilon,
         "mode": args.mode, "seed": args.seed, "kmax": args.kmax, "pooled": args.pooled,
@@ -151,12 +155,12 @@ def cmd_build_graph(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    out = _outdir(args)
     graphs_dir = Path(args.graphs)
     sidecars = _block_files(graphs_dir, "graph_block", ".json")
     if not sidecars:
         print(f"cluster: no graph_block*.json files under {graphs_dir}", file=sys.stderr)
         return 1
+    out = _outdir(args)
     _write_config(out, "cluster", {"graphs": str(graphs_dir), "q0": args.q0,
                                    "grouping": args.grouping})
     failures = 0
@@ -184,14 +188,18 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    out = _outdir(args)
     data = corpus_mod.ingest(args.input)
     labels_by_id = {r.id: r.label for r in data.records}
+    # a partition must list exactly one block's records, or all of them (--pooled)
+    ids_of_block: dict[int, set] = {}
+    for r in data.records:
+        ids_of_block.setdefault(r.block, set()).add(r.id)
     partitions_dir = Path(args.partitions)
     files = _block_files(partitions_dir, "partition_block", ".csv")
     if not files:
         print(f"evaluate: no partition_block*.csv files under {partitions_dir}", file=sys.stderr)
         return 1
+    out = _outdir(args)
     per_block = []
     failures = 0
     for block_id, path in files:
@@ -202,6 +210,12 @@ def cmd_evaluate(args) -> int:
                 shown = ", ".join(repr(i) for i in unknown[:5])
                 raise ValueError(f"{len(unknown)} id(s) not in the corpus: {shown}"
                                  + (", ..." if len(unknown) > 5 else ""))
+            block = ids_of_block.get(block_id, set())
+            if len(ids) != len(labels_by_id) and set(ids) != block:
+                inside = len(block.intersection(ids))
+                raise ValueError(f"lists {inside} of the {len(block)} record(s) of block "
+                                 f"{block_id} and {len(ids) - inside} of other blocks; "
+                                 "expected the whole block, or every record")
             truth = [labels_by_id[i] for i in ids]
             if any(t is None for t in truth):
                 print(f"evaluate: block {block_id} has unlabeled records; skipped",
@@ -240,23 +254,23 @@ def run_pipeline(pairs: BlockPairs, params: PrivacyParams, k_max: int, q0: int):
 
 
 def cmd_sweep(args) -> int:
-    out = _outdir(args)
     data = corpus_mod.ingest(args.input)
     epsilons = list(args.epsilons)
     if args.include_off and None not in epsilons:
         epsilons.append(None)
     q0 = args.q0 if args.q0 is not None else (300 if args.pooled else 400)
+    # each block's epsilon-independent state fills during its first pipeline
+    blocks = list(_block_pairs(args, data, args.seed))
+    if not blocks:
+        print("sweep: nothing swept", file=sys.stderr)
+        return 1
+    out = _outdir(args)
     _write_config(out, "sweep", {
         "input": str(args.input),
         "epsilons": ["off" if e is None else e for e in epsilons],
         "mode": args.mode, "seed": args.seed, "kmax": args.kmax,
         "q0": q0, "pooled": args.pooled,
     })
-    # each block's epsilon-independent state fills during its first pipeline
-    blocks = list(_block_pairs(args, data, args.seed))
-    if not blocks:
-        print("sweep: nothing swept", file=sys.stderr)
-        return 1
     rows = []
     for epsilon in epsilons:
         params = PrivacyParams(epsilon=epsilon, sensitivity_mode=args.mode)
@@ -293,8 +307,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_sensitivity_report(args) -> int:
-    out = _outdir(args)
     data = corpus_mod.ingest(args.input)
+    out = _outdir(args)
     _write_config(out, "sensitivity-report", {
         "input": str(args.input),
         "epsilons": ["off" if e is None else e for e in args.epsilons],

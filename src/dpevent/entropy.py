@@ -155,25 +155,36 @@ def _merge_deltas(ea, eb, ew, V, g, ilog, C, vol, log2vol):
     return (cm - C[ea] - C[eb]) / vol, cm
 
 
+def _incidence(ea, eb, n: int):
+    """Incidence lists of the edges (ea[e], eb[e]) over nodes 0..n-1, as a CSR.
+
+    Returns the edge id of each incidence and indptr: node x's edges are
+    edge[indptr[x]:indptr[x + 1]], in ascending edge id (one stable argsort
+    over both endpoints).
+    """
+    ends = np.concatenate([ea, eb])
+    edge = np.argsort(ends, kind="stable") % max(len(ea), 1)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
+    return edge, indptr
+
+
 class _EdgeSlots:
     """Cross-community edges (ea < eb, cut weight ew) in fixed slots.
 
     A merge rewrites the few slots at the merged pair instead of rebuilding
     the arrays, and a slot that dies holds ea = eb = -1. Each community's
-    slots come from a CSR over both endpoints, built once from one argsort;
-    a community that absorbed another keeps its list in a dict instead. Lists
-    may still name slots that died since, so `of` filters them. The order
-    within a list is arbitrary: nothing computed from it depends on it.
+    slots come from its incidence list (_incidence); a community that
+    absorbed another keeps its list in a dict instead. Lists may still name
+    slots that died since, so `of` filters them. The order within a list is
+    arbitrary: nothing computed from it depends on it.
     """
 
     def __init__(self, ea, eb, ew, ncomm: int):
         self.ea = np.array(ea, dtype=np.int64)
         self.eb = np.array(eb, dtype=np.int64)
         self.ew = np.array(ew, dtype=np.float64)
-        ends = np.concatenate([self.ea, self.eb])
-        self._slot = np.argsort(ends) % max(self.ea.size, 1)
-        self._ptr = np.zeros(ncomm + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ends, minlength=ncomm), out=self._ptr[1:])
+        self._slot, self._ptr = _incidence(self.ea, self.eb, ncomm)
         self._merged: dict[int, np.ndarray] = {}
         self._at = np.full(ncomm, -1, dtype=np.int64)  # scratch: neighbour -> slot
 
@@ -301,8 +312,7 @@ class CommunityState:
         return float(self.C[self.alive].sum()) / self.vol
 
     def partition(self) -> Partition:
-        root = resolve_parents(self.parent)
-        return Partition(dense_labels(root[self._base_assignment]))
+        return merged_partition(self.parent, self._base_assignment)
 
 
 def resolve_parents(parent: np.ndarray) -> np.ndarray:
@@ -313,6 +323,11 @@ def resolve_parents(parent: np.ndarray) -> np.ndarray:
         if np.array_equal(nxt, root):
             return root
         root = nxt
+
+
+def merged_partition(parent: np.ndarray, assignment: np.ndarray) -> Partition:
+    """The partition that replaces each node's community by its merge root."""
+    return Partition(dense_labels(resolve_parents(parent)[assignment]))
 
 
 def minimize_edges(ea, eb, ew, V, g, ilog, parent, vol):
@@ -342,7 +357,10 @@ def minimize_edges(ea, eb, ew, V, g, ilog, parent, vol):
     C = _contributions(V, g, ilog, log2vol)
     delta, merged = _merge_deltas(ea, eb, ew, V, g, ilog, C, vol, log2vol)
     while True:
-        best = int(delta.argmin())  # the first minimum; a nan minimum stops the loop
+        # the first minimum. No delta is nan: a MessageGraph's weights lie in
+        # (0, 1], and only communities of positive volume have slots, so every
+        # log2 argument is positive (a nan would stop every group's merging)
+        best = int(delta.argmin())
         dmin = float(delta[best])
         if not dmin < -MERGE_TOL:
             break
@@ -377,5 +395,4 @@ def vanilla_minimize(graph: MessageGraph, init: Partition | None = None) -> Part
         raise GraphError("cannot minimize structural entropy of an empty graph")
     parent = np.arange(V.size, dtype=np.int64)
     minimize_edges(ea, eb, ew, V, g, ilog, parent, vol)
-    root = resolve_parents(parent)
-    return Partition(dense_labels(root[assignment]))
+    return merged_partition(parent, assignment)

@@ -2,13 +2,14 @@
 
 Each round contracts the current communities into a super-graph, greedily
 carves the super-graph into high-weight subgraphs of at most q super-nodes,
-and runs the vanilla minimizer inside each subgraph. Merges are confined to a
-subgraph within a round, but every delta is evaluated against the full graph's
-volume and cut state, so H2 of the full graph never increases. A round's
-grouping is one label per super-node, and the round stays in numpy: its cost
-does not grow with the number of singleton groups. When a round accepts no
-merge, q doubles; once that happens with a single subgraph covering
-everything, no further merge can help and the loop stops.
+and runs the greedy merge loop once over the edges inside all subgraphs.
+Merges are confined to a subgraph within a round, but every delta is
+evaluated against the full graph's volume and cut state, so H2 of the full
+graph never increases. A round's grouping is one label per super-node, and
+the round stays in numpy: its cost does not grow with the number of
+singleton groups. When a round accepts no merge, q doubles; once that
+happens with a single subgraph covering everything, no further merge can
+help and the loop stops.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import (Partition, _check_partition, _community_aggregates,
-                      _two_dim_se_from_aggregates, dense_labels, minimize_edges, resolve_parents)
+from .entropy import (Partition, _check_partition, _community_aggregates, _incidence,
+                      _two_dim_se_from_aggregates, merged_partition, minimize_edges)
 from .graphsynth import GraphError, MessageGraph, one_dim_se
 
 MAX_ROUNDS = 64
@@ -103,16 +104,12 @@ def extract_subgraphs(sg: SuperGraph, q: int) -> np.ndarray:
     k_max = math.ceil(m / q)
     labels = np.full(m, -1, dtype=np.int64)
 
-    # CSR adjacency over super-nodes: the neighbour, weight and edge id of
+    # CSR adjacency over super-nodes: the edge id, neighbour and weight of
     # each incidence. A super-node's neighbours are distinct (one super-edge
     # per community pair), so a fancy += adds each weight once.
-    src = np.concatenate([sg.ea, sg.eb])
-    order = np.argsort(src, kind="stable")
-    edge = order % sg.num_edges
-    nbr = np.concatenate([sg.eb, sg.ea])[order]
+    edge, indptr = _incidence(sg.ea, sg.eb, m)
+    nbr = (sg.ea + sg.eb)[edge] - np.repeat(np.arange(m), np.diff(indptr))
     nbw = sg.ew[edge]
-    indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=m), out=indptr[1:])
 
     # free: each edge's weight, -inf once an endpoint is assigned; cut: each
     # node's weight into the current group, -inf once it is assigned
@@ -164,11 +161,13 @@ def cluster(graph: MessageGraph, q0: int = 400, init: Partition | None = None,
     """Full optimal-subgraph minimization with the q-doubling outer loop.
 
     A round labels each community with its group (extract_subgraphs; all
-    zero when one group must cover everything), sorts the edges inside the
-    groups by label with one stable argsort, and runs minimize_edges on each
-    group's edges in ascending label order. A round that accepts no merge is
-    stable: q doubles, or the loop stops when the round covered the whole
-    graph. grouping="sequential" replaces the greedy extraction with id-order
+    zero when one group must cover everything) and runs minimize_edges once
+    on the edges inside the groups, in index order. Groups share no
+    community, and a merge changes only the state of its own pair, so the
+    one loop makes the same merges, in the same order within each group, as
+    one loop per group. A round that accepts no merge is stable: q doubles,
+    or the loop stops when the round covered the whole graph.
+    grouping="sequential" replaces the greedy extraction with id-order
     chunks (the prior-work baseline) while keeping the rest of the loop
     identical.
     """
@@ -201,21 +200,12 @@ def cluster(graph: MessageGraph, q0: int = 400, init: Partition | None = None,
         else:
             labels = sequential_subgraphs(ncomm, q)
 
-        # the edges inside groups, by label; the stable sort keeps each
-        # group's edges in index order
-        la = labels[ea]
-        inside = np.flatnonzero(la == labels[eb])
-        inside = inside[np.argsort(la[inside], kind="stable")]
-        starts = np.flatnonzero(np.diff(la[inside])) + 1
+        inside = np.flatnonzero(labels[ea] == labels[eb])
         parent = np.arange(ncomm, dtype=np.int64)
-        merges = 0
-        for sel in np.split(inside, starts):
-            if sel.size:
-                merges += minimize_edges(ea[sel], eb[sel], ew[sel], V, g, ilog, parent, vol).size
+        merges = minimize_edges(ea[inside], eb[inside], ew[inside], V, g, ilog, parent, vol).size
         # every merge removes a community, so no merge means an unchanged partition
         stable = merges == 0
-        root = resolve_parents(parent)
-        current = Partition(dense_labels(root[current.assignment]))
+        current = merged_partition(parent, current.assignment)
         # minimize_edges changed V, g and ilog in place: aggregate afresh
         aggregates = _community_aggregates(graph, current.assignment)
         run.rounds.append({

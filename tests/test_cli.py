@@ -183,6 +183,12 @@ class TestPipelineCommands:
         assert main(["build-graph", "--input", str(path), "--out", str(out), "--pooled"]) == 0
         sidecar = read_json(out / "graph_block0.json")
         assert sidecar["n"] == 6
+        # evaluate takes a block 0 that lists every record of the corpus
+        cdir, edir = tmp_path / "c", tmp_path / "e"
+        assert main(["cluster", "--graphs", str(out), "--out", str(cdir)]) == 0
+        assert main(["evaluate", "--input", str(path), "--partitions", str(cdir),
+                     "--out", str(edir)]) == 0
+        assert read_json(edir / "metrics_block0.json")["n"] == 6
 
     def test_cluster_isolates_bad_block(self, tmp_path, capsys):
         path = tmp_path / "two_blocks.jsonl"
@@ -300,6 +306,33 @@ class TestPipelineCommands:
                 f"id {lines[3].split(',')[0]!r} is listed twice") in err
         assert not (edir / "metrics_block0.json").exists()
         assert read_json(edir / "metrics_block1.json")["n"] == 10
+        assert read_json(edir / "metrics_summary.json")["blocks"] == [1]
+
+    @pytest.mark.parametrize("edit, message", [
+        ("drop", "lists 7 of the 10 record(s) of block 0 and 0 of other blocks"),
+        ("mix", "lists 9 of the 10 record(s) of block 0 and 1 of other blocks"),
+    ], ids=["drop", "mix"])
+    def test_evaluate_fails_on_a_partial_block(self, tmp_path, capsys, edit, message):
+        # the metrics would describe only the records that the file lists
+        path = tmp_path / "two_blocks.jsonl"
+        rows = [{"id": f"r{i}", "block": i % 2, "embedding": [1.0, float(i) / 10],
+                 "attributes": {}, "label": f"e{i % 4}"} for i in range(20)]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        gdir, cdir, edir = (tmp_path / d for d in ("g", "c", "e"))
+        assert main(["build-graph", "--input", str(path), "--out", str(gdir)]) == 0
+        assert main(["cluster", "--graphs", str(gdir), "--out", str(cdir)]) == 0
+        bad = cdir / "partition_block0.csv"
+        lines = bad.read_text().splitlines()
+        other = (cdir / "partition_block1.csv").read_text().splitlines()
+        lines = lines[:-3] if edit == "drop" else lines[:-1] + other[1:2]
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["evaluate", "--input", str(path), "--partitions", str(cdir),
+                     "--out", str(edir)]) == 1
+        err = capsys.readouterr().err
+        assert (f"evaluate: partition_block0.csv failed: ValueError: {message}; "
+                "expected the whole block, or every record") in err
+        assert not (edir / "metrics_block0.json").exists()
         assert read_json(edir / "metrics_summary.json")["blocks"] == [1]
 
     def test_evaluate_skips_unlabeled(self, tmp_path, capsys):
@@ -444,6 +477,43 @@ def test_corpus_error_is_one_line(command, line, message, tmp_path, capsys):
     path.write_text(line + "\n")
     assert main([command, "--input", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("argv", [
+    ["build-graph", "--input", "{bad}"],
+    ["sweep", "--input", "{bad}"],
+    ["sweep", "--input", "{one}"],
+    ["sensitivity-report", "--input", "{bad}"],
+    ["cluster", "--graphs", "{empty}"],
+    ["evaluate", "--input", "{bad}", "--partitions", "{empty}"],
+    ["evaluate", "--input", "{one}", "--partitions", "{empty}"],
+])
+def test_failed_command_makes_no_out(argv, tmp_path, capsys):
+    # a malformed corpus, a corpus with no block to sweep, or no graph or
+    # partition file: the command stops before it makes --out
+    files = {"bad": tmp_path / "bad.jsonl", "one": tmp_path / "one.jsonl",
+             "empty": tmp_path / "empty"}
+    files["bad"].write_text('{"id": "a", "block": 0, "embedding": [0, 0]}\n')
+    files["one"].write_text('{"id": "a", "block": 0, "embedding": [1, 0], "label": "e"}\n')
+    files["empty"].mkdir()
+    out = tmp_path / "out"
+    assert main([arg.format(**files) for arg in argv] + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sensitivity-report", "--epsilons", ""],
+    ["sweep", "--epsilons", ",", "--no-include-off"],
+])
+def test_empty_epsilon_grid_rejected(argv, corpus_file, tmp_path, capsys):
+    # a grid with no value would report nothing, or write a header-only sweep.csv
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--input", str(corpus_file), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "the epsilon grid has no values" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_invalid_synth_config_is_one_line(tmp_path, capsys):

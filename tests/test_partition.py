@@ -235,8 +235,20 @@ class TestCluster:
 
     def test_matches_list_of_groups_rounds(self, rng):
         # sparse graphs with isolated nodes, dense graphs and tied weights,
-        # every q0 with both groupings, some from a scrambled non-singleton init
+        # every q0 with both groupings, some from a scrambled non-singleton init;
+        # then disjoint identical copies of one small graph, whose bit-equal
+        # deltas in different groups of one round meet in the single merge loop
+        def check(g, q0, init, grouping):
+            got = cluster(g, q0=q0, init=init, grouping=grouping)
+            ref = list_groups_cluster(g, q0=q0, init=init, grouping=grouping)
+            assert np.array_equal(got.final.assignment, ref.final.assignment)
+            assert got.converged == ref.converged
+            assert got.h1.hex() == ref.h1.hex()
+            assert ([dict(r, h2=r["h2"].hex()) for r in got.rounds]
+                    == [dict(r, h2=r["h2"].hex()) for r in ref.rounds])
+
         q0s = (2, 3, 5, 400)
+        groupings = ("optimal", "sequential")
         for trial in range(240):
             kind = trial % 3
             if kind == 0:
@@ -246,20 +258,22 @@ class TestCluster:
                 if kind == 2:
                     w = rng.choice([0.25, 0.5, 1.0], size=w.size)
             g = make_graph(n, list(zip(u.tolist(), v.tolist(), w.tolist())))
-            q0 = q0s[trial % 4]
-            grouping = ("optimal", "sequential")[(trial // 4) % 2]
             init = None
             if trial % 5 == 4:
                 labels = Partition.from_labels(rng.integers(0, max(1, n // 2), size=n).tolist())
                 perm = rng.permutation(labels.num_communities)
                 init = Partition(perm[labels.assignment])
-            got = cluster(g, q0=q0, init=init, grouping=grouping)
-            ref = list_groups_cluster(g, q0=q0, init=init, grouping=grouping)
-            assert np.array_equal(got.final.assignment, ref.final.assignment)
-            assert got.converged == ref.converged
-            assert got.h1.hex() == ref.h1.hex()
-            assert ([dict(r, h2=r["h2"].hex()) for r in got.rounds]
-                    == [dict(r, h2=r["h2"].hex()) for r in ref.rounds])
+            check(g, q0s[trial % 4], init, groupings[(trial // 4) % 2])
+        for trial in range(12):
+            n, u, v, w = random_graph(rng, min_n=4, max_n=9, density=1.5)
+            if trial % 2:
+                w = rng.choice([0.25, 0.5, 1.0], size=w.size)
+            copies = 3 + trial % 4
+            g = make_graph(n * copies, [(a + c * n, b + c * n, x) for c in range(copies)
+                                        for a, b, x in zip(u.tolist(), v.tolist(), w.tolist())])
+            for q0 in (2, 3):
+                for grouping in groupings:
+                    check(g, q0, None, grouping)
 
     def test_sequential_grouping_runs(self, rng):
         n, u, v, w = random_graph(rng, min_n=12, max_n=24)
