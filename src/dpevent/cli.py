@@ -68,19 +68,21 @@ def _write_config(out: Path, command: str, config: dict) -> None:
     write_json(out / "config.json", payload)
 
 
-def _block_pairs(args, data, seed: int = 0):
-    """Yield (block id, BlockPairs) per block of data, or of the pooled corpus.
+def _block_views(args, data) -> list:
+    """(block id, view) of each block of data, or of the pooled corpus, with 2 records or more.
 
-    A block of fewer than 2 records has no pairs: it is reported on stderr
-    and skipped.
+    A smaller block has no pairs: it is reported on stderr and skipped. Only
+    the block offsets are read, so a command can stop before it makes --out.
     """
-    blocks = [(0, data)] if args.pooled else [(v.records[0].block, v) for v in split_blocks(data)]
+    blocks = [(0, data)] if args.pooled else zip(data.block_ids.tolist(), split_blocks(data))
+    kept = []
     for block_id, view in blocks:
         if len(view) < 2:
             print(f"{args.command}: block {block_id} has {len(view)} record(s); skipped",
                   file=sys.stderr)
             continue
-        yield block_id, BlockPairs(view, block_id, seed)
+        kept.append((block_id, view))
+    return kept
 
 
 def _block_files(directory: Path, prefix: str, suffix: str) -> list[tuple[int, Path]]:
@@ -122,7 +124,7 @@ def cmd_synth(args) -> int:
     _write_config(out, "synth", config.to_dict())
     manifest = {"n_records": len(generated), "seed": args.seed,
                 "config_hash": config_hash(config.to_dict()),
-                "labels": sorted({r.label for r in generated.records})}
+                "labels": sorted(set(generated.labels))}
     write_json(out / "manifest.json", manifest)
     print(f"synth: wrote {len(generated)} records to {out / 'corpus.jsonl'}")
     return 0
@@ -131,27 +133,29 @@ def cmd_synth(args) -> int:
 def cmd_build_graph(args) -> int:
     data = corpus_mod.ingest(args.input)
     params = PrivacyParams(epsilon=args.epsilon, sensitivity_mode=args.mode)
+    blocks = _block_views(args, data)
+    if not blocks:
+        print("build-graph: nothing built", file=sys.stderr)
+        return 1
     out = _outdir(args)
     _write_config(out, "build-graph", {
         "input": str(args.input), "epsilon": "off" if params.off else params.epsilon,
         "mode": args.mode, "seed": args.seed, "kmax": args.kmax, "pooled": args.pooled,
     })
-    built = failures = 0
-    for block_id, pairs in _block_pairs(args, data, args.seed):
+    failures = 0
+    for block_id, view in blocks:
         try:
-            graph, sidecar = _build_block_graph(pairs, params, args.kmax)
+            graph, sidecar = _build_block_graph(BlockPairs(view, block_id, args.seed), params,
+                                                args.kmax)
         except Exception as exc:  # noqa: BLE001 - per-block isolation
             print(f"build-graph: block {block_id} failed: {exc}", file=sys.stderr)
             failures += 1
             continue
         write_graph_tsv(out / f"graph_block{block_id}.tsv", graph, sidecar["nodes"])
         write_json(out / f"graph_block{block_id}.json", sidecar)
-        built += 1
         print(f"build-graph: block {block_id}: n={sidecar['n']} edges={graph.num_edges} "
               f"chosen_k={sidecar['knn_trace']['chosen_k']}")
-    if not built and not failures:  # every block was too small
-        print("build-graph: nothing built", file=sys.stderr)
-    return 1 if failures or not built else 0
+    return 1 if failures else 0
 
 
 def cmd_cluster(args) -> int:
@@ -189,11 +193,10 @@ def cmd_cluster(args) -> int:
 
 def cmd_evaluate(args) -> int:
     data = corpus_mod.ingest(args.input)
-    labels_by_id = {r.id: r.label for r in data.records}
+    labels_by_id = dict(zip(data.ids, data.labels))
     # a partition must list exactly one block's records, or all of them (--pooled)
-    ids_of_block: dict[int, set] = {}
-    for r in data.records:
-        ids_of_block.setdefault(r.block, set()).add(r.id)
+    ids_of_block = {block_id: set(view.ids)
+                    for block_id, view in zip(data.block_ids.tolist(), split_blocks(data))}
     partitions_dir = Path(args.partitions)
     files = _block_files(partitions_dir, "partition_block", ".csv")
     if not files:
@@ -260,7 +263,8 @@ def cmd_sweep(args) -> int:
         epsilons.append(None)
     q0 = args.q0 if args.q0 is not None else (300 if args.pooled else 400)
     # each block's epsilon-independent state fills during its first pipeline
-    blocks = list(_block_pairs(args, data, args.seed))
+    blocks = [(block_id, BlockPairs(view, block_id, args.seed))
+              for block_id, view in _block_views(args, data)]
     if not blocks:
         print("sweep: nothing swept", file=sys.stderr)
         return 1
@@ -308,14 +312,18 @@ def cmd_sweep(args) -> int:
 
 def cmd_sensitivity_report(args) -> int:
     data = corpus_mod.ingest(args.input)
+    blocks = _block_views(args, data)
+    if not blocks:
+        print("sensitivity-report: nothing reported", file=sys.stderr)
+        return 1
     out = _outdir(args)
     _write_config(out, "sensitivity-report", {
         "input": str(args.input),
         "epsilons": ["off" if e is None else e for e in args.epsilons],
         "mode": args.mode, "pooled": args.pooled,
     })
-    reported = 0
-    for block_id, pairs in _block_pairs(args, data):  # s_local once for the grid
+    for block_id, view in blocks:
+        pairs = BlockPairs(view, block_id, 0)  # s_local once for the grid
         reports = []
         for epsilon in args.epsilons:
             params = PrivacyParams(epsilon=epsilon, sensitivity_mode=args.mode)
@@ -323,11 +331,7 @@ def cmd_sensitivity_report(args) -> int:
             reports.append(dict(rep.to_dict(), epsilon="off" if epsilon is None else epsilon))
         write_json(out / f"sensitivity_block{block_id}.json",
                    {"block": block_id, "n": pairs.n, "reports": reports})
-        reported += 1
         print(f"sensitivity-report: block {block_id}: s_local={reports[0]['s_local']:.6g}")
-    if not reported:
-        print("sensitivity-report: nothing reported", file=sys.stderr)
-        return 1
     return 0
 
 

@@ -1,13 +1,22 @@
-"""Message corpus: data model, JSONL ingestion, block views, synthetic generation."""
+"""Message corpus: a columnar data model, JSONL ingest and export, block views,
+synthetic generation.
+
+A Corpus holds its n records as columns: one read-only (n, dim) matrix of
+unit embeddings, the id, label and block of each record, the block offsets,
+and a CSR of (category, token) codes per record. A block view is a Corpus
+over one block's rows of those columns. MessageRecord objects exist only
+where a caller builds them (Corpus(records)) or asks for them
+(Corpus.records).
+"""
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
-
 
 
 class CorpusError(ValueError):
@@ -46,130 +55,285 @@ class MessageRecord:
         )
 
 
+def _stored_record(rid, block, embedding, attributes, label) -> MessageRecord:
+    """A MessageRecord around a stored unit row: normalizing it again can change bits."""
+    record = object.__new__(MessageRecord)
+    record.__dict__.update(id=rid, block=block, embedding=embedding, attributes=attributes,
+                           label=label)
+    return record
+
+
+def _row_norms(rows) -> np.ndarray:
+    """The norm of each 1-D row as np.linalg.norm computes it, sqrt(row.dot(row)).
+
+    A norm along an axis of the matrix sums in another order and differs in
+    the last bit for some rows.
+    """
+    return np.sqrt(np.fromiter((row.dot(row) for row in rows), dtype=np.float64, count=len(rows)))
+
+
+class _Tokens:
+    """The (category, token) vocabulary of a corpus, shared by its block views.
+
+    Codes follow sorted (category, token) order, the order export writes. A
+    category that a record lists without tokens is the blank (category, None):
+    export and Corpus.records keep it, and it links no records.
+    """
+
+    def __init__(self, keys: list[tuple[str, str | None]]):
+        self.keys = keys
+        cats = [cat for cat, _ in keys]
+        self.category = np.cumsum([a != b for a, b in zip([None] + cats, cats)], dtype=np.int64)
+        self.blank = np.array([tok is None for _, tok in keys], dtype=bool)
+        self._fragments: list[str] | None = None
+
+    def fragments(self) -> list[str]:
+        """JSON text of code c in a record's attributes object, at [kind * V + c].
+
+        kind 0 opens the object's first category, 1 opens a later one and 2
+        continues the current one.
+        """
+        if self._fragments is None:
+            toks = ["" if tok is None else json.dumps(tok) for _, tok in self.keys]
+            opens = [json.dumps(cat) + ":[" + tok for (cat, _), tok in zip(self.keys, toks)]
+            self._fragments = opens + ["]," + s for s in opens] + ["," + tok for tok in toks]
+        return self._fragments
+
+
+class _TokenBuilder:
+    """Collects the tokens of one record after another; finish() gives the CSR."""
+
+    def __init__(self):
+        self._codes: dict[tuple[str, str | None], int] = {}
+        self._entries = array("q")
+        self._indptr = array("q", [0])
+
+    def add(self, attributes) -> None:
+        """The next record's attributes: category -> collection of distinct tokens."""
+        codes, entries = self._codes, self._entries
+        for cat, toks in attributes.items():
+            if not toks:
+                entries.append(codes.setdefault((cat, None), len(codes)))
+            for tok in toks:
+                entries.append(codes.setdefault((cat, tok), len(codes)))
+        self._indptr.append(len(entries))
+
+    def finish(self) -> tuple[np.ndarray, np.ndarray, _Tokens]:
+        """(indptr, codes, vocabulary); each record's codes ascending."""
+        keys = list(self._codes)
+        order = sorted(range(len(keys)), key=[(cat, tok or "") for cat, tok in keys].__getitem__)
+        remap = np.empty(len(keys), dtype=np.int64)
+        remap[order] = np.arange(len(keys))
+        indptr = np.array(self._indptr, dtype=np.int64)
+        codes = remap[np.array(self._entries, dtype=np.int64)]
+        rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+        return indptr, codes[np.lexsort((codes, rows))], _Tokens([keys[c] for c in order])
+
+
+def _check_columns(dims: set[int], ids: list[str], blocks: list[int], contiguous: bool) -> None:
+    """The corpus-wide checks, in the order the errors are reported."""
+    if len(dims) != 1:
+        raise CorpusError(f"embedding dimension mismatch across records: {sorted(dims)}")
+    if len(set(ids)) != len(ids):
+        seen: set[str] = set()
+        for rid in ids:
+            if rid in seen:
+                raise CorpusError(f"duplicate record id {rid!r}")
+            seen.add(rid)
+    if contiguous:
+        present = sorted(set(blocks))
+        if present != list(range(len(present))):
+            raise CorpusError(f"block indices must be contiguous from 0, got {present}")
+
+
 class Corpus:
-    """Ordered, immutable collection of MessageRecords with derived block index."""
+    """Ordered, immutable message corpus held as columns.
+
+    - embeddings: read-only (n, dim) float64 unit rows, row i = record i;
+    - ids and labels, in record order;
+    - block_ids (ascending) and block_offsets: the j-th block holds rows
+      [block_offsets[j], block_offsets[j + 1]) of the block order, which is
+      the record order whenever each block is one run of records;
+    - a CSR of (category, token) codes per record.
+
+    Corpus(records) validates the MessageRecords and keeps them. ingest,
+    generate and block views build the columns directly; their records are
+    made on access.
+    """
 
     def __init__(self, records: list[MessageRecord], require_contiguous_blocks: bool = True):
+        records = tuple(records)
         if not records:
             raise CorpusError("corpus must contain at least one record")
-        dims = {r.embedding.shape[0] for r in records}
-        if len(dims) != 1:
-            raise CorpusError(f"embedding dimension mismatch across records: {sorted(dims)}")
-        seen: set[str] = set()
+        ids = [r.id for r in records]
+        blocks = [r.block for r in records]
+        _check_columns({r.embedding.shape[0] for r in records}, ids, blocks,
+                       require_contiguous_blocks)
+        tokens = _TokenBuilder()
         for r in records:
-            if r.id in seen:
-                raise CorpusError(f"duplicate record id {r.id!r}")
-            seen.add(r.id)
-        self.records: tuple[MessageRecord, ...] = tuple(records)
-        blocks: dict[int, list[int]] = {}
-        for i, r in enumerate(records):
-            blocks.setdefault(r.block, []).append(i)
-        self.blocks: dict[int, list[int]] = dict(sorted(blocks.items()))
-        if require_contiguous_blocks:
-            ids = list(self.blocks)
-            if ids != list(range(len(ids))):
-                raise CorpusError(f"block indices must be contiguous from 0, got {ids}")
-        self._embeddings: np.ndarray | None = None
+            tokens.add(r.attributes)
+        self._fill(np.stack([r.embedding for r in records]), ids, [r.label for r in records],
+                   np.asarray(blocks, dtype=np.int64), *tokens.finish(), records)
+
+    @classmethod
+    def _of_columns(cls, embeddings, ids, labels, block, indptr, codes, tokens,
+                    records=None) -> Corpus:
+        corpus = cls.__new__(cls)
+        corpus._fill(embeddings, ids, labels, block, indptr, codes, tokens, records)
+        return corpus
+
+    def _fill(self, embeddings, ids, labels, block, indptr, codes, tokens, records) -> None:
+        embeddings.setflags(write=False)
+        self.embeddings: np.ndarray = embeddings
+        # object arrays, so that a view slices or gathers them like the rest
+        self._ids = np.asarray(ids, dtype=object)
+        self._labels = np.asarray(labels, dtype=object)
+        self._block = block
+        self._indptr, self._codes, self._tokens = indptr, codes, tokens
+        self._records = None if records is None else np.asarray(records, dtype=object)
+        self.block_ids, counts = np.unique(block, return_counts=True)
+        self.block_offsets = np.concatenate(([0], np.cumsum(counts)))
+        # None when the block order is the record order
+        self._block_rows = (None if np.all(block[:-1] <= block[1:])
+                            else np.argsort(block, kind="stable"))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._ids)
 
     @property
     def dim(self) -> int:
-        return self.records[0].embedding.shape[0]
+        return self.embeddings.shape[1]
 
     @property
-    def embeddings(self) -> np.ndarray:
-        """(n, dim) float64 matrix of unit embeddings, row i = record i."""
-        if self._embeddings is None:
-            m = np.stack([r.embedding for r in self.records])
-            m.setflags(write=False)
-            self._embeddings = m
-        return self._embeddings
+    def ids(self) -> list[str]:
+        return self._ids.tolist()
+
+    @property
+    def labels(self) -> list[str | None]:
+        return self._labels.tolist()
+
+    def has_labels(self) -> bool:
+        return None not in self._labels
+
+    @property
+    def records(self) -> tuple[MessageRecord, ...]:
+        """The records: the given ones, or new ones around the stored rows."""
+        if self._records is not None:
+            return tuple(self._records)
+        keys = self._tokens.keys
+        codes = self._codes.tolist()
+        ptr = self._indptr.tolist()
+        attributes = []
+        for lo, hi in zip(ptr, ptr[1:]):
+            attrs: dict[str, set[str]] = {}
+            for c in codes[lo:hi]:
+                cat, tok = keys[c]
+                toks = attrs.setdefault(cat, set())
+                if tok is not None:
+                    toks.add(tok)
+            attributes.append({cat: frozenset(toks) for cat, toks in attrs.items()})
+        return tuple(map(_stored_record, self._ids, self._block.tolist(), self.embeddings,
+                         attributes, self._labels))
+
+    def _view(self, lo: int, hi: int) -> Corpus:
+        """The records at positions [lo, hi) of the block order, sharing these columns."""
+        take = slice(lo, hi) if self._block_rows is None else self._block_rows[lo:hi]
+        counts = np.diff(self._indptr)[take]
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        codes = self._codes[np.repeat(self._indptr[:-1][take] - indptr[:-1], counts)
+                            + np.arange(indptr[-1])]
+        return Corpus._of_columns(self.embeddings[take], self._ids[take], self._labels[take],
+                                  self._block[take], indptr, codes, self._tokens,
+                                  None if self._records is None else self._records[take])
 
     def attribute_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Record pairs (u[k], v[k]), u < v, that share at least one attribute token.
 
-        Each pair once, sorted by (u, v). A pure function of the records that
+        Each pair once, sorted by (u, v). A pure function of the columns that
         is recomputed on every call; privacy.BlockPairs keeps the result for
-        as long as a block's graphs are being built.
+        as long as a block's graphs are being built. The members of each token
+        come from one sort of the CSR; a member pairs with the members after
+        it, so a token with one member adds nothing.
         """
         n = len(self)
-        token_members: dict[tuple[str, str], list[int]] = {}
-        for i, rec in enumerate(self.records):
-            for cat, tokens in rec.attributes.items():
-                for tok in tokens:
-                    token_members.setdefault((cat, tok), []).append(i)
-        code_chunks = []
-        for members in token_members.values():
-            if len(members) < 2:
-                continue
-            m = np.asarray(members, dtype=np.int64)  # ascending by construction
-            a, b = np.triu_indices(m.size, k=1)
-            code_chunks.append(m[a] * n + m[b])
-        if not code_chunks:
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self._indptr))
+        codes = self._codes
+        keep = ~self._tokens.blank[codes]
+        order = np.argsort(codes[keep], kind="stable")  # members stay in row order
+        codes, rows = codes[keep][order], rows[keep][order]
+        first = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])  # of each token
+        size = np.diff(np.r_[first, codes.size])
+        pos = np.arange(codes.size)
+        later = np.repeat(first + size, size) - pos - 1  # members after each one
+        total = int(later.sum())
+        if not total:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        # partner of the t-th pair of member p: the member at p + 1 + t
+        partner = np.repeat(pos + 1 - (np.cumsum(later) - later), later)
+        partner += np.arange(total)
+        pair_codes = np.repeat(rows * n, later)
+        pair_codes += rows[partner]
+        del partner
         # sort and drop repeats: np.unique hashes int64 input, which is slower here
-        codes = np.concatenate(code_chunks)
-        codes.sort()
-        codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
-        return codes // n, codes % n
-
-    @property
-    def ids(self) -> list[str]:
-        return [r.id for r in self.records]
-
-    @property
-    def labels(self) -> list[str | None]:
-        return [r.label for r in self.records]
-
-    def has_labels(self) -> bool:
-        return all(r.label is not None for r in self.records)
+        pair_codes.sort()
+        pair_codes = pair_codes[np.concatenate(([True], pair_codes[1:] != pair_codes[:-1]))]
+        return pair_codes // n, pair_codes % n
 
 
 def split_blocks(corpus: Corpus) -> list[Corpus]:
-    """One view per distinct block value, ordered by block id; views share records."""
-    views = []
-    for _, idxs in corpus.blocks.items():
-        views.append(Corpus([corpus.records[i] for i in idxs], require_contiguous_blocks=False))
-    return views
+    """One view per distinct block value, ordered by block id; views share the columns."""
+    bounds = corpus.block_offsets.tolist()
+    return [corpus._view(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _parse_record(obj: dict, lineno: int) -> MessageRecord:
-    if not isinstance(obj, dict):
-        raise CorpusError(f"line {lineno}: a record must be a JSON object")
-    try:
-        rid = obj["id"]
-        block = obj["block"]
-        emb = obj["embedding"]
-    except KeyError as exc:
-        raise CorpusError(f"line {lineno}: missing field {exc}") from None
-    if not isinstance(rid, str):
-        raise CorpusError(f"line {lineno}: id must be a string")
-    if not isinstance(block, int) or isinstance(block, bool):
-        raise CorpusError(f"line {lineno}: block must be an integer")
-    attrs = obj.get("attributes") or {}
-    if not isinstance(attrs, dict):
-        raise CorpusError(f"line {lineno}: attributes must be an object")
-    label = obj.get("label")
-    if label is not None and not isinstance(label, str):
-        raise CorpusError(f"line {lineno}: label must be a string or null")
-    try:
-        return MessageRecord(
-            id=rid, block=block, embedding=np.asarray(emb, dtype=np.float64),
-            attributes={k: frozenset(v) for k, v in attrs.items()}, label=label,
-        )
-    except (TypeError, ValueError) as exc:  # CorpusError, or a non-numeric embedding
-        raise CorpusError(f"line {lineno}: {exc}") from None
+def _segment_norms(values: array, ends: array) -> np.ndarray:
+    """The norm of each record's run of values; ends[i] is one past record i's."""
+    flat = np.frombuffer(values, dtype=np.float64)
+    return _row_norms([flat[a:b] for a, b in zip([0] + ends.tolist()[:-1], ends)])
+
+
+def _record_error(norms: np.ndarray, lines: array, ids: list[str],
+                  blocks: list[int]) -> CorpusError | None:
+    """The error of the first record that cannot be normalized or has a negative block.
+
+    MessageRecord ran these checks last on each line, the norm first; ingest
+    runs them over all records read so far, before it reports a later line's
+    error or any corpus-wide one.
+    """
+    bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
+    first = int(bad[0]) if bad.size else len(ids)
+    negative = next((i for i, b in enumerate(blocks[:first]) if b < 0), None)
+    if negative is not None:
+        return CorpusError(f"line {lines[negative]}: record {ids[negative]!r}: "
+                           "block must be non-negative")
+    if bad.size:
+        return CorpusError(f"line {lines[first]}: record {ids[first]!r}: "
+                           "zero or non-finite embedding cannot be normalized")
+    return None
 
 
 def ingest(path) -> Corpus:
-    """Load a JSONL corpus; normalizes embeddings and validates the schema.
+    """Load a JSONL corpus into columns; normalizes embeddings and validates the schema.
 
-    Raises CorpusError with a line number for malformed lines, duplicate ids,
-    zero vectors, and dimension mismatches.
+    Each line is parsed and appended to flat buffers: the embedding values,
+    the ids, labels and blocks, and the token CSR. No object of a record
+    outlives its line. Raises CorpusError for the first malformed line, with
+    its number, and otherwise for duplicate ids, dimension mismatches and
+    non-contiguous blocks.
     """
-    records = []
+    values = array("d")
+    ends = array("q")  # len(values) after each record
+    lines = array("q")  # the line of each record
+    ids: list[str] = []
+    labels: list[str | None] = []
+    blocks: list[int] = []
+    tokens = _TokenBuilder()
+
+    def fail(lineno: int, message: str) -> CorpusError:
+        """This line's error, unless an earlier record fails its last checks."""
+        return (_record_error(_segment_norms(values, ends), lines, ids, blocks)
+                or CorpusError(f"line {lineno}: {message}"))
+
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -178,30 +342,106 @@ def ingest(path) -> Corpus:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorpusError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-            records.append(_parse_record(obj, lineno))
-    if not records:
+                raise fail(lineno, f"invalid JSON ({exc.msg})") from None
+            if not isinstance(obj, dict):
+                raise fail(lineno, "a record must be a JSON object")
+            try:
+                rid = obj["id"]
+                block = obj["block"]
+                emb = obj["embedding"]
+            except KeyError as exc:
+                raise fail(lineno, f"missing field {exc}") from None
+            if not isinstance(rid, str):
+                raise fail(lineno, "id must be a string")
+            if not isinstance(block, int) or isinstance(block, bool):
+                raise fail(lineno, "block must be an integer")
+            attrs = obj.get("attributes") or {}
+            if not isinstance(attrs, dict):
+                raise fail(lineno, "attributes must be an object")
+            label = obj.get("label")
+            if label is not None and not isinstance(label, str):
+                raise fail(lineno, "label must be a string or null")
+            start = len(values)
+            vector = None
+            try:
+                try:
+                    values.extend(emb)
+                except (TypeError, ValueError, OverflowError):
+                    # not a flat list of numbers: numpy converts or rejects it
+                    del values[start:]
+                    vector = np.asarray(emb, dtype=np.float64)
+                sets = {k: frozenset(v) for k, v in attrs.items()}
+            except (TypeError, ValueError) as exc:
+                raise fail(lineno, str(exc)) from None
+            if vector is not None:
+                if vector.ndim != 1:
+                    raise fail(lineno, f"record {rid!r}: embedding must be a vector")
+                values.frombytes(vector.tobytes())
+            tokens.add({str(k): frozenset(map(str, v)) for k, v in sets.items()})
+            ends.append(len(values))
+            lines.append(lineno)
+            ids.append(rid)
+            labels.append(label)
+            blocks.append(block)
+    norms = _segment_norms(values, ends)
+    error = _record_error(norms, lines, ids, blocks)
+    if error is not None:
+        raise error
+    if not ids:
         raise CorpusError(f"{path}: no records")
-    return Corpus(records)
+    dims = set(np.diff(ends, prepend=0).tolist())
+    _check_columns(dims, ids, blocks, contiguous=True)
+    rows = np.frombuffer(values, dtype=np.float64).reshape(len(ids), dims.pop())
+    return Corpus._of_columns(rows / norms[:, None], ids, labels,
+                              np.asarray(blocks, dtype=np.int64), *tokens.finish())
 
 
-def record_to_json(record: MessageRecord) -> str:
-    """Serialize one record; floats carry 9 significant digits, keys sorted."""
-    obj = {
-        "id": record.id,
-        "block": record.block,
-        "embedding": [float(f"{x:.9g}") for x in record.embedding],
-        "attributes": {k: sorted(v) for k, v in sorted(record.attributes.items())},
-        "label": record.label,
-    }
-    return json.dumps(obj, separators=(",", ":"))
+def _json_float(x: float) -> str:
+    """How json writes float(f"{x:.9g}")."""
+    return repr(float(f"{x:.9g}"))
 
 
 def export(corpus: Corpus, path) -> None:
-    """Write a corpus as JSONL in the ingest schema."""
+    """Write a corpus as JSONL in the ingest schema, one record per line.
+
+    Keys come in the order id, block, embedding, attributes, label; the
+    categories and the tokens of each are sorted. Each float is written as
+    json writes float(f"{x:.9g}"). One "{:.9g}" format of the whole row
+    gives that text unless the row holds a value of magnitude below 1e-300
+    (0, or a subnormal, whose shortest repr has fewer digits) or of at least
+    0.999999999 (which rounds to an integer, where json adds ".0"); such rows
+    take the exact path. Rows go out in chunks of about 2^15 values.
+    """
+    n, dim = corpus.embeddings.shape
+    tokens = corpus._tokens
+    codes, indptr = corpus._codes, corpus._indptr
+    # the JSON text of each CSR entry: it opens the record's object, opens a
+    # category, or continues one
+    kind = np.full(codes.size, 2, dtype=np.int64)
+    cat = tokens.category[codes]
+    kind[1:][cat[1:] != cat[:-1]] = 1
+    kind[indptr[:-1][indptr[:-1] < indptr[1:]]] = 0
+    fragments = tokens.fragments()
+    pieces = [fragments[i] for i in (kind * len(tokens.keys) + codes).tolist()]
+    ptr, blocks, ids, labels = (indptr.tolist(), corpus._block.tolist(), corpus.ids,
+                                corpus.labels)
+    label_json = {label: json.dumps(label) for label in set(labels)}
+    row_text = ",".join(["{:.9g}"] * dim).format
+    line = '{"id":%s,"block":%d,"embedding":[%s],"attributes":%s,"label":%s}\n'
+    step = max(1, 2 ** 15 // dim)
     with open(path, "w", encoding="utf-8") as fh:
-        for r in corpus.records:
-            fh.write(record_to_json(r) + "\n")
+        for lo in range(0, n, step):
+            chunk = corpus.embeddings[lo:lo + step]
+            mags = np.abs(chunk)
+            exact = ((mags < 1e-300) | (mags >= 0.999999999)).any(axis=1).tolist()
+            out = []
+            for i, row, slow in zip(range(lo, lo + len(chunk)), chunk.tolist(), exact):
+                a, b = ptr[i], ptr[i + 1]
+                attrs = "{" + "".join(pieces[a:b]) + "]}" if b > a else "{}"
+                emb = ",".join(map(_json_float, row)) if slow else row_text(*row)
+                out.append(line % (json.dumps(ids[i]), blocks[i], emb, attrs,
+                                   label_json[labels[i]]))
+            fh.write("".join(out))
 
 
 @dataclass(frozen=True)
@@ -260,22 +500,23 @@ def generate(config: SynthConfig) -> Corpus:
     rng = np.random.default_rng(config.seed)
     # P(share) = 1 - (1 - s^2)^T  =>  s per token
     token_prob = math.sqrt(1.0 - (1.0 - config.attribute_sharing_prob) ** (1.0 / _TOKENS_PER_EVENT))
-    records: list[MessageRecord] = []
-    idx = 0
+    parts, ids, labels = [], [], []
+    tokens = _TokenBuilder()
     for event, count in enumerate(config.event_sizes()):
         center = rng.normal(size=config.dim)
         center /= np.linalg.norm(center)
         noise = rng.normal(size=(count, config.dim)) / config.intra_concentration
         vecs = center[None, :] + noise
-        carries = rng.random((count, _TOKENS_PER_EVENT)) < token_prob
-        for k in range(count):
-            attrs = {"user": frozenset({f"user_{idx}"})}
-            tokens = {f"event_{event}_t{t}" for t in range(_TOKENS_PER_EVENT) if carries[k, t]}
-            if tokens:
-                attrs["entity"] = frozenset(tokens)
-            records.append(MessageRecord(
-                id=f"m{idx:06d}", block=0, embedding=vecs[k],
-                attributes=attrs, label=f"event_{event}",
-            ))
-            idx += 1
-    return Corpus(records)
+        parts.append(vecs / _row_norms(vecs)[:, None])
+        carries = (rng.random((count, _TOKENS_PER_EVENT)) < token_prob).tolist()
+        for carried in carries:
+            idx = len(ids)
+            attrs = {"user": (f"user_{idx}",)}
+            entity = [f"event_{event}_t{t}" for t, c in enumerate(carried) if c]
+            if entity:
+                attrs["entity"] = entity
+            tokens.add(attrs)
+            ids.append(f"m{idx:06d}")
+            labels.append(f"event_{event}")
+    return Corpus._of_columns(np.concatenate(parts), ids, labels,
+                              np.zeros(len(ids), dtype=np.int64), *tokens.finish())

@@ -518,3 +518,128 @@ def reference_minimize_edges(ea, eb, ew, V, g, ilog, parent, vol):
         if kept.size:
             delta[kept] = _ref_merge_deltas(ea[kept], eb[kept], ew[kept], V, g, ilog, vol, log2vol)
     return np.asarray(accepted, dtype=np.float64)
+
+
+# ---------------------------------------------------------------------------
+# The record-at-a-time corpus paths that the columnar Corpus replaced, kept as
+# references for its JSONL bytes, its ingest checks and its attribute pairs.
+# They build dpevent.corpus.MessageRecord, whose normalization the columnar
+# code must reproduce bit for bit, and share nothing else with the package.
+
+
+def ref_parse_record(obj, lineno):
+    """One JSON object to a MessageRecord, or CorpusError with the line number."""
+    from dpevent.corpus import CorpusError, MessageRecord
+
+    if not isinstance(obj, dict):
+        raise CorpusError(f"line {lineno}: a record must be a JSON object")
+    try:
+        rid = obj["id"]
+        block = obj["block"]
+        emb = obj["embedding"]
+    except KeyError as exc:
+        raise CorpusError(f"line {lineno}: missing field {exc}") from None
+    if not isinstance(rid, str):
+        raise CorpusError(f"line {lineno}: id must be a string")
+    if not isinstance(block, int) or isinstance(block, bool):
+        raise CorpusError(f"line {lineno}: block must be an integer")
+    attrs = obj.get("attributes") or {}
+    if not isinstance(attrs, dict):
+        raise CorpusError(f"line {lineno}: attributes must be an object")
+    label = obj.get("label")
+    if label is not None and not isinstance(label, str):
+        raise CorpusError(f"line {lineno}: label must be a string or null")
+    try:
+        return MessageRecord(
+            id=rid, block=block, embedding=np.asarray(emb, dtype=np.float64),
+            attributes={k: frozenset(v) for k, v in attrs.items()}, label=label,
+        )
+    except (TypeError, ValueError) as exc:  # CorpusError, or a non-numeric embedding
+        raise CorpusError(f"line {lineno}: {exc}") from None
+
+
+def ref_check_records(records):
+    """The corpus-wide checks of a list of records, in their order: dimensions,
+    repeated ids, block indices contiguous from 0."""
+    from dpevent.corpus import CorpusError
+
+    if not records:
+        raise CorpusError("corpus must contain at least one record")
+    dims = {r.embedding.shape[0] for r in records}
+    if len(dims) != 1:
+        raise CorpusError(f"embedding dimension mismatch across records: {sorted(dims)}")
+    seen = set()
+    for r in records:
+        if r.id in seen:
+            raise CorpusError(f"duplicate record id {r.id!r}")
+        seen.add(r.id)
+    ids = sorted({r.block for r in records})
+    if ids != list(range(len(ids))):
+        raise CorpusError(f"block indices must be contiguous from 0, got {ids}")
+    return records
+
+
+def ref_ingest(path):
+    """A JSONL corpus as a list of MessageRecords, line by line."""
+    import json
+
+    from dpevent.corpus import CorpusError
+
+    records = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+            records.append(ref_parse_record(obj, lineno))
+    if not records:
+        raise CorpusError(f"{path}: no records")
+    return ref_check_records(records)
+
+
+def ref_record_to_json(record):
+    """One record as a JSON line body; floats carry 9 significant digits, keys sorted."""
+    import json
+
+    obj = {
+        "id": record.id,
+        "block": record.block,
+        "embedding": [float(f"{x:.9g}") for x in record.embedding],
+        "attributes": {k: sorted(v) for k, v in sorted(record.attributes.items())},
+        "label": record.label,
+    }
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def ref_export(records, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for r in records:
+            fh.write(ref_record_to_json(r) + "\n")
+
+
+def ref_attribute_pairs(records):
+    """(u, v), u < v, sorted: the record pairs that share an attribute token,
+    from a dict of the members of each (category, token)."""
+    n = len(records)
+    token_members = {}
+    for i, rec in enumerate(records):
+        for cat, tokens in rec.attributes.items():
+            for tok in tokens:
+                token_members.setdefault((cat, tok), []).append(i)
+    code_chunks = []
+    for members in token_members.values():
+        if len(members) < 2:
+            continue
+        m = np.asarray(members, dtype=np.int64)
+        a, b = np.triu_indices(m.size, k=1)
+        code_chunks.append(m[a] * n + m[b])
+    if not code_chunks:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    codes = np.concatenate(code_chunks)
+    codes.sort()
+    codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
+    return codes // n, codes % n

@@ -487,10 +487,13 @@ def test_corpus_error_is_one_line(command, line, message, tmp_path, capsys):
     ["cluster", "--graphs", "{empty}"],
     ["evaluate", "--input", "{bad}", "--partitions", "{empty}"],
     ["evaluate", "--input", "{one}", "--partitions", "{empty}"],
+    ["build-graph", "--input", "{one}"],
+    ["sensitivity-report", "--input", "{one}"],
 ])
 def test_failed_command_makes_no_out(argv, tmp_path, capsys):
-    # a malformed corpus, a corpus with no block to sweep, or no graph or
-    # partition file: the command stops before it makes --out
+    # a malformed corpus, a corpus with no block of 2 records to build, sweep
+    # or report, or no graph or partition file: the command stops before it
+    # makes --out
     files = {"bad": tmp_path / "bad.jsonl", "one": tmp_path / "one.jsonl",
              "empty": tmp_path / "empty"}
     files["bad"].write_text('{"id": "a", "block": 0, "embedding": [0, 0]}\n')
