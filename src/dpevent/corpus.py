@@ -371,7 +371,8 @@ def ingest(path) -> Corpus:
                     del values[start:]
                     vector = np.asarray(emb, dtype=np.float64)
                 sets = {k: frozenset(v) for k, v in attrs.items()}
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
+                # OverflowError: a JSON integer beyond float64's range
                 raise fail(lineno, str(exc)) from None
             if vector is not None:
                 if vector.ndim != 1:

@@ -2,16 +2,18 @@
 Mutual Information, computed from the contingency table.
 
 AMI uses natural-log entropies, the exact hypergeometric expected mutual
-information, and arithmetic-mean normalization. Binomial terms go through
-log-gamma so the sums stay stable for n in the tens of thousands.
+information, and arithmetic-mean normalization. Binomial terms go through a
+table of ln(x!) so the sums stay stable for n in the tens of thousands; the
+table reproduces scipy.special.gammaln(x + 1) bit for bit, without importing
+scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 
 class MetricsError(ValueError):
@@ -82,6 +84,34 @@ def _mutual_information(table: ContingencyTable) -> float:
     return float((nij / table.n * np.log(table.n * nij / outer)).sum())
 
 
+_LS2PI = 0.91893853320467274178  # ln(sqrt(2*pi))
+
+
+def log_factorial(x: int) -> float:
+    """ln(x!) for an integer x >= 0, with the arithmetic of cephes lgam(x + 1).
+
+    That is what scipy.special.gammaln runs, and the result is the same
+    double: exact factorials below 12, then Stirling's series in z = x + 1
+    with cephes' correction polynomial (5 terms below z = 1000, 3 terms up to
+    1e8, none above). math.log is libm's log, as in the compiled code; np.log
+    may round differently on its SIMD path.
+    """
+    if x < 12:
+        return math.log(math.factorial(x))
+    z = float(x + 1)
+    q = (z - 0.5) * math.log(z) - z + _LS2PI
+    if z > 1.0e8:
+        return q
+    p = 1.0 / (z * z)
+    if z >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / z
+    # cephes' polevl(p, A, 4), Horner's rule from the highest power
+    return q + ((((8.11614167470508450300e-4 * p - 5.95061904284301438324e-4) * p
+                  + 7.93650340457716943945e-4) * p - 2.77777777730099687205e-3) * p
+                + 8.33333333333331927722e-2) / z
+
+
 def _emi_cell(n: int, ai: int, bj: int, lg: np.ndarray) -> float | None:
     """E[MI] term of one (a_i, b_j) marginal pair; None when no k is possible."""
     lo = max(1, ai + bj - n)
@@ -105,7 +135,7 @@ def expected_mutual_information(table: ContingencyTable) -> float:
     added one per (i, j), in row-major order.
     """
     n = table.n
-    lg = gammaln(np.arange(n + 2, dtype=np.float64) + 1.0)  # lg[x] = ln(x!)
+    lg = np.array([log_factorial(x) for x in range(n + 2)])  # lg[x] = ln(x!)
     b = table.col_sums.tolist()
     terms: dict[tuple[int, int], float | None] = {}
     total = 0.0

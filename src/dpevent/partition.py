@@ -9,7 +9,8 @@ graph never increases. A round's grouping is one label per super-node, and
 the round stays in numpy: its cost does not grow with the number of
 singleton groups. When a round accepts no merge, q doubles; once that
 happens with a single subgraph covering everything, no further merge can
-help and the loop stops.
+help and the loop stops. Such a round leaves the partition and its
+aggregates as they were, so the next round reuses them.
 """
 
 from __future__ import annotations
@@ -187,6 +188,9 @@ def cluster(graph: MessageGraph, q0: int = 400, init: Partition | None = None,
     # one aggregation per partition: a round's result gives its H2 and
     # starts the next round
     aggregates = _community_aggregates(graph, current.assignment)
+    # merged_partition numbers communities by first occurrence; a caller's
+    # init may not, and then even a round without a merge renumbers it
+    renumber = not np.array_equal(current.canonical(), current.assignment)
     for _ in range(MAX_ROUNDS):
         vol, V, g, ilog, ea, eb, ew = aggregates
         ncomm = int(V.size)
@@ -205,9 +209,11 @@ def cluster(graph: MessageGraph, q0: int = 400, init: Partition | None = None,
         merges = minimize_edges(ea[inside], eb[inside], ew[inside], V, g, ilog, parent, vol).size
         # every merge removes a community, so no merge means an unchanged partition
         stable = merges == 0
-        current = merged_partition(parent, current.assignment)
-        # minimize_edges changed V, g and ilog in place: aggregate afresh
-        aggregates = _community_aggregates(graph, current.assignment)
+        if not stable or renumber:
+            current = merged_partition(parent, current.assignment)
+            # minimize_edges changed V, g and ilog in place: aggregate afresh
+            aggregates = _community_aggregates(graph, current.assignment)
+            renumber = False
         run.rounds.append({
             "q": q,
             "k_max": k_max,

@@ -408,6 +408,25 @@ class TestSweep:
         assert proc.stdout.split()[-2:] == ["0", "False"]
         assert "spearman_epsilon_vs_ari" in read_json(tmp_path / "sweep" / "sweep_summary.json")
 
+    def test_pipeline_leaves_scipy_unimported(self, tmp_path, corpus_file):
+        # every command of the paper's pipeline, in one fresh interpreter
+        g, c, e, s, r = (str(tmp_path / d) for d in "gcesr")
+        corpus = str(corpus_file)
+        runs = [["build-graph", "--input", corpus, "--out", g],
+                ["cluster", "--graphs", g, "--out", c],
+                ["evaluate", "--input", corpus, "--partitions", c, "--out", e],
+                ["sweep", "--input", corpus, "--out", s, "--epsilons", "2,6"],
+                ["sensitivity-report", "--input", corpus, "--out", r, "--epsilons", "2"]]
+        code = ("import sys; from dpevent.cli import main; "
+                f"print([main(argv) for argv in {runs!r}]); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        assert proc.stdout.splitlines()[-2:] == ["[0, 0, 0, 0, 0]", "[]"]
+        assert read_json(tmp_path / "e" / "metrics_summary.json")
 
     def test_q0_defaults(self, tmp_path, corpus_file):
         gdir, cdir, sdir = (tmp_path / d for d in ("g", "c", "s"))
@@ -477,6 +496,20 @@ def test_corpus_error_is_one_line(command, line, message, tmp_path, capsys):
     path.write_text(line + "\n")
     assert main([command, "--input", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("command", ["build-graph", "evaluate", "sweep", "sensitivity-report"])
+def test_embedding_integer_beyond_float64_is_one_line(command, tmp_path, capsys):
+    # json reads a 400-digit integer exactly; float64 cannot hold it
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "a", "block": 0, "embedding": [1, 0]}\n'
+                    '{"id": "b", "block": 0, "embedding": [' + "9" * 400 + ', 0]}\n')
+    extra = ["--partitions", str(tmp_path)] if command == "evaluate" else []
+    out = tmp_path / "out"
+    assert main([command, "--input", str(path), "--out", str(out), *extra]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"{command}: line 2: int too large to convert to float"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 from scipy.stats import rankdata, spearmanr
 
 from oracles import mp_ami, pair_count_ari
 
 from dpevent.metrics import (MetricsError, _average_ranks, ami, ari, contingency,
-                             expected_mutual_information, spearman)
+                             expected_mutual_information, log_factorial, spearman)
 
 
 class TestAri:
@@ -87,6 +88,20 @@ class TestAmi:
             n = int(rng.integers(2, 40))
             val = ami(rng.integers(0, 5, size=n).tolist(), rng.integers(0, 5, size=n).tolist())
             assert val <= 1.0 + 1e-12
+
+
+class TestLogFactorial:
+    def test_equals_gammaln_table(self):
+        x = np.arange(200_002)
+        got = np.array([log_factorial(k) for k in x.tolist()])
+        assert np.array_equal(got, gammaln(x + 1.0))
+
+    @pytest.mark.parametrize("x", [10, 11, 12, 998, 999, 1000,
+                                   99_999_999, 100_000_000, 100_000_001])
+    def test_equals_gammaln_at_branch_edges(self, x):
+        # exact factorials end at 11, the 5-term correction at z = x + 1 = 1000,
+        # and the 3-term one above z = 1e8
+        assert log_factorial(x) == float(gammaln(float(x) + 1.0))
 
 
 class TestInvariances:

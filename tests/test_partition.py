@@ -157,6 +157,22 @@ class TestCluster:
         assert run.rounds[0]["stable"]
         assert run.final.same_as(init)
 
+    def test_scrambled_stable_init_is_renumbered(self, rng):
+        # a converged partition, numbered out of first-occurrence order: no
+        # round merges, and the result is still numbered by first occurrence
+        for _ in range(10):
+            n, u, v, w = random_graph(rng, min_n=10, max_n=60, density=3.0)
+            g = make_graph(n, list(zip(u.tolist(), v.tolist(), w.tolist())))
+            first = cluster(g, q0=4)
+            assert first.converged
+            final = first.final
+            init = Partition(rng.permutation(final.num_communities)[final.assignment])
+            run = cluster(g, q0=4, init=init)
+            assert all(r["stable"] for r in run.rounds)
+            assert np.array_equal(run.final.assignment, final.assignment)
+            ref = list_groups_cluster(g, q0=4, init=init)
+            assert np.array_equal(ref.final.assignment, final.assignment)
+
     def test_h2_never_increases(self, rng):
         for _ in range(10):
             n, u, v, w = random_graph(rng, min_n=10, max_n=40, density=2.5)
@@ -229,8 +245,10 @@ class TestCluster:
         n, u, v, w = random_graph(rng, n=60, density=3.0)
         g = make_graph(n, list(zip(u.tolist(), v.tolist(), w.tolist())))
         run = cluster(g, q0=4)
-        assert len(run.rounds) > 2
-        assert len(calls) == len(run.rounds) + 1
+        stalled = sum(r["stable"] for r in run.rounds)
+        assert len(run.rounds) > 2 and stalled
+        # a round without a merge keeps its partition's aggregates
+        assert len(calls) == len(run.rounds) + 1 - stalled
         assert run.rounds[-1]["h2"] == two_dim_se(g, run.final)
 
     def test_matches_list_of_groups_rounds(self, rng):
