@@ -49,18 +49,17 @@ def contingency(truth, pred) -> ContingencyTable:
                             col_sums=counts.sum(axis=0), n=len(truth))
 
 
-def _comb2_sum(values) -> int:
-    return sum(int(x) * (int(x) - 1) // 2 for x in values)
+def _comb2_sum(values: np.ndarray) -> int:
+    """Sum of x(x-1)/2 over the counts; zeros add 0, so only nonzero ones are summed.
 
-
-def ari(truth, pred) -> float:
-    """Adjusted Rand Index via the pair-counting formula on the contingency table.
-
-    The numerator and denominator are assembled in exact integer arithmetic
-    (single final division), so e.g. the fully-crossed 2x2 case is -0.5 exactly.
+    Each term and the sum are at most n(n-1)/2, so int64 stays exact.
     """
-    table = contingency(truth, pred)
-    sum_cells = _comb2_sum(table.counts.ravel())
+    x = values[values > 0]
+    return int((x * (x - 1) // 2).sum())
+
+
+def _ari(table: ContingencyTable) -> float:
+    sum_cells = _comb2_sum(table.counts)
     sum_rows = _comb2_sum(table.row_sums)
     sum_cols = _comb2_sum(table.col_sums)
     total = table.n * (table.n - 1) // 2
@@ -70,6 +69,15 @@ def ari(truth, pred) -> float:
         # both labelings all-singletons or all-one-cluster: identical partitions
         return 1.0
     return numerator / denominator
+
+
+def ari(truth, pred) -> float:
+    """Adjusted Rand Index via the pair-counting formula on the contingency table.
+
+    The numerator and denominator are assembled in exact integer arithmetic
+    (single final division), so e.g. the fully-crossed 2x2 case is -0.5 exactly.
+    """
+    return _ari(contingency(truth, pred))
 
 
 def _entropy(marginal: np.ndarray, n: int) -> float:
@@ -150,9 +158,7 @@ def expected_mutual_information(table: ContingencyTable) -> float:
     return total
 
 
-def ami(truth, pred) -> float:
-    """Adjusted Mutual Information, arithmetic-mean normalization."""
-    table = contingency(truth, pred)
+def _ami(table: ContingencyTable) -> float:
     # identical partitions give MI = H exactly; short-circuit avoids the
     # last-ulp wobble of computing the same quantity along two code paths
     if (table.counts.shape[0] == table.counts.shape[1]
@@ -169,12 +175,20 @@ def ami(truth, pred) -> float:
     return (mi - emi) / denominator
 
 
+def ami(truth, pred) -> float:
+    """Adjusted Mutual Information, arithmetic-mean normalization."""
+    return _ami(contingency(truth, pred))
+
+
 def evaluate(truth, pred) -> dict:
-    """AMI/ARI plus the counts the CLI reports."""
+    """AMI/ARI plus the counts the CLI reports, all from one contingency table.
+
+    The scores equal ami(truth, pred) and ari(truth, pred) bit for bit.
+    """
     table = contingency(truth, pred)
     return {
-        "ami": ami(truth, pred),
-        "ari": ari(truth, pred),
+        "ami": _ami(table),
+        "ari": _ari(table),
         "n": table.n,
         "num_true": int(table.row_sums.size),
         "num_pred": int(table.col_sums.size),

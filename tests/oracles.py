@@ -223,6 +223,41 @@ def lexsort_top_neighbors(rows, k_max):
     return nbrs, sims
 
 
+def full_width_knn_edges(oracle, k_max):
+    """The kNN scan over one full-width neighbour table, as build_knn_edges ran
+    before it asked for narrow tables: top_neighbor_table at k_max, then k =
+    1, 2, ... while the 1D SE strictly falls. It reuses the package's table,
+    dedupe and entropy helpers, so it checks only the scan around them. A
+    k_max >= n is clamped to n - 1 without the warning."""
+    from dpevent.graphsynth import (SE_IMPROVEMENT_TOL, KnnTrace, _dedupe_undirected,
+                                    clip_weights, one_dim_se_from_degrees,
+                                    top_neighbor_table)
+
+    n = oracle.n
+    k_max = min(k_max, n - 1)
+    nbrs, sims = top_neighbor_table(oracle, k_max)
+    trace = KnnTrace()
+    best_se = math.inf
+    best_edges = None
+    src_full = np.repeat(np.arange(n, dtype=np.int64), k_max).reshape(n, k_max)
+    for k in range(1, k_max + 1):
+        us = src_full[:, :k].ravel()
+        vs = nbrs[:, :k].ravel()
+        ws = clip_weights(sims[:, :k].ravel())
+        u, v, w = _dedupe_undirected(n, us, vs, ws)
+        d = np.bincount(u, weights=w, minlength=n) + np.bincount(v, weights=w, minlength=n)
+        se = one_dim_se_from_degrees(d)
+        trace.ks.append(k)
+        trace.se_values.append(se)
+        if se < best_se - SE_IMPROVEMENT_TOL:
+            best_se = se
+            best_edges = (u, v, w)
+            trace.chosen_k = k
+        else:
+            break
+    return best_edges, trace
+
+
 def list_extract_subgraphs(sg, q):
     """Greedy extraction returning a list of groups: the extracted groups in
     extraction order (each sorted), then every leftover node as a singleton

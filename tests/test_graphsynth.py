@@ -1,17 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import block_513, block_oracle, dyadic_embeddings, make_graph
-from oracles import direct_one_dim_se, lexsort_top_neighbors
+from oracles import direct_one_dim_se, full_width_knn_edges, lexsort_top_neighbors
 
 from dpevent import graphsynth
 from dpevent.corpus import Corpus, MessageRecord, SynthConfig, generate
 from dpevent.graphsynth import (ChunkWorkspace, GraphError, W_FLOOR, _dedupe_undirected,
                                 build_attribute_edges, build_graph, build_knn_edges, one_dim_se,
                                 synthesize_graph, top_neighbor_table)
-from dpevent.privacy import ROW_CHUNK_ELEMS, PrivacyError
+from dpevent.privacy import (ROW_CHUNK_ELEMS, BlockPairs, PrivacyError, PrivacyParams,
+                             SimilarityOracle)
 
 
 def corpus_from_rows(rows, attrs=None):
@@ -293,6 +295,126 @@ def test_shared_workspace_leaves_no_stale_state(monkeypatch):
         nbrs, sims = top_neighbor_table(oracle, k_max, chunk_rows)
         assert np.array_equal(nbrs, ref_nbrs)
         assert np.array_equal(sims.view(np.int64), ref_sims.view(np.int64))
+
+
+def duplicated_block():
+    """60 records on the 24 dyadic directions: every row has exact ties, most
+    of them at any column a table cuts at."""
+    return corpus_from_rows(dyadic_embeddings(60, seed=9))
+
+
+@pytest.mark.parametrize("make_block", [duplicated_block, block_513])
+@pytest.mark.parametrize("epsilon, mode", [
+    (None, "mixed"),
+    (1.0, "global"),    # the bound exceeds every spread: dense
+    (1.5, "mixed"),
+    (15.0, "mixed"),    # noise far below an ulp: the exact ties survive it
+])
+@pytest.mark.parametrize("max_share", [0.0, 1.0])  # dense; pruned where the bound allows
+def test_narrow_table_is_a_prefix_of_the_wide_one(monkeypatch, make_block, epsilon, mode,
+                                                   max_share):
+    block = make_block()
+    oracle = block_oracle(block, epsilon=epsilon, mode=mode, seed=4)
+    prunable = max_share == 1.0 and 0.0 < 2.0 * oracle.noise_bound < oracle.report.s_local
+    for chunk_rows in (None, 7, 100):
+        for k_max in (10, 40):
+            wide_nbrs, wide_sims, pruned = table_and_path(monkeypatch, oracle, k_max,
+                                                          chunk_rows, max_share)
+            assert pruned == prunable
+            for w in (1, 2, 3, 7):
+                nbrs, sims, pruned = table_and_path(monkeypatch, oracle, w, chunk_rows,
+                                                    max_share)
+                assert pruned == prunable
+                assert np.array_equal(nbrs, wide_nbrs[:, :w])
+                assert np.array_equal(sims.view(np.int64), wide_sims[:, :w].view(np.int64))
+
+
+def small_random_block(seed):
+    rng = np.random.default_rng(seed)
+    n, dim = int(rng.integers(4, 12)), int(rng.integers(2, 4))
+    return corpus_from_rows(rng.normal(size=(n, dim)))
+
+
+def assert_same_scan(oracle, k_max):
+    (u, v, w), trace = build_knn_edges(oracle, k_max)
+    (ref_u, ref_v, ref_w), ref_trace = full_width_knn_edges(oracle, k_max)
+    for got, ref in ((u, ref_u), (v, ref_v), (w, ref_w)):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    assert trace.to_dict() == ref_trace.to_dict()
+    return trace
+
+
+NOISE = [(None, "mixed"), (2.0, "global"), (1.0, "mixed")]
+
+# (seed of small_random_block, k_max, the k the rule picks) per noise setting
+# of NOISE, pinned at the full-width scan; k = k_max when it never stops
+SMALL_SCANS = {
+    (None, "mixed"): [(0, 6, 1), (3, 6, 2), (7, 6, 3), (75, 6, 4), (166, 6, 6)],
+    (2.0, "global"): [(0, 6, 1), (8, 6, 2), (16, 6, 3), (3, 6, 4), (159, 6, 6)],
+    (1.0, "mixed"): [(0, 6, 1), (22, 6, 2), (8, 6, 3), (31, 6, 4), (66, 6, 6)],
+}
+
+
+class TestNarrowScan:
+    """build_knn_edges on narrow tables returns what the full-width scan did."""
+
+    @pytest.mark.parametrize("epsilon, mode", NOISE)
+    def test_small_random_blocks(self, epsilon, mode):
+        for seed, k_max, chosen in SMALL_SCANS[epsilon, mode]:
+            oracle = block_oracle(small_random_block(seed), epsilon=epsilon, mode=mode, seed=seed)
+            assert assert_same_scan(oracle, k_max).chosen_k == chosen
+
+    @pytest.mark.parametrize("epsilon, mode", NOISE)
+    def test_k_max_one_and_the_clamp(self, epsilon, mode):
+        for seed in (0, 3, 7, 166):
+            block = small_random_block(seed)
+            oracle = block_oracle(block, epsilon=epsilon, mode=mode, seed=seed)
+            assert assert_same_scan(oracle, 1).ks == [1]
+            for k_max in (len(block) - 1, len(block), 40):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # the clamping warning
+                    assert_same_scan(oracle, k_max)
+
+    @pytest.mark.parametrize("events, points, share, blocks, epsilons, mode", [
+        (25, 200, 0.0, [0], [1.0], "mixed"),                 # sim-knn
+        (4, 125, 0.8, range(24), [15.0], "mixed"),           # attr-blocks
+        (8, 150, 0.5, [0], range(1, 11), "global"),          # eps-sweep
+    ], ids=["sim-knn", "attr-blocks", "eps-sweep"])
+    def test_seed_7_benchmark_shapes(self, events, points, share, blocks, epsilons, mode):
+        # each block as the benchmark generates it, at its epsilons and with the noise off
+        for b in blocks:
+            block = generate(SynthConfig(num_events=events, points_per_event=points, dim=32,
+                                         attribute_sharing_prob=share, seed=7000 + b))
+            pairs = BlockPairs(block, b, seed=7)
+            for epsilon in epsilons:
+                oracle = SimilarityOracle(pairs, PrivacyParams(epsilon=epsilon,
+                                                               sensitivity_mode=mode))
+                assert_same_scan(oracle, 40)
+            assert_same_scan(block_oracle(block, epsilon=None, block_id=b, seed=7), 40)
+
+
+@pytest.mark.parametrize("seed, k_max, expected", [
+    (0, 6, [2]),       # chosen k = 1: the scan stops at k = 2
+    (0, 1, [1]),
+    (3, 2, [2]),       # chosen k = 2 = k_max: nothing past the narrow table
+    (3, 6, [2, 6]),    # chosen k = 2: the scan reads k = 3
+    (3, 9, [2, 9]),    # k_max = n - 1
+    (75, 6, [2, 6]),   # chosen k = 4
+    (166, 6, [2, 6]),  # chosen k = k_max
+    (166, 10, [2, 10]),  # chosen k = 6: still one retry, at k_max
+])
+def test_table_width_contract(monkeypatch, seed, k_max, expected):
+    widths = []
+    table = graphsynth.top_neighbor_table
+
+    def spy(oracle, k_max, chunk_rows=None):
+        widths.append(k_max)
+        return table(oracle, k_max, chunk_rows)
+
+    monkeypatch.setattr(graphsynth, "top_neighbor_table", spy)
+    _, trace = build_knn_edges(block_oracle(small_random_block(seed), seed=seed), k_max)
+    assert widths == expected
+    assert (len(trace.ks) > 2) == (len(widths) == 2)
 
 
 def test_build_graph_peak_memory_is_flat():

@@ -7,7 +7,8 @@ from scipy.stats import rankdata, spearmanr
 
 from oracles import mp_ami, pair_count_ari
 
-from dpevent.metrics import (MetricsError, _average_ranks, ami, ari, contingency,
+from dpevent import metrics
+from dpevent.metrics import (MetricsError, _average_ranks, ami, ari, contingency, evaluate,
                              expected_mutual_information, log_factorial, spearman)
 
 
@@ -138,6 +139,38 @@ class TestContingency:
         assert int(t.counts.sum()) == t.n == n
         assert np.array_equal(t.counts.sum(axis=1), t.row_sums)
         assert np.array_equal(t.counts.sum(axis=0), t.col_sums)
+
+
+class TestEvaluate:
+    def test_scores_equal_the_standalone_functions(self, rng):
+        cases = []
+        for _ in range(60):
+            n = int(rng.integers(2, 60))
+            cases.append((rng.integers(0, rng.integers(1, 6), size=n).tolist(),
+                          rng.integers(0, rng.integers(1, 9), size=n).tolist()))
+        cases.append(([0, 0, 1, 1], [0, 1, 0, 1]))
+        cases.append((["x", "y", "x"], [5, 2, 5]))
+        # the sim-knn shape: 5,000 labels, 25 classes x 877 clusters
+        pred = rng.permutation(np.r_[np.arange(877), rng.integers(0, 877, size=5000 - 877)])
+        cases.append((np.repeat(np.arange(25), 200).tolist(), pred.tolist()))
+        for truth, pred in cases:
+            got = evaluate(truth, pred)
+            assert repr(got["ami"]) == repr(ami(truth, pred))
+            assert repr(got["ari"]) == repr(ari(truth, pred))
+            assert (got["n"], got["num_true"], got["num_pred"]) == (
+                len(truth), len(set(truth)), len(set(pred)))
+        assert (got["num_true"], got["num_pred"]) == (25, 877)
+
+    def test_one_contingency_table(self, monkeypatch):
+        calls = []
+
+        def spy(truth, pred):
+            calls.append(1)
+            return contingency(truth, pred)
+
+        monkeypatch.setattr(metrics, "contingency", spy)
+        evaluate([0, 0, 1, 1, 2], [0, 1, 1, 1, 0])
+        assert len(calls) == 1
 
 
 class TestSpearman:
