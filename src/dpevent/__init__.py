@@ -4,7 +4,7 @@ clustering by two-level structural entropy minimization."""
 __version__ = "0.1.0"
 
 from .corpus import Corpus, CorpusError, MessageRecord, SynthConfig, generate, ingest, split_blocks
-from .entropy import CommunityState, InvalidPartitionError, Partition, two_dim_se, vanilla_minimize
+from .entropy import InvalidPartitionError, Partition, two_dim_se, vanilla_minimize
 from .graphsynth import (GraphError, KnnTrace, MessageGraph, build_attribute_edges, build_graph,
                          build_knn_edges, one_dim_se, synthesize_graph)
 from .metrics import ContingencyTable, MetricsError, ami, ari
@@ -14,7 +14,7 @@ from .privacy import (BlockPairs, PrivacyError, PrivacyParams, SensitivityReport
 
 __all__ = [
     "Corpus", "CorpusError", "MessageRecord", "SynthConfig", "generate", "ingest", "split_blocks",
-    "CommunityState", "InvalidPartitionError", "Partition", "two_dim_se", "vanilla_minimize",
+    "InvalidPartitionError", "Partition", "two_dim_se", "vanilla_minimize",
     "GraphError", "KnnTrace", "MessageGraph", "build_attribute_edges", "build_graph",
     "build_knn_edges", "one_dim_se", "synthesize_graph",
     "ContingencyTable", "MetricsError", "ami", "ari",

@@ -262,8 +262,10 @@ def cmd_sweep(args) -> int:
     if args.include_off and None not in epsilons:
         epsilons.append(None)
     q0 = args.q0 if args.q0 is not None else (300 if args.pooled else 400)
-    # each block's epsilon-independent state fills during its first pipeline
-    blocks = [(block_id, BlockPairs(view, block_id, args.seed))
+    grid = tuple(PrivacyParams(epsilon=e, sensitivity_mode=args.mode) for e in epsilons)
+    # each block's epsilon-independent state, the neighbour tables of the
+    # whole grid included, fills during its first pipeline
+    blocks = [(block_id, BlockPairs(view, block_id, args.seed, grid))
               for block_id, view in _block_views(args, data)]
     if not blocks:
         print("sweep: nothing swept", file=sys.stderr)
@@ -276,8 +278,7 @@ def cmd_sweep(args) -> int:
         "q0": q0, "pooled": args.pooled,
     })
     rows = []
-    for epsilon in epsilons:
-        params = PrivacyParams(epsilon=epsilon, sensitivity_mode=args.mode)
+    for epsilon, params in zip(epsilons, grid):
         for block_id, pairs in blocks:
             result = run_pipeline(pairs, params, args.kmax, q0)
             rows.append({"epsilon": "off" if epsilon is None else epsilon,

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .privacy import NOISE_TILE_ELEMS, SimilarityOracle, _row_chunks
+from .privacy import (NOISE_TILE_ELEMS, UNIT_DRAW_BOUND, BlockPairs, SimilarityOracle,
+                      _row_chunks)
 
 W_FLOOR = 1e-6
 W_CEIL = 1.0
@@ -220,72 +221,119 @@ def _top_k(vals: np.ndarray, k_max: int, cols: np.ndarray | None = None,
     return c[take], v[take]
 
 
-def _reachable_cells(oracle: SimilarityOracle, lo: int, hi: int, k_max: int,
-                     work: ChunkWorkspace):
-    """Exact cosines of rows [lo, hi) and the mask of cells that can reach their row's top k_max.
+def _noisy_candidates(pairs: BlockPairs, exact: np.ndarray, reachable: np.ndarray, lo: int,
+                      work: ChunkWorkspace):
+    """Exact cosines, unit draws and ids of the reachable cells, one row per row of exact.
 
-    With b = oracle.noise_bound and T a row's k_max-th largest exact cosine
-    (self excluded), the row's k_max-th largest noisy value is at least
-    fl(T - b) and a cell's noisy value at most fl(e + b), as float addition
-    is monotone. A cell with fl(e + b) < fl(T - b) is strictly below the
-    k-th value, so it cannot be selected, not even by a tie. The returned
-    cosines have the row's own cell set to -inf. Both returned arrays are
-    views of work's buffers ("exact" and "mask").
-    """
-    h = hi - lo
-    exact = oracle.pairs.exact_rows(lo, hi, out=work.array("exact", (h, oracle.n)))
-    exact[np.arange(h), np.arange(lo, hi)] = -np.inf  # self never selected
-    return exact, _kth_mask(exact, k_max, oracle.noise_bound, work)
-
-
-def _noisy_candidates(oracle: SimilarityOracle, exact: np.ndarray, reachable: np.ndarray,
-                      lo: int, work: ChunkWorkspace):
-    """Noisy values and ids of the reachable cells, one row per row of exact.
-
-    Only these cells get a draw (oracle.pairs.signed_logs). Each row's
-    candidates are left-aligned in ascending id order and padded with -inf;
-    the ids of padding slots are left as they were, as no -inf is selected.
-    The two tables are work's "padded" and "ids" buffers.
+    Only these cells get a draw (pairs.signed_logs). Each row's candidates
+    are left-aligned in ascending id order; the padding slots hold -inf
+    cosines and zero draws, so they stay -inf at every noise scale and none
+    is selected, and their ids are left as they were. The three tables are
+    work's "padded", "padded_logs" and "ids" buffers.
     """
     h, n = exact.shape
     counts = np.count_nonzero(reachable, axis=1)
     cells = np.flatnonzero(reachable)
     rows = np.repeat(np.arange(lo, lo + h), counts)
     cols = cells - (rows - lo) * n
-    vals = oracle.pairs.signed_logs(rows, cols)
-    vals *= oracle.noise_scale
-    vals += exact.ravel()[cells]
     fill = np.arange(counts.max()) < counts[:, None]
     padded = work.array("padded", fill.shape)
     padded.fill(-np.inf)
-    padded[fill] = vals
+    padded[fill] = exact.ravel()[cells]
+    logs = work.array("padded_logs", fill.shape)
+    logs.fill(0.0)
+    logs[fill] = pairs.signed_logs(rows, cols)
     ids = work.array("ids", fill.shape, np.int64)
     ids[fill] = cols
-    return padded, ids
+    return padded, logs, ids
+
+
+def _neighbor_tables(pairs: BlockPairs, scales: list[float], k_max: int, chunks):
+    """The (nbrs, sims) table of each noise scale, from one pass over the row chunks.
+
+    scales are distinct and ascending. Each chunk's exact cosines and unit
+    draws m are computed once; each scale then selects with _top_k from
+    exact + scale * m (exact alone at scale 0), the value every path
+    releases. The largest scale comes last and scales m in place, so a
+    one-scale pass keeps no third chunk-sized buffer. The path (see
+    top_neighbor_table) is chosen for the largest scale, whose draws bound
+    b = UNIT_DRAW_BOUND * scale is at least that of any other.
+
+    Pruning: with T a row's k_max-th largest exact cosine (self excluded),
+    the row's k_max-th largest noisy value is at least fl(T - b) and a
+    cell's noisy value at most fl(e + b), as float addition is monotone. A
+    cell with fl(e + b) < fl(T - b) is strictly below the k-th value, so it
+    cannot be selected, not even by a tie, and _kth_mask leaves it out. The
+    cells a smaller scale's bound would keep are a subset of these, and the
+    extra candidates are strictly below that scale's k-th value too, so
+    they change no table.
+    """
+    n = pairs.n
+    tables = [(np.empty((n, k_max), dtype=np.int64), np.empty((n, k_max))) for _ in scales]
+    bound = scales[-1] * UNIT_DRAW_BOUND
+    prune = 0.0 < 2.0 * bound < pairs.s_local
+    work = ChunkWorkspace()
+    for lo, hi in chunks:
+        h = hi - lo
+        diagonal = np.arange(h), np.arange(lo, hi)
+        exact = pairs.exact_rows(lo, hi, out=work.array("exact", (h, n)))
+        exact[diagonal] = -np.inf  # self never selected
+        if prune:
+            reachable = _kth_mask(exact, k_max, bound, work)
+            # the first chunk's share of reachable cells decides for the block
+            prune = lo > 0 or np.count_nonzero(reachable) <= PRUNE_MAX_SHARE * reachable.size
+        if prune:
+            base, logs, ids = _noisy_candidates(pairs, exact, reachable, lo, work)
+        else:
+            base, logs, ids = exact, None, None
+            if bound > 0.0:
+                logs = pairs.row_logs(lo, hi, out=work.array("logs", (h, n)))
+                logs[diagonal] = 0.0  # keeps the diagonal at -inf at every scale
+        for scale, (nbrs, sims) in zip(scales, tables):
+            vals = base
+            if scale > 0.0:
+                out = logs if scale == scales[-1] else work.array("vals", base.shape)
+                vals = np.multiply(logs, scale, out=out)
+                vals += base
+            nbrs[lo:hi], sims[lo:hi] = _top_k(vals, k_max, ids, work if prune else None)
+    return tables
 
 
 def top_neighbor_table(oracle: SimilarityOracle, k_max: int, chunk_rows: int | None = None):
     """Per-node neighbor ranking by descending noisy similarity, ties by ascending id.
 
-    The rows are visited in the oracle's row chunks (oracle.pairs.row_chunks, about
+    The rows are visited in the block's row chunks (oracle.pairs.row_chunks, about
     ROW_CHUNK_ELEMS cells each), so each chunk's temporaries stay a few MB
     whatever n is. chunk_rows sets another chunk height; that changes the
-    work per step, not the result. The pruned path's chunk-sized
-    temporaries are views of one ChunkWorkspace made per call and reused
-    from chunk to chunk. A workspace kept across calls only held memory
-    longer: the buffers a call frees are reused for the next block's table.
+    work per step, not the result. The chunk-sized temporaries are views of
+    one ChunkWorkspace made per pass and reused from chunk to chunk. A
+    workspace kept across calls only held memory longer: the buffers a
+    call frees are reused for the next block's table.
+
+    One pass (_neighbor_tables) serves several noise scales of the block.
+    The first request for a block whose BlockPairs holds a grid
+    (planned_scales) builds the table of every grid point at this width,
+    together with the oracle's own, and parks them in oracle.pairs,
+    keyed by (noise scale, width); a later request at a parked key takes
+    its table from there. Without a grid the pass serves the one scale.
+    A cell's value is fl(exact + fl(scale * m)), with the exact cosine from
+    its row chunk's product and m its pair's unit draw, neither of which
+    depends on the scale, so a table from a shared pass is the table of a
+    pass of its own, bit for bit.
 
     The table comes from one of two paths, which give the same result:
-    - dense: oracle.noisy_rows draws for every cell;
-    - pruned: only the cells that the largest possible draw could lift into
-      their row's top k_max get a draw (_reachable_cells), so which cells
-      are drawn depends on the exact cosines.
-    The block takes the dense path when 2 * oracle.noise_bound >= s_local
-    (the largest spread of a row's exact cosines: no cell can be excluded)
-    or the noise is off (nothing to save). Otherwise the first chunk
-    decides: past PRUNE_MAX_SHARE of reachable cells, skipping draws no
-    longer pays for handling the reachable ones, and the block goes dense.
-    Both paths select with _top_k. A node is never its own neighbor.
+    - dense: every cell gets a draw (BlockPairs.row_logs);
+    - pruned: only the cells that the largest possible draw of the largest
+      scale could lift into their row's top k_max get a draw (see
+      _neighbor_tables), so which cells are drawn depends on the exact
+      cosines.
+    The block takes the dense path when 2 * noise_bound >= s_local (the
+    largest spread of a row's exact cosines: no cell can be excluded) or
+    the noise is off (nothing to save), for the largest scale. Otherwise
+    the first chunk decides: past PRUNE_MAX_SHARE of reachable cells,
+    skipping draws no longer pays for handling the reachable ones, and the
+    block goes dense. Both paths select with _top_k. A node is never its
+    own neighbor.
 
     The table at width w equals the first w columns of the table at any
     larger width, bit for bit, on either path: a cell's value is its pair's
@@ -298,25 +346,15 @@ def top_neighbor_table(oracle: SimilarityOracle, k_max: int, chunk_rows: int | N
     Returns (nbrs, sims): (n, k_max) arrays of the k_max best neighbors per node
     and their unclipped noisy similarities.
     """
-    n = oracle.n
-    nbrs = np.empty((n, k_max), dtype=np.int64)
-    sims = np.empty((n, k_max), dtype=np.float64)
-    chunks = oracle.pairs.row_chunks if chunk_rows is None else _row_chunks(n, chunk_rows * n)
-    prune = 0.0 < 2.0 * oracle.noise_bound < oracle.report.s_local
-    work = ChunkWorkspace()
-    for lo, hi in chunks:
-        if prune:
-            exact, reachable = _reachable_cells(oracle, lo, hi, k_max, work)
-            # the first chunk's share of reachable cells decides for the block
-            prune = lo > 0 or np.count_nonzero(reachable) <= PRUNE_MAX_SHARE * reachable.size
-        if prune:
-            vals, ids = _noisy_candidates(oracle, exact, reachable, lo, work)
-            nbrs[lo:hi], sims[lo:hi] = _top_k(vals, k_max, ids, work)
-        else:
-            rows = oracle.noisy_rows(lo, hi)
-            rows[np.arange(hi - lo), np.arange(lo, hi)] = -np.inf  # self never selected
-            nbrs[lo:hi], sims[lo:hi] = _top_k(rows, k_max)
-    return nbrs, sims
+    pairs = oracle.pairs
+    key = (oracle.noise_scale, k_max)
+    if key not in pairs.neighbor_tables:
+        scales = sorted({oracle.noise_scale, *pairs.planned_scales()})
+        n = pairs.n
+        chunks = pairs.row_chunks if chunk_rows is None else _row_chunks(n, chunk_rows * n)
+        tables = _neighbor_tables(pairs, scales, k_max, chunks)
+        pairs.neighbor_tables.update(zip([(scale, k_max) for scale in scales], tables))
+    return pairs.neighbor_tables.pop(key)
 
 
 def build_knn_edges(oracle: SimilarityOracle, k_max: int = 40):

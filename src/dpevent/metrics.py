@@ -10,6 +10,7 @@ scipy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -120,6 +121,18 @@ def log_factorial(x: int) -> float:
                 + 8.33333333333331927722e-2) / z
 
 
+@functools.lru_cache(maxsize=1)
+def _log_factorials(n: int) -> np.ndarray:
+    """lg[x] = ln(x!) for x in 0..n+1, read-only.
+
+    One table is kept, that of the last n: an epsilon sweep scores one
+    block's n at every epsilon, and the table is a Python loop of n + 2 calls.
+    """
+    lg = np.array([log_factorial(x) for x in range(n + 2)])
+    lg.setflags(write=False)
+    return lg
+
+
 def _emi_cell(n: int, ai: int, bj: int, lg: np.ndarray) -> float | None:
     """E[MI] term of one (a_i, b_j) marginal pair; None when no k is possible."""
     lo = max(1, ai + bj - n)
@@ -143,7 +156,7 @@ def expected_mutual_information(table: ContingencyTable) -> float:
     added one per (i, j), in row-major order.
     """
     n = table.n
-    lg = np.array([log_factorial(x) for x in range(n + 2)])  # lg[x] = ln(x!)
+    lg = _log_factorials(n)
     b = table.col_sums.tolist()
     terms: dict[tuple[int, int], float | None] = {}
     total = 0.0

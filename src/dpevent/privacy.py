@@ -12,22 +12,27 @@ attribute pairs, noisy_rows' row i). The cosine is cell (i, j) of the matrix
 product of row i's chunk (BlockPairs.exact_rows), and m is the pair's unit
 Laplace draw (signed_log_uniforms) from a counter-based substream of the
 block seed, so reruns and concurrent queries reproduce it. A dense pass over
-the similarity rows (noisy_rows) meets every pair twice, once from each of
-its rows, and computes the same draw both times, so it generates two
+the similarity rows (BlockPairs.row_logs) meets every pair twice, once from
+each of its rows, and computes the same draw both times, so it generates two
 uniforms per pair. The top-k neighbour table takes that dense pass only when
 the noise can reach every cell; otherwise it draws only for the cells that
 can still reach a row's top k, which noise_bound, the largest possible
 |draw|, decides (see graphsynth.top_neighbor_table). So the draws per pair
 depend on the block's exact cosines, not only on n.
 
-The state of a block splits by epsilon. BlockPairs(block, block_id, seed) is
-the one handle of a block: the records, their block id, the noise substream
-key of (seed, block id), the pair indexing, the exact cosines, s_local, and
-the attribute pairs with their exact cosines and unit draws. A
-SimilarityOracle(pairs, params) is the view of that state at one epsilon:
-the sensitivity report, the noise scale, and the perturbed values. An
-epsilon sweep builds one BlockPairs per block and one oracle per (epsilon,
-block), so the epsilon-free work runs once per block.
+The state of a block splits by epsilon. BlockPairs(block, block_id, seed,
+grid) is the one handle of a block: the records, their block id, the noise
+substream key of (seed, block id), the pair indexing, the exact cosines,
+s_local, the attribute pairs with their exact cosines and unit draws, and
+the epsilon grid it will be asked for. A SimilarityOracle(pairs, params) is
+the view of that state at one epsilon: the sensitivity report, the noise
+scale, and the perturbed values. An epsilon sweep builds one BlockPairs per
+block, with the sweep's grid, and one oracle per (epsilon, block), so the
+epsilon-free work runs once per block. That includes the pass over the
+similarity rows: its chunk products and unit draws do not depend on
+epsilon, so the block's first neighbour-table request builds the table of
+every grid point in one pass and parks them in the block state (see
+graphsynth.top_neighbor_table).
 
 Every O(n^2) pass works in row chunks of about ROW_CHUNK_ELEMS cells (a 2 MB
 float64 temporary), and the noise in tiles of about NOISE_TILE_ELEMS cells, so
@@ -246,6 +251,10 @@ def signed_log_uniforms(u: np.ndarray) -> np.ndarray:
     return out
 
 
+# Largest |m| of a unit draw: noise_bound is this times the noise scale.
+UNIT_DRAW_BOUND = float(signed_log_uniforms(np.array(_U_MAX)))
+
+
 def derive_block_seed(seed: int, block: int) -> int:
     """Stable per-block substream key for the pairwise noise."""
     with np.errstate(over="ignore"):
@@ -266,12 +275,18 @@ class BlockPairs:
     - s_local, from local_sensitivity;
     - the attribute pairs (Corpus.attribute_pairs) and their exact cosines;
     - the unit draws of those pairs, which the noise scale turns into the
-      draw at any epsilon.
-    The state is O(n + attribute pairs). It keeps no n x n array, so the
-    dense similarity rows still draw once per oracle.
+      draw at any epsilon;
+    - the neighbour tables that graphsynth.top_neighbor_table parks here,
+      keyed by (noise scale, width), until their epsilon asks for them.
+    grid lists the PrivacyParams the block will be asked for (an epsilon
+    sweep's grid). The block's first neighbour-table request takes their
+    noise scales (planned_scales) and builds every grid point's table in
+    its one pass over the similarity rows. The state is O(n + attribute
+    pairs), plus O(n) per parked table. It keeps no n x n array.
     """
 
-    def __init__(self, block: Corpus, block_id: int, seed: int = 0):
+    def __init__(self, block: Corpus, block_id: int, seed: int = 0,
+                 grid: tuple[PrivacyParams, ...] = ()):
         self.block = block
         self.n = len(block)
         self.block_id = block_id
@@ -285,12 +300,30 @@ class BlockPairs:
         self._s_local: float | None = None
         self._attribute_pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._attribute_logs: np.ndarray | None = None
+        self._grid = list(grid)
+        self.neighbor_tables: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def s_local(self) -> float:
         if self._s_local is None:
             self._s_local = local_sensitivity(self.block)
         return self._s_local
+
+    def planned_scales(self) -> list[float]:
+        """Noise scales of the grid points not yet planned, from sensitivity_report.
+
+        Each grid point is handed out once: the grid is empty afterwards. A
+        point whose report raises (its noise scale overflows) is left out,
+        so its own oracle raises as it would without a grid.
+        """
+        scales = []
+        for params in self._grid:
+            try:
+                scales.append(sensitivity_report(self, params).noise_scale)
+            except PrivacyError:
+                pass
+        self._grid = []
+        return scales
 
     def exact_rows(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
         """Exact cosines of rows [lo, hi), cut from the products of their row chunks.
@@ -347,6 +380,25 @@ class BlockPairs:
             self._attribute_logs.setflags(write=False)
         return self._attribute_logs
 
+    def row_logs(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Unit draws of the cells of rows [lo, hi): cell (i, j) holds pair (i, j)'s draw.
+
+        The draws are the ones signed_logs gives, generated in tiles of about
+        NOISE_TILE_ELEMS cells, each with its own counters. The diagonal
+        cells hold draws too, of no pair: callers overwrite them. out, a
+        (hi - lo, n) float64 array, receives them in place of a new array.
+        """
+        out = np.empty((hi - lo, self.n)) if out is None else out
+        step = max(1, NOISE_TILE_ELEMS // self.n)
+        cols = np.arange(self.n)
+        for a in range(lo, hi, step):
+            b = min(hi, a + step)
+            rows = np.arange(a, b)[:, None]
+            p = self.pair_base + rows  # column j < row i: pair (j, i)
+            np.add(self.pair_base[a:b, None], cols, out=p, where=cols >= rows)  # pair (i, j)
+            out[a - lo:b - lo] = signed_log_uniforms(substream_uniforms(self.key, p))
+        return out
+
     def signed_logs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Unit draws (signed_log_uniforms) of pairs (u[k], v[k]), u[k] != v[k], unchecked.
 
@@ -384,7 +436,7 @@ class SimilarityOracle:
         self.n = pairs.n
         self.report = sensitivity_report(pairs, params)
         self.noise_scale = self.report.noise_scale
-        self.noise_bound = self.noise_scale * float(signed_log_uniforms(np.array(_U_MAX)))
+        self.noise_bound = self.noise_scale * UNIT_DRAW_BOUND
 
     def noisy_pairs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Perturbed similarities for arrays of pairs (u[k], v[k]).
@@ -419,23 +471,15 @@ class SimilarityOracle:
     def noisy_rows(self, lo: int, hi: int) -> np.ndarray:
         """Perturbed similarities of rows [lo, hi) against all records.
 
-        The exact cosines come from pairs.exact_rows, so a row's values do
-        not depend on the range asked for. The noise is added in tiles of
-        about NOISE_TILE_ELEMS cells, each with its own counters, and each
-        pair gets the same draw as in noisy_pairs. The diagonal is set to NaN.
+        The exact cosines come from pairs.exact_rows and the unit draws from
+        pairs.row_logs, so a row's values do not depend on the range asked
+        for, and each pair gets the same draw as in noisy_pairs. The
+        diagonal is set to NaN.
         """
         sims = self.pairs.exact_rows(lo, hi)
         if self.noise_scale > 0.0:
-            base = self.pairs.pair_base
-            step = max(1, NOISE_TILE_ELEMS // self.n)
-            cols = np.arange(self.n)
-            for a in range(lo, hi, step):
-                b = min(hi, a + step)
-                rows = np.arange(a, b)[:, None]
-                p = base + rows  # column j < row i: pair (j, i)
-                np.add(base[a:b, None], cols, out=p, where=cols >= rows)  # pair (i, j)
-                draws = signed_log_uniforms(substream_uniforms(self.pairs.key, p))
-                draws *= self.noise_scale
-                sims[a - lo:b - lo] += draws
+            draws = self.pairs.row_logs(lo, hi)
+            draws *= self.noise_scale
+            sims += draws
         sims[np.arange(hi - lo), np.arange(lo, hi)] = np.nan
         return sims

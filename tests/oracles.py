@@ -1,7 +1,9 @@
 """Independent reference implementations used only to check the package.
 
 Everything here is written straight off the defining formulas (plain loops,
-no shared code with the package) so agreement is meaningful.
+no shared code with the package) so agreement is meaningful. The exceptions
+say so: full_width_knn_edges and CommunityState drive package helpers to
+check one layer around them.
 """
 
 import math
@@ -9,6 +11,11 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy.special import gammaln
+
+from dpevent.entropy import (InvalidPartitionError, Partition, _check_partition,
+                             _community_aggregates, _contributions, _EdgeSlots, _merge,
+                             _merge_deltas, merged_partition)
+from dpevent.graphsynth import GraphError, MessageGraph
 
 
 def direct_two_dim_se(n, u, v, w, assignment):
@@ -678,3 +685,66 @@ def ref_attribute_pairs(records):
     codes.sort()
     codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
     return codes // n, codes % n
+
+
+class CommunityState:
+    """Per-community state and cross-community edges of a partitioned graph.
+
+    A harness around the package's merge step, not a reference: it holds
+    the state dpevent.entropy.minimize_edges works on, merge_delta evaluates
+    the loop's delta for one pair with its _merge_deltas, and apply_merge
+    runs its _merge, so tests can check single merges against
+    direct_two_dim_se. C holds each community's contribution, as in the
+    loop. The edges are the loop's fixed slots (`slots.ea`, `slots.eb`,
+    `slots.ew`); a dead slot holds ea = eb = -1.
+    """
+
+    def __init__(self, graph: MessageGraph, partition: Partition):
+        assignment = _check_partition(graph, partition)
+        vol, V, g, ilog, ea, eb, ew = _community_aggregates(graph, assignment)
+        if vol <= 0.0:
+            raise GraphError("community state is undefined on an empty graph")
+        self.vol = vol
+        self.log2vol = math.log2(vol)
+        self.V = V
+        self.g = g
+        self.ilog = ilog
+        self.C = _contributions(V, g, ilog, self.log2vol)
+        self.slots = _EdgeSlots(ea, eb, ew, V.size)
+        self.alive = np.ones(V.size, dtype=bool)
+        self.parent = np.arange(V.size, dtype=np.int64)
+        self._base_assignment = assignment
+
+    def _pair(self, a: int, b: int):
+        """The pair as (lo, hi, slot of its edge or -1), validated."""
+        if a == b:
+            raise InvalidPartitionError("cannot merge a community with itself")
+        for c in (a, b):
+            if not (0 <= c < self.alive.size) or not self.alive[c]:
+                raise InvalidPartitionError(f"unknown or merged community id {c}")
+        lo, hi = min(a, b), max(a, b)
+        return lo, hi, self.slots.find(lo, hi)
+
+    def _merge_terms(self, lo: int, hi: int, s: int):
+        """The pair's merge delta and its merged contribution."""
+        w = self.slots.ew[s] if s >= 0 else 0.0
+        delta, merged = _merge_deltas(np.array([lo]), np.array([hi]), np.array([w]), self.V,
+                                      self.g, self.ilog, self.C, self.vol, self.log2vol)
+        return float(delta[0]), merged[0]
+
+    def merge_delta(self, a: int, b: int) -> float:
+        """H2(after merging a and b) - H2(before), from cached state."""
+        return self._merge_terms(*self._pair(a, b))[0]
+
+    def apply_merge(self, a: int, b: int) -> None:
+        """Merge the two communities; the smaller id survives."""
+        lo, hi, s = self._pair(a, b)
+        _, self.C[lo] = self._merge_terms(lo, hi, s)
+        _merge(lo, hi, s, self.V, self.g, self.ilog, self.parent, self.slots)
+        self.alive[hi] = False
+
+    def two_dim_se(self) -> float:
+        return float(self.C[self.alive].sum()) / self.vol
+
+    def partition(self) -> Partition:
+        return merged_partition(self.parent, self._base_assignment)

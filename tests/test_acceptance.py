@@ -11,11 +11,11 @@ import numpy as np
 from scipy.stats import spearmanr
 
 from conftest import make_graph
-from oracles import direct_two_dim_se, enumerate_partitions, random_graph
+from oracles import CommunityState, direct_two_dim_se, enumerate_partitions, random_graph
 
 from dpevent.cli import main
 from dpevent.corpus import SynthConfig, export, generate
-from dpevent.entropy import CommunityState, Partition, two_dim_se, vanilla_minimize
+from dpevent.entropy import Partition, two_dim_se, vanilla_minimize
 from dpevent.graphsynth import build_graph, one_dim_se
 from dpevent.metrics import ami, ari
 from dpevent.partition import cluster

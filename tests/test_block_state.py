@@ -10,7 +10,7 @@ import pytest
 
 from conftest import block_513, block_oracle
 
-from dpevent import cli, privacy
+from dpevent import cli, graphsynth, privacy
 from dpevent.corpus import (Corpus, MessageRecord, SynthConfig, export, generate, ingest,
                             split_blocks)
 from dpevent.graphsynth import build_attribute_edges, build_graph, clip_weights
@@ -112,14 +112,21 @@ def test_sweep_fills_the_state_once_per_block_inside_the_graph_stage(tmp_path, m
     path = tmp_path / "corpus.jsonl"
     export(two_blocks, path)
     depth = [0]
+    stages = []  # block id of each _build_block_graph call, in order
     calls = {"local_sensitivity": [], "attribute_pairs": []}
+    passes = []  # (block id, _build_block_graph call, scales) of each table pass
 
-    def stage(*args, **kwargs):
+    def stage(pairs, *args, **kwargs):
+        stages.append(pairs.block_id)
         depth[0] += 1
         try:
-            return build_block_graph(*args, **kwargs)
+            return build_block_graph(pairs, *args, **kwargs)
         finally:
             depth[0] -= 1
+
+    def table_pass(pairs, scales, *args):
+        passes.append((pairs.block_id, len(stages) if depth[0] else None, len(scales)))
+        return neighbor_tables(pairs, scales, *args)
 
     def counted(name, fn):
         def wrapper(block, *args):
@@ -128,7 +135,9 @@ def test_sweep_fills_the_state_once_per_block_inside_the_graph_stage(tmp_path, m
         return wrapper
 
     build_block_graph = cli._build_block_graph
+    neighbor_tables = graphsynth._neighbor_tables
     monkeypatch.setattr(cli, "_build_block_graph", stage)
+    monkeypatch.setattr(graphsynth, "_neighbor_tables", table_pass)
     monkeypatch.setattr(privacy, "local_sensitivity",
                         counted("local_sensitivity", privacy.local_sensitivity))
     monkeypatch.setattr(Corpus, "attribute_pairs",
@@ -137,4 +146,53 @@ def test_sweep_fills_the_state_once_per_block_inside_the_graph_stage(tmp_path, m
                      "--epsilons", "1,2,5", "--mode", "global"]) == 0  # 3 + off
     assert calls == {"local_sensitivity": [(0, True), (1, True)],
                      "attribute_pairs": [(0, True), (1, True)]}
+    # one pass per block builds the tables of all 4 grid points, inside the
+    # block's first graph build (calls 1 and 2: epsilon 1, blocks 0 and 1)
+    assert stages == [0, 1] * 4
+    assert passes == [(0, 1, 4), (1, 2, 4)]
+
+
+def small_sweep_corpus():
+    """11 records in 3-D whose kNN scan passes k = 2 at epsilon 10 and off."""
+    rng = np.random.default_rng(7)
+    n, dim = int(rng.integers(4, 12)), int(rng.integers(2, 4))
+    rows = rng.normal(size=(n, dim))
+    return Corpus([MessageRecord(id=f"m{i}", block=0, embedding=r, label=f"e{i % 2}")
+                   for i, r in enumerate(rows)])
+
+
+@pytest.mark.parametrize("mode", ["global", "mixed"])
+def test_sweep_whose_scan_passes_k_2_equals_fresh_graphs(tmp_path, monkeypatch, mode):
+    # a scan that reaches k = 3 asks for a k_max-wide table, which one-oracle
+    # passes build; the grid's 2-wide tables come from the block's one pass
+    path = tmp_path / "corpus.jsonl"
+    export(small_sweep_corpus(), path)
+    block = ingest(path)
+    built, widths = [], []
+
+    def spy(oracle, k_max):
+        graph, trace = build_graph(oracle, k_max=k_max)
+        built.append((oracle.params.epsilon, graph, trace))
+        return graph, trace
+
+    def table_pass(pairs, scales, k_max, chunks):
+        widths.append((len(scales), k_max))
+        return neighbor_tables(pairs, scales, k_max, chunks)
+
+    neighbor_tables = graphsynth._neighbor_tables
+    monkeypatch.setattr(cli, "build_graph", spy)
+    monkeypatch.setattr(graphsynth, "_neighbor_tables", table_pass)
+    assert cli.main(["sweep", "--input", str(path), "--out", str(tmp_path / "s"),
+                     "--epsilons", "0.5,1,10", "--mode", mode, "--seed", "9",
+                     "--kmax", "10"]) == 0
+    wide = [e for e, _, trace in built if len(trace.ks) > 2]
+    assert len(wide) >= 2 and None in wide
+    assert widths == [(4, 2)] + [(1, 10)] * len(wide)
+    for epsilon, graph, trace in built:
+        fresh, fresh_trace = build_graph(block_oracle(block, epsilon=epsilon, mode=mode, seed=9),
+                                         k_max=10)
+        assert trace.to_dict() == fresh_trace.to_dict()
+        assert np.array_equal(graph.u, fresh.u) and np.array_equal(graph.v, fresh.v)
+        assert graph.w.tobytes() == fresh.w.tobytes()
+        assert np.array_equal(graph.provenance, fresh.provenance)
 

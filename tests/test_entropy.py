@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import make_graph
-from oracles import (direct_two_dim_se, enumerate_partitions, greedy_reference, random_graph,
-                     reference_minimize_edges)
+from oracles import (CommunityState, direct_two_dim_se, enumerate_partitions, greedy_reference,
+                     random_graph, reference_minimize_edges)
 
-from dpevent.entropy import (CommunityState, InvalidPartitionError, Partition,
-                             _community_aggregates, dense_labels, minimize_edges,
-                             resolve_parents, two_dim_se, vanilla_minimize)
+from dpevent.entropy import (InvalidPartitionError, Partition, _community_aggregates,
+                             dense_labels, minimize_edges, resolve_parents, two_dim_se,
+                             vanilla_minimize)
 from dpevent.graphsynth import GraphError, one_dim_se
 
 LOG2_3 = math.log2(3)

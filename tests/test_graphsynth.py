@@ -329,6 +329,80 @@ def test_narrow_table_is_a_prefix_of_the_wide_one(monkeypatch, make_block, epsil
                 assert np.array_equal(sims.view(np.int64), wide_sims[:, :w].view(np.int64))
 
 
+def planned_block(block, mode, epsilons):
+    """BlockPairs of block that plans the grid of epsilons, and the grid."""
+    grid = tuple(PrivacyParams(epsilon=e, sensitivity_mode=mode) for e in epsilons)
+    return BlockPairs(block, 0, 4, grid), grid
+
+
+def one_pass_tables(monkeypatch, pairs, oracles, k_max):
+    """The table of each oracle (a view of pairs) in turn, and [scales, pruned]
+    of each pass that built them."""
+    passes = []
+    neighbor_tables, candidates = graphsynth._neighbor_tables, graphsynth._noisy_candidates
+
+    def table_pass(pairs, scales, *args):
+        passes.append([len(scales), False])
+        return neighbor_tables(pairs, scales, *args)
+
+    def spy(*args):
+        passes[-1][1] = True
+        return candidates(*args)
+
+    monkeypatch.setattr(graphsynth, "_neighbor_tables", table_pass)
+    monkeypatch.setattr(graphsynth, "_noisy_candidates", spy)
+    tables = [top_neighbor_table(oracle, k_max) for oracle in oracles]
+    assert pairs.neighbor_tables == {}  # every parked table was taken
+    monkeypatch.setattr(graphsynth, "_neighbor_tables", neighbor_tables)
+    monkeypatch.setattr(graphsynth, "_noisy_candidates", candidates)
+    return tables, passes
+
+
+@pytest.mark.parametrize("make_block", [duplicated_block, block_513])
+@pytest.mark.parametrize("mode, epsilons", [
+    ("global", (1.0, 2.0, 10.0, None)),      # dense: the bound exceeds every spread
+    ("mixed", (1.5, 3.0, 15.0, None, 10.0)),  # prunable; 15 and 10 leave the ties exact
+    ("smooth", (2.5, 1.5, 8.0, None)),
+])
+@pytest.mark.parametrize("max_share", [0.0, 1.0])  # dense; pruned where the bound allows
+@pytest.mark.parametrize("k_max", [1, 2, 40])
+def test_one_pass_tables_equal_one_oracle_tables(monkeypatch, make_block, mode, epsilons,
+                                                 max_share, k_max):
+    block = make_block()
+    monkeypatch.setattr(graphsynth, "PRUNE_MAX_SHARE", max_share)
+    pairs, grid = planned_block(block, mode, epsilons)
+    oracles = [SimilarityOracle(pairs, params) for params in grid]
+    tables, passes = one_pass_tables(monkeypatch, pairs, oracles, k_max)
+    largest = max(oracles, key=lambda oracle: oracle.noise_scale)
+    prunable = 0.0 < 2.0 * largest.noise_bound < largest.report.s_local
+    assert prunable == (mode != "global")
+    assert passes == [[len(epsilons), max_share == 1.0 and prunable]]
+    for epsilon, (nbrs, sims) in zip(epsilons, tables):
+        ref_nbrs, ref_sims = top_neighbor_table(block_oracle(block, epsilon=epsilon, mode=mode,
+                                                             seed=4), k_max)
+        assert np.array_equal(nbrs, ref_nbrs)
+        assert np.array_equal(sims.view(np.int64), ref_sims.view(np.int64))
+
+
+def test_grid_point_whose_noise_overflows_raises_at_its_own_oracle(monkeypatch):
+    # 1e-310 gives a noise scale of 2 / 1e-310 = inf: it is left out of the
+    # plan, and its oracle raises as without a grid. The repeated epsilon
+    # finds its table taken and builds its own.
+    block = duplicated_block()
+    epsilons = (1e-310, 2.0, 2.0, None)
+    pairs, grid = planned_block(block, "global", epsilons)
+    oracles = [SimilarityOracle(pairs, params) for params in grid[1:]]
+    tables, passes = one_pass_tables(monkeypatch, pairs, oracles, 2)
+    assert passes == [[2, False], [1, False]]
+    with pytest.raises(PrivacyError, match="overflows float64"):
+        SimilarityOracle(pairs, grid[0])
+    for epsilon, (nbrs, sims) in zip(epsilons[1:], tables):
+        ref_nbrs, ref_sims = top_neighbor_table(block_oracle(block, epsilon=epsilon,
+                                                             mode="global", seed=4), 2)
+        assert np.array_equal(nbrs, ref_nbrs)
+        assert np.array_equal(sims.view(np.int64), ref_sims.view(np.int64))
+
+
 def small_random_block(seed):
     rng = np.random.default_rng(seed)
     n, dim = int(rng.integers(4, 12)), int(rng.integers(2, 4))

@@ -172,6 +172,27 @@ class TestEvaluate:
         evaluate([0, 0, 1, 1, 2], [0, 1, 1, 1, 0])
         assert len(calls) == 1
 
+    def test_ln_factorial_table_is_built_once_per_n(self, monkeypatch, rng):
+        calls = []
+
+        def spy(x):
+            calls.append(x)
+            return log_factorial(x)
+
+        n = 300
+        truth, pred = rng.integers(0, 6, size=n).tolist(), rng.integers(0, 9, size=n).tolist()
+        metrics._log_factorials.cache_clear()
+        monkeypatch.setattr(metrics, "log_factorial", spy)
+        first = evaluate(truth, pred)
+        assert calls == list(range(n + 2))
+        calls.clear()
+        assert repr(evaluate(truth, pred)) == repr(first)
+        assert calls == []
+        # another n builds its own table, which replaces the kept one
+        evaluate(truth[1:], pred[1:])
+        evaluate(truth, pred)
+        assert len(calls) == (n + 1) + (n + 2)
+
 
 class TestSpearman:
     def test_equals_scipy_on_ties(self, rng):
