@@ -278,16 +278,25 @@ def cmd_sweep(args) -> int:
         "q0": q0, "pooled": args.pooled,
     })
     rows = []
+    failures = 0
     for epsilon, params in zip(epsilons, grid):
+        label = "off" if epsilon is None else epsilon
         for block_id, pairs in blocks:
-            result = run_pipeline(pairs, params, args.kmax, q0)
-            rows.append({"epsilon": "off" if epsilon is None else epsilon,
-                         "block": block_id,
+            try:
+                result = run_pipeline(pairs, params, args.kmax, q0)
+            except Exception as exc:  # noqa: BLE001 - per-pipeline isolation
+                print(f"sweep: epsilon={label} block={block_id} failed: "
+                      f"{type(exc).__name__}: {exc}", file=sys.stderr)
+                failures += 1
+                continue
+            rows.append({"epsilon": label, "block": block_id,
                          "ami": result.get("ami", math.nan),
                          "ari": result.get("ari", math.nan),
                          "s_mixed": result["s_mixed"]})
-            print(f"sweep: epsilon={rows[-1]['epsilon']} block={block_id} "
+            print(f"sweep: epsilon={label} block={block_id} "
                   f"ami={rows[-1]['ami']:.4f} ari={rows[-1]['ari']:.4f}")
+    if not rows:
+        return 1
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("epsilon,block,ami,ari,s_mixed\n")
         for r in rows:
@@ -308,7 +317,7 @@ def cmd_sweep(args) -> int:
     if off_rows:
         summary["mean_ari_off"] = float(np.mean([r["ari"] for r in off_rows]))
     write_json(out / "sweep_summary.json", summary)
-    return 0
+    return 1 if failures else 0
 
 
 def cmd_sensitivity_report(args) -> int:
@@ -419,7 +428,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CorpusError, PrivacyError) as exc:
         # a malformed corpus or synth configuration, or an epsilon whose noise
-        # scale overflows (build-graph fails that block instead)
+        # scale overflows (build-graph and sweep fail only that block or grid
+        # point)
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -130,7 +130,7 @@ class _TokenBuilder:
         return indptr, codes[np.lexsort((codes, rows))], _Tokens([keys[c] for c in order])
 
 
-def _check_columns(dims: set[int], ids: list[str], blocks: list[int], contiguous: bool) -> None:
+def _check_columns(dims: set[int], ids: list[str], blocks: list[int]) -> None:
     """The corpus-wide checks, in the order the errors are reported."""
     if len(dims) != 1:
         raise CorpusError(f"embedding dimension mismatch across records: {sorted(dims)}")
@@ -140,10 +140,9 @@ def _check_columns(dims: set[int], ids: list[str], blocks: list[int], contiguous
             if rid in seen:
                 raise CorpusError(f"duplicate record id {rid!r}")
             seen.add(rid)
-    if contiguous:
-        present = sorted(set(blocks))
-        if present != list(range(len(present))):
-            raise CorpusError(f"block indices must be contiguous from 0, got {present}")
+    present = sorted(set(blocks))
+    if present != list(range(len(present))):
+        raise CorpusError(f"block indices must be contiguous from 0, got {present}")
 
 
 class Corpus:
@@ -156,33 +155,31 @@ class Corpus:
       the record order whenever each block is one run of records;
     - a CSR of (category, token) codes per record.
 
-    Corpus(records) validates the MessageRecords and keeps them. ingest,
-    generate and block views build the columns directly; their records are
-    made on access.
+    Corpus(records) validates the MessageRecords and stores their columns;
+    ingest, generate and block views build the columns directly. Records
+    are made on access.
     """
 
-    def __init__(self, records: list[MessageRecord], require_contiguous_blocks: bool = True):
+    def __init__(self, records: list[MessageRecord]):
         records = tuple(records)
         if not records:
             raise CorpusError("corpus must contain at least one record")
         ids = [r.id for r in records]
         blocks = [r.block for r in records]
-        _check_columns({r.embedding.shape[0] for r in records}, ids, blocks,
-                       require_contiguous_blocks)
+        _check_columns({r.embedding.shape[0] for r in records}, ids, blocks)
         tokens = _TokenBuilder()
         for r in records:
             tokens.add(r.attributes)
         self._fill(np.stack([r.embedding for r in records]), ids, [r.label for r in records],
-                   np.asarray(blocks, dtype=np.int64), *tokens.finish(), records)
+                   np.asarray(blocks, dtype=np.int64), *tokens.finish())
 
     @classmethod
-    def _of_columns(cls, embeddings, ids, labels, block, indptr, codes, tokens,
-                    records=None) -> Corpus:
+    def _of_columns(cls, embeddings, ids, labels, block, indptr, codes, tokens) -> Corpus:
         corpus = cls.__new__(cls)
-        corpus._fill(embeddings, ids, labels, block, indptr, codes, tokens, records)
+        corpus._fill(embeddings, ids, labels, block, indptr, codes, tokens)
         return corpus
 
-    def _fill(self, embeddings, ids, labels, block, indptr, codes, tokens, records) -> None:
+    def _fill(self, embeddings, ids, labels, block, indptr, codes, tokens) -> None:
         embeddings.setflags(write=False)
         self.embeddings: np.ndarray = embeddings
         # object arrays, so that a view slices or gathers them like the rest
@@ -190,7 +187,6 @@ class Corpus:
         self._labels = np.asarray(labels, dtype=object)
         self._block = block
         self._indptr, self._codes, self._tokens = indptr, codes, tokens
-        self._records = None if records is None else np.asarray(records, dtype=object)
         self.block_ids, counts = np.unique(block, return_counts=True)
         self.block_offsets = np.concatenate(([0], np.cumsum(counts)))
         # None when the block order is the record order
@@ -217,9 +213,7 @@ class Corpus:
 
     @property
     def records(self) -> tuple[MessageRecord, ...]:
-        """The records: the given ones, or new ones around the stored rows."""
-        if self._records is not None:
-            return tuple(self._records)
+        """New records around the stored rows, which are their unit embeddings."""
         keys = self._tokens.keys
         codes = self._codes.tolist()
         ptr = self._indptr.tolist()
@@ -243,8 +237,7 @@ class Corpus:
         codes = self._codes[np.repeat(self._indptr[:-1][take] - indptr[:-1], counts)
                             + np.arange(indptr[-1])]
         return Corpus._of_columns(self.embeddings[take], self._ids[take], self._labels[take],
-                                  self._block[take], indptr, codes, self._tokens,
-                                  None if self._records is None else self._records[take])
+                                  self._block[take], indptr, codes, self._tokens)
 
     def attribute_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Record pairs (u[k], v[k]), u < v, that share at least one attribute token.
@@ -391,7 +384,7 @@ def ingest(path) -> Corpus:
     if not ids:
         raise CorpusError(f"{path}: no records")
     dims = set(np.diff(ends, prepend=0).tolist())
-    _check_columns(dims, ids, blocks, contiguous=True)
+    _check_columns(dims, ids, blocks)
     rows = np.frombuffer(values, dtype=np.float64).reshape(len(ids), dims.pop())
     return Corpus._of_columns(rows / norms[:, None], ids, labels,
                               np.asarray(blocks, dtype=np.int64), *tokens.finish())
@@ -475,14 +468,8 @@ class SynthConfig:
         return tuple(int(c) for c in self.points_per_event)
 
     def to_dict(self) -> dict:
-        return {
-            "num_events": self.num_events,
-            "points_per_event": list(self.event_sizes()),
-            "dim": self.dim,
-            "intra_concentration": self.intra_concentration,
-            "attribute_sharing_prob": self.attribute_sharing_prob,
-            "seed": self.seed,
-        }
+        """The fields, with points_per_event expanded to one count per event."""
+        return dict(asdict(self), points_per_event=list(self.event_sizes()))
 
 
 _TOKENS_PER_EVENT = 3

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .privacy import (NOISE_TILE_ELEMS, UNIT_DRAW_BOUND, BlockPairs, SimilarityOracle,
-                      _row_chunks)
+from .privacy import NOISE_TILE_ELEMS, UNIT_DRAW_BOUND, BlockPairs, SimilarityOracle
 
 W_FLOOR = 1e-6
 W_CEIL = 1.0
@@ -107,7 +106,7 @@ class KnnTrace:
     chosen_k: int = 0
 
     def to_dict(self) -> dict:
-        return {"ks": self.ks, "se_values": self.se_values, "chosen_k": self.chosen_k}
+        return asdict(self)
 
 
 def one_dim_se_from_degrees(degrees: np.ndarray) -> float:
@@ -152,8 +151,8 @@ class ChunkWorkspace:
     dtype; the buffer grows to the largest request and is then kept, so a
     chunk loop allocates nothing chunk-sized after its first chunk. The
     requests of top_neighbor_table are at most one row chunk (about
-    ROW_CHUNK_ELEMS cells with the default chunks), whatever n is. A view
-    holds what the last user left in it: callers overwrite before they read.
+    ROW_CHUNK_ELEMS cells), whatever n is. A view holds what the last user
+    left in it: callers overwrite before they read.
     """
 
     def __init__(self):
@@ -248,8 +247,8 @@ def _noisy_candidates(pairs: BlockPairs, exact: np.ndarray, reachable: np.ndarra
     return padded, logs, ids
 
 
-def _neighbor_tables(pairs: BlockPairs, scales: list[float], k_max: int, chunks):
-    """The (nbrs, sims) table of each noise scale, from one pass over the row chunks.
+def _neighbor_tables(pairs: BlockPairs, scales: list[float], k_max: int):
+    """The (nbrs, sims) table of each noise scale, from one pass over pairs.row_chunks.
 
     scales are distinct and ascending. Each chunk's exact cosines and unit
     draws m are computed once; each scale then selects with _top_k from
@@ -273,7 +272,7 @@ def _neighbor_tables(pairs: BlockPairs, scales: list[float], k_max: int, chunks)
     bound = scales[-1] * UNIT_DRAW_BOUND
     prune = 0.0 < 2.0 * bound < pairs.s_local
     work = ChunkWorkspace()
-    for lo, hi in chunks:
+    for lo, hi in pairs.row_chunks:
         h = hi - lo
         diagonal = np.arange(h), np.arange(lo, hi)
         exact = pairs.exact_rows(lo, hi, out=work.array("exact", (h, n)))
@@ -299,13 +298,13 @@ def _neighbor_tables(pairs: BlockPairs, scales: list[float], k_max: int, chunks)
     return tables
 
 
-def top_neighbor_table(oracle: SimilarityOracle, k_max: int, chunk_rows: int | None = None):
+def top_neighbor_table(oracle: SimilarityOracle, k_max: int):
     """Per-node neighbor ranking by descending noisy similarity, ties by ascending id.
 
     The rows are visited in the block's row chunks (oracle.pairs.row_chunks, about
     ROW_CHUNK_ELEMS cells each), so each chunk's temporaries stay a few MB
-    whatever n is. chunk_rows sets another chunk height; that changes the
-    work per step, not the result. The chunk-sized temporaries are views of
+    whatever n is, and each chunk's exact cosines are one product
+    (BlockPairs.exact_rows). The chunk-sized temporaries are views of
     one ChunkWorkspace made per pass and reused from chunk to chunk. A
     workspace kept across calls only held memory longer: the buffers a
     call frees are reused for the next block's table.
@@ -350,9 +349,7 @@ def top_neighbor_table(oracle: SimilarityOracle, k_max: int, chunk_rows: int | N
     key = (oracle.noise_scale, k_max)
     if key not in pairs.neighbor_tables:
         scales = sorted({oracle.noise_scale, *pairs.planned_scales()})
-        n = pairs.n
-        chunks = pairs.row_chunks if chunk_rows is None else _row_chunks(n, chunk_rows * n)
-        tables = _neighbor_tables(pairs, scales, k_max, chunks)
+        tables = _neighbor_tables(pairs, scales, k_max)
         pairs.neighbor_tables.update(zip([(scale, k_max) for scale in scales], tables))
     return pairs.neighbor_tables.pop(key)
 

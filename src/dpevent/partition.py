@@ -157,20 +157,19 @@ def sequential_subgraphs(num_nodes: int, q: int) -> np.ndarray:
     return np.arange(num_nodes, dtype=np.int64) // q
 
 
-def cluster(graph: MessageGraph, q0: int = 400, init: Partition | None = None,
-            grouping: str = "optimal") -> ClusterRun:
+def cluster(graph: MessageGraph, q0: int = 400, grouping: str = "optimal") -> ClusterRun:
     """Full optimal-subgraph minimization with the q-doubling outer loop.
 
-    A round labels each community with its group (extract_subgraphs; all
-    zero when one group must cover everything) and runs minimize_edges once
-    on the edges inside the groups, in index order. Groups share no
-    community, and a merge changes only the state of its own pair, so the
-    one loop makes the same merges, in the same order within each group, as
-    one loop per group. A round that accepts no merge is stable: q doubles,
-    or the loop stops when the round covered the whole graph.
-    grouping="sequential" replaces the greedy extraction with id-order
-    chunks (the prior-work baseline) while keeping the rest of the loop
-    identical.
+    The run starts from singleton communities. A round labels each
+    community with its group (extract_subgraphs; all zero when one group
+    must cover everything) and runs minimize_edges once on the edges inside
+    the groups, in index order. Groups share no community, and a merge
+    changes only the state of its own pair, so the one loop makes the same
+    merges, in the same order within each group, as one loop per group. A
+    round that accepts no merge is stable: q doubles, or the loop stops
+    when the round covered the whole graph. grouping="sequential" replaces
+    the greedy extraction with id-order chunks (the prior-work baseline)
+    while keeping the rest of the loop identical.
     """
     if q0 < 2:
         raise ValueError("q0 must be at least 2")
@@ -178,19 +177,14 @@ def cluster(graph: MessageGraph, q0: int = 400, init: Partition | None = None,
         raise ValueError(f"unknown grouping {grouping!r}")
     if graph.volume <= 0.0:
         raise GraphError("cannot cluster an empty graph")
-    if init is None:
-        init = Partition.singletons(graph.n)
     run = ClusterRun(q0=q0)
     run.h1 = one_dim_se(graph)
 
-    current = init
+    current = Partition.singletons(graph.n)
     q = q0
     # one aggregation per partition: a round's result gives its H2 and
     # starts the next round
     aggregates = _community_aggregates(graph, current.assignment)
-    # merged_partition numbers communities by first occurrence; a caller's
-    # init may not, and then even a round without a merge renumbers it
-    renumber = not np.array_equal(current.canonical(), current.assignment)
     for _ in range(MAX_ROUNDS):
         vol, V, g, ilog, ea, eb, ew = aggregates
         ncomm = int(V.size)
@@ -209,11 +203,10 @@ def cluster(graph: MessageGraph, q0: int = 400, init: Partition | None = None,
         merges = minimize_edges(ea[inside], eb[inside], ew[inside], V, g, ilog, parent, vol).size
         # every merge removes a community, so no merge means an unchanged partition
         stable = merges == 0
-        if not stable or renumber:
+        if not stable:
             current = merged_partition(parent, current.assignment)
             # minimize_edges changed V, g and ilog in place: aggregate afresh
             aggregates = _community_aggregates(graph, current.assignment)
-            renumber = False
         run.rounds.append({
             "q": q,
             "k_max": k_max,

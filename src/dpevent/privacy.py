@@ -42,7 +42,7 @@ peak memory stays flat as the block grows and each pass runs in cache.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -109,15 +109,7 @@ class SensitivityReport:
     noise_scale: float
 
     def to_dict(self) -> dict:
-        return {
-            "block": self.block,
-            "s_global": self.s_global,
-            "s_local": self.s_local,
-            "s_smooth": self.s_smooth,
-            "s_mixed": self.s_mixed,
-            "chosen": self.chosen,
-            "noise_scale": self.noise_scale,
-        }
+        return asdict(self)
 
 
 def _row_chunks(n: int, budget: int) -> list[tuple[int, int]]:
@@ -329,8 +321,9 @@ class BlockPairs:
         """Exact cosines of rows [lo, hi), cut from the products of their row chunks.
 
         out, a C-contiguous (hi - lo, n) float64 array, receives them in place
-        of a new array; a range that is one whole row chunk is multiplied
-        straight into it.
+        of a new array; a range that is one whole row chunk (every range the
+        table pass and exact_pairs ask for) is multiplied straight into it.
+        Another range (noisy_rows) multiplies each chunk it overlaps.
         """
         emb = self.block.embeddings
         bounds = self.row_bounds

@@ -1,12 +1,14 @@
 import itertools
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from dpevent import privacy
 from dpevent.corpus import SynthConfig, generate
 from dpevent.graphsynth import MessageGraph
 from dpevent.privacy import BlockPairs, PrivacyParams, SimilarityOracle
@@ -35,10 +37,18 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def block_oracle(block, epsilon=None, mode="mixed", seed=0, block_id=0):
-    """The SimilarityOracle of block (a new BlockPairs) at one epsilon."""
-    return SimilarityOracle(BlockPairs(block, block_id, seed),
-                            PrivacyParams(epsilon=epsilon, sensitivity_mode=mode))
+def block_oracle(block, epsilon=None, mode="mixed", seed=0, block_id=0, chunk_rows=None):
+    """The SimilarityOracle of block (a new BlockPairs) at one epsilon.
+
+    chunk_rows cuts the block into row chunks of that height (privacy's
+    _row_chunks rule, so a 1-row tail joins the chunk before it) in place of
+    the default ROW_CHUNK_ELEMS cells: the block state, the table pass and
+    s_local all use them.
+    """
+    budget = privacy.ROW_CHUNK_ELEMS if chunk_rows is None else chunk_rows * len(block)
+    with mock.patch.object(privacy, "ROW_CHUNK_ELEMS", budget):
+        return SimilarityOracle(BlockPairs(block, block_id, seed),
+                                PrivacyParams(epsilon=epsilon, sensitivity_mode=mode))
 
 
 def graph_from_arrays(n, u, v, w):

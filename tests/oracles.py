@@ -331,7 +331,7 @@ def list_sequential_subgraphs(num_nodes, q):
             for lo in range(0, num_nodes, q)]
 
 
-def list_groups_cluster(graph, q0=400, init=None, grouping="optimal"):
+def list_groups_cluster(graph, q0=400, grouping="optimal"):
     """The optimal-subgraph round loop with one array per group.
 
     Each round builds the groups as a list of member arrays, selects each
@@ -347,12 +347,10 @@ def list_groups_cluster(graph, q0=400, init=None, grouping="optimal"):
     from dpevent.graphsynth import one_dim_se
     from dpevent.partition import MAX_ROUNDS, ClusterRun, build_supergraph
 
-    if init is None:
-        init = Partition.singletons(graph.n)
     run = ClusterRun(q0=q0)
     run.h1 = one_dim_se(graph)
 
-    current = init
+    current = Partition.singletons(graph.n)
     q = q0
     aggregates = _community_aggregates(graph, current.assignment)
     for _ in range(MAX_ROUNDS):

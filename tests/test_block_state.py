@@ -124,9 +124,9 @@ def test_sweep_fills_the_state_once_per_block_inside_the_graph_stage(tmp_path, m
         finally:
             depth[0] -= 1
 
-    def table_pass(pairs, scales, *args):
+    def table_pass(pairs, scales, k_max):
         passes.append((pairs.block_id, len(stages) if depth[0] else None, len(scales)))
-        return neighbor_tables(pairs, scales, *args)
+        return neighbor_tables(pairs, scales, k_max)
 
     def counted(name, fn):
         def wrapper(block, *args):
@@ -175,9 +175,9 @@ def test_sweep_whose_scan_passes_k_2_equals_fresh_graphs(tmp_path, monkeypatch, 
         built.append((oracle.params.epsilon, graph, trace))
         return graph, trace
 
-    def table_pass(pairs, scales, k_max, chunks):
+    def table_pass(pairs, scales, k_max):
         widths.append((len(scales), k_max))
-        return neighbor_tables(pairs, scales, k_max, chunks)
+        return neighbor_tables(pairs, scales, k_max)
 
     neighbor_tables = graphsynth._neighbor_tables
     monkeypatch.setattr(cli, "build_graph", spy)

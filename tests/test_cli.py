@@ -386,6 +386,23 @@ class TestSweep:
         assert "sweep: nothing swept" in err
         assert not (out / "sweep.csv").exists() and not (out / "sweep_summary.json").exists()
 
+    def test_failing_grid_point_leaves_the_rest(self, tmp_path, capsys):
+        # 2/1e-310 overflows: that pipeline fails alone, and the other rows
+        # are the ones a sweep without it writes
+        path = tmp_path / "corpus.jsonl"
+        export(generate(SynthConfig(num_events=2, points_per_event=10, seed=3)), path)
+        out, clean = tmp_path / "s", tmp_path / "clean"
+        args = ["--input", str(path), "--mode", "mixed"]
+        assert main(["sweep", "--out", str(out), "--epsilons", "1,1e-310"] + args) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("sweep: epsilon=1e-310 block=0 failed: PrivacyError: noise scale")
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [["1.0", "0"], ["off", "0"]]
+        assert main(["sweep", "--out", str(clean), "--epsilons", "1"] + args) == 0
+        for name in ("sweep.csv", "sweep_summary.json"):
+            assert (out / name).read_bytes() == (clean / name).read_bytes()
+
     def test_no_include_off(self, tmp_path, corpus_file):
         out = tmp_path / "sweep"
         assert main(["sweep", "--input", str(corpus_file), "--out", str(out),

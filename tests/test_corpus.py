@@ -22,6 +22,11 @@ def write_jsonl(path, rows):
             fh.write(json.dumps(row) + "\n")
 
 
+def record_values(records):
+    """(id, block, embedding bytes, attributes, label) of each record."""
+    return [(r.id, r.block, r.embedding.tobytes(), r.attributes, r.label) for r in records]
+
+
 def rec(rid="m1", block=0, emb=(1.0, 0.0, 0.0, 0.0), attrs=None, label=None):
     return {"id": rid, "block": block, "embedding": list(emb),
             "attributes": attrs or {}, "label": label}
@@ -306,7 +311,7 @@ class TestParentIdentity:
                                                               for row in corpus.embeddings]
             rebuilt = Corpus(list(records))
             assert rebuilt.embeddings.tobytes() == corpus.embeddings.tobytes()
-            assert all(a is b for a, b in zip(rebuilt.records, records))
+            assert record_values(rebuilt.records) == record_values(records)
 
 
 GOOD = {"id": "a", "block": 0, "embedding": [1.0, 0.0], "attributes": {"x": ["t"]},
@@ -442,6 +447,6 @@ def test_interleaved_block_views():
     for b, view in enumerate(split_blocks(corpus)):
         members = [r for r in records if r.block == b]
         assert view.ids == [r.id for r in members]
-        assert all(a is r for a, r in zip(view.records, members))
+        assert record_values(view.records) == record_values(members)
         assert view.embeddings.tobytes() == np.stack([r.embedding for r in members]).tobytes()
         assert not view.embeddings.flags.writeable

@@ -143,6 +143,15 @@ def dyadic_block():
     return corpus_from_rows(dyadic_embeddings(23, seed=4))
 
 
+def chunked_oracle(block, chunk_rows, **kwargs):
+    """block_oracle with row chunks chunk_rows high; a height below n - 1
+    must cut the block into more than one chunk."""
+    oracle = block_oracle(block, chunk_rows=chunk_rows, **kwargs)
+    if chunk_rows is not None and chunk_rows < len(block) - 1:
+        assert len(oracle.pairs.row_chunks) > 1
+    return oracle
+
+
 class TestTopNeighborTable:
     @pytest.mark.parametrize("make_block, epsilon, k_max, chunk_rows", [
         (tie_heavy_block, None, 7, 512),    # k-th value inside a tie group
@@ -153,8 +162,8 @@ class TestTopNeighborTable:
     ])
     def test_matches_full_row_sort(self, make_block, epsilon, k_max, chunk_rows):
         block = make_block()
-        oracle = block_oracle(block, epsilon=epsilon, mode="global", seed=11)
-        nbrs, sims = top_neighbor_table(oracle, k_max, chunk_rows=chunk_rows)
+        oracle = chunked_oracle(block, chunk_rows, epsilon=epsilon, mode="global", seed=11)
+        nbrs, sims = top_neighbor_table(oracle, k_max)
         ref_nbrs, ref_sims = lexsort_top_neighbors(oracle.noisy_rows(0, len(block)), k_max)
         assert np.array_equal(nbrs, ref_nbrs)
         assert np.array_equal(sims, ref_sims)
@@ -164,15 +173,16 @@ class TestTopNeighborTable:
         # at n = 513, 512-row chunks used to leave a 1-row chunk whose product
         # rounds some cosines differently from a 513-row one
         block = block_513()
-        oracle = block_oracle(block, epsilon=epsilon, mode="global", seed=5)
-        ref_nbrs, ref_sims = top_neighbor_table(oracle, 10, chunk_rows=513)
-        for chunk_rows in (512, 100, 2, None):
-            nbrs, sims = top_neighbor_table(oracle, 10, chunk_rows=chunk_rows)
-            assert np.array_equal(nbrs, ref_nbrs)
-            assert np.array_equal(sims, ref_sims)
+        ref_nbrs, ref_sims = top_neighbor_table(
+            block_oracle(block, epsilon=epsilon, mode="global", seed=5, chunk_rows=513), 10)
+        oracle = block_oracle(block, epsilon=epsilon, mode="global", seed=5, chunk_rows=512)
+        assert oracle.pairs.row_chunks == [(0, 513)]
+        nbrs, sims = top_neighbor_table(oracle, 10)
+        assert np.array_equal(nbrs, ref_nbrs)
+        assert np.array_equal(sims, ref_sims)
 
 
-def table_and_path(monkeypatch, oracle, k_max, chunk_rows, max_share=1.0):
+def table_and_path(monkeypatch, oracle, k_max, max_share=1.0):
     """top_neighbor_table with PRUNE_MAX_SHARE set to max_share (1.0: prune
     whenever the noise bound allows it), and whether the pruned path ran."""
     calls = []
@@ -184,15 +194,15 @@ def table_and_path(monkeypatch, oracle, k_max, chunk_rows, max_share=1.0):
 
     monkeypatch.setattr(graphsynth, "PRUNE_MAX_SHARE", max_share)
     monkeypatch.setattr(graphsynth, "_noisy_candidates", spy)
-    nbrs, sims = top_neighbor_table(oracle, k_max, chunk_rows=chunk_rows)
+    nbrs, sims = top_neighbor_table(oracle, k_max)
     return nbrs, sims, bool(calls)
 
 
-def switch_epsilon(block):
+def switch_epsilon(block, chunk_rows=None):
     """Smooth-mode epsilon at which 2 * noise_bound crosses s_local (bisection:
-    the ratio falls as epsilon grows)."""
+    the ratio falls as epsilon grows), with row chunks chunk_rows high."""
     def ratio(eps):
-        oracle = block_oracle(block, epsilon=eps, mode="smooth")
+        oracle = block_oracle(block, epsilon=eps, mode="smooth", chunk_rows=chunk_rows)
         return 2.0 * oracle.noise_bound / oracle.report.s_local
 
     lo, hi = 0.01, 50.0
@@ -218,9 +228,9 @@ class TestPrunedTable:
     def test_matches_full_row_sort(self, monkeypatch, make_block, mode, epsilon, k_max,
                                    chunk_rows):
         block = make_block()
-        oracle = block_oracle(block, epsilon=epsilon, mode=mode, seed=11)
+        oracle = chunked_oracle(block, chunk_rows, epsilon=epsilon, mode=mode, seed=11)
         assert 0.0 < 2.0 * oracle.noise_bound < oracle.report.s_local
-        nbrs, sims, pruned = table_and_path(monkeypatch, oracle, k_max, chunk_rows)
+        nbrs, sims, pruned = table_and_path(monkeypatch, oracle, k_max)
         assert pruned
         ref_nbrs, ref_sims = lexsort_top_neighbors(oracle.noisy_rows(0, len(block)), k_max)
         assert np.array_equal(nbrs, ref_nbrs)
@@ -229,13 +239,13 @@ class TestPrunedTable:
     @pytest.mark.parametrize("make_block", [dyadic_block, block_513])
     def test_either_side_of_the_bound_switch(self, monkeypatch, make_block):
         block = make_block()
-        below, above = switch_epsilon(block)
-        for eps, expect_pruned in ((below, False), (above, True)):
-            oracle = block_oracle(block, epsilon=eps, mode="smooth", seed=2)
-            assert (2.0 * oracle.noise_bound < oracle.report.s_local) == expect_pruned
-            ref = lexsort_top_neighbors(oracle.noisy_rows(0, len(block)), 5)
-            for chunk_rows in (3, None):
-                nbrs, sims, pruned = table_and_path(monkeypatch, oracle, 5, chunk_rows)
+        for chunk_rows in (3, None):
+            below, above = switch_epsilon(block, chunk_rows)
+            for eps, expect_pruned in ((below, False), (above, True)):
+                oracle = chunked_oracle(block, chunk_rows, epsilon=eps, mode="smooth", seed=2)
+                assert (2.0 * oracle.noise_bound < oracle.report.s_local) == expect_pruned
+                ref = lexsort_top_neighbors(oracle.noisy_rows(0, len(block)), 5)
+                nbrs, sims, pruned = table_and_path(monkeypatch, oracle, 5)
                 assert pruned == expect_pruned
                 assert np.array_equal(nbrs, ref[0]) and np.array_equal(sims, ref[1])
 
@@ -248,9 +258,9 @@ class TestPrunedTable:
     def test_first_chunk_share_picks_the_path(self, monkeypatch, epsilon, max_share, chunk_rows,
                                               expect_pruned):
         block = block_513()
-        oracle = block_oracle(block, epsilon=epsilon, seed=5)
+        oracle = chunked_oracle(block, chunk_rows, epsilon=epsilon, seed=5)
         max_share = graphsynth.PRUNE_MAX_SHARE if max_share is None else max_share
-        nbrs, sims, pruned = table_and_path(monkeypatch, oracle, 10, chunk_rows, max_share)
+        nbrs, sims, pruned = table_and_path(monkeypatch, oracle, 10, max_share)
         assert pruned == expect_pruned
         ref_nbrs, ref_sims = lexsort_top_neighbors(oracle.noisy_rows(0, len(block)), 10)
         assert np.array_equal(nbrs, ref_nbrs) and np.array_equal(sims, ref_sims)
@@ -260,7 +270,7 @@ class TestPrunedTable:
         # global mode: the bound is 36.7 * 2 / eps, far above any spread
         block = dyadic_block()
         oracle = block_oracle(block, epsilon=epsilon, mode="global")
-        assert not table_and_path(monkeypatch, oracle, 5, None)[2]
+        assert not table_and_path(monkeypatch, oracle, 5)[2]
 
 
 def test_shared_workspace_leaves_no_stale_state(monkeypatch):
@@ -284,15 +294,15 @@ def test_shared_workspace_leaves_no_stale_state(monkeypatch):
         (small, "global", 3.0, 5, None, False),
         (big, "mixed", 1.5, 10, None, True),
     ]:
-        oracle = block_oracle(block, epsilon=epsilon, mode=mode, seed=5)
+        oracle = chunked_oracle(block, chunk_rows, epsilon=epsilon, mode=mode, seed=5)
         calls.clear()
-        ref = top_neighbor_table(oracle, k_max, chunk_rows)
+        ref = top_neighbor_table(oracle, k_max)
         assert bool(calls) == pruned
-        cases.append((oracle, k_max, chunk_rows, ref))
+        cases.append((oracle, k_max, ref))
     shared = ChunkWorkspace()
     monkeypatch.setattr(graphsynth, "ChunkWorkspace", lambda: shared)
-    for oracle, k_max, chunk_rows, (ref_nbrs, ref_sims) in cases:
-        nbrs, sims = top_neighbor_table(oracle, k_max, chunk_rows)
+    for oracle, k_max, (ref_nbrs, ref_sims) in cases:
+        nbrs, sims = top_neighbor_table(oracle, k_max)
         assert np.array_equal(nbrs, ref_nbrs)
         assert np.array_equal(sims.view(np.int64), ref_sims.view(np.int64))
 
@@ -314,16 +324,14 @@ def duplicated_block():
 def test_narrow_table_is_a_prefix_of_the_wide_one(monkeypatch, make_block, epsilon, mode,
                                                    max_share):
     block = make_block()
-    oracle = block_oracle(block, epsilon=epsilon, mode=mode, seed=4)
-    prunable = max_share == 1.0 and 0.0 < 2.0 * oracle.noise_bound < oracle.report.s_local
     for chunk_rows in (None, 7, 100):
+        oracle = chunked_oracle(block, chunk_rows, epsilon=epsilon, mode=mode, seed=4)
+        prunable = max_share == 1.0 and 0.0 < 2.0 * oracle.noise_bound < oracle.report.s_local
         for k_max in (10, 40):
-            wide_nbrs, wide_sims, pruned = table_and_path(monkeypatch, oracle, k_max,
-                                                          chunk_rows, max_share)
+            wide_nbrs, wide_sims, pruned = table_and_path(monkeypatch, oracle, k_max, max_share)
             assert pruned == prunable
             for w in (1, 2, 3, 7):
-                nbrs, sims, pruned = table_and_path(monkeypatch, oracle, w, chunk_rows,
-                                                    max_share)
+                nbrs, sims, pruned = table_and_path(monkeypatch, oracle, w, max_share)
                 assert pruned == prunable
                 assert np.array_equal(nbrs, wide_nbrs[:, :w])
                 assert np.array_equal(sims.view(np.int64), wide_sims[:, :w].view(np.int64))
@@ -341,9 +349,9 @@ def one_pass_tables(monkeypatch, pairs, oracles, k_max):
     passes = []
     neighbor_tables, candidates = graphsynth._neighbor_tables, graphsynth._noisy_candidates
 
-    def table_pass(pairs, scales, *args):
+    def table_pass(pairs, scales, k_max):
         passes.append([len(scales), False])
-        return neighbor_tables(pairs, scales, *args)
+        return neighbor_tables(pairs, scales, k_max)
 
     def spy(*args):
         passes[-1][1] = True
@@ -481,9 +489,9 @@ def test_table_width_contract(monkeypatch, seed, k_max, expected):
     widths = []
     table = graphsynth.top_neighbor_table
 
-    def spy(oracle, k_max, chunk_rows=None):
+    def spy(oracle, k_max):
         widths.append(k_max)
-        return table(oracle, k_max, chunk_rows)
+        return table(oracle, k_max)
 
     monkeypatch.setattr(graphsynth, "top_neighbor_table", spy)
     _, trace = build_knn_edges(block_oracle(small_random_block(seed), seed=seed), k_max)

@@ -150,38 +150,14 @@ class TestCluster:
                    for assign in enumerate_partitions(6))
         assert h2 == pytest.approx(best, abs=1e-9)
 
-    def test_stable_init_terminates_first_round(self, two_triangles):
-        init = Partition(np.array([0, 0, 0, 1, 1, 1]))
-        run = cluster(two_triangles, q0=6, init=init)
-        assert len(run.rounds) == 1
-        assert run.rounds[0]["stable"]
-        assert run.final.same_as(init)
-
-    def test_scrambled_stable_init_is_renumbered(self, rng):
-        # a converged partition, numbered out of first-occurrence order: no
-        # round merges, and the result is still numbered by first occurrence
-        for _ in range(10):
-            n, u, v, w = random_graph(rng, min_n=10, max_n=60, density=3.0)
-            g = make_graph(n, list(zip(u.tolist(), v.tolist(), w.tolist())))
-            first = cluster(g, q0=4)
-            assert first.converged
-            final = first.final
-            init = Partition(rng.permutation(final.num_communities)[final.assignment])
-            run = cluster(g, q0=4, init=init)
-            assert all(r["stable"] for r in run.rounds)
-            assert np.array_equal(run.final.assignment, final.assignment)
-            ref = list_groups_cluster(g, q0=4, init=init)
-            assert np.array_equal(ref.final.assignment, final.assignment)
-
     def test_h2_never_increases(self, rng):
         for _ in range(10):
             n, u, v, w = random_graph(rng, min_n=10, max_n=40, density=2.5)
             g = make_graph(n, list(zip(u.tolist(), v.tolist(), w.tolist())))
-            init = Partition.singletons(n)
-            run = cluster(g, q0=4, init=init)
+            run = cluster(g, q0=4)
             h2s = [r["h2"] for r in run.rounds]
             assert all(b <= a + 1e-12 for a, b in zip(h2s, h2s[1:]))
-            assert two_dim_se(g, run.final) <= two_dim_se(g, init) + 1e-12
+            assert two_dim_se(g, run.final) <= two_dim_se(g, Partition.singletons(n)) + 1e-12
 
     def test_kmax_one_equals_vanilla(self, rng):
         n, u, v, w = random_graph(rng, min_n=10, max_n=25)
@@ -253,12 +229,12 @@ class TestCluster:
 
     def test_matches_list_of_groups_rounds(self, rng):
         # sparse graphs with isolated nodes, dense graphs and tied weights,
-        # every q0 with both groupings, some from a scrambled non-singleton init;
-        # then disjoint identical copies of one small graph, whose bit-equal
-        # deltas in different groups of one round meet in the single merge loop
-        def check(g, q0, init, grouping):
-            got = cluster(g, q0=q0, init=init, grouping=grouping)
-            ref = list_groups_cluster(g, q0=q0, init=init, grouping=grouping)
+        # every q0 with both groupings; then disjoint identical copies of one
+        # small graph, whose bit-equal deltas in different groups of one round
+        # meet in the single merge loop
+        def check(g, q0, grouping):
+            got = cluster(g, q0=q0, grouping=grouping)
+            ref = list_groups_cluster(g, q0=q0, grouping=grouping)
             assert np.array_equal(got.final.assignment, ref.final.assignment)
             assert got.converged == ref.converged
             assert got.h1.hex() == ref.h1.hex()
@@ -276,12 +252,7 @@ class TestCluster:
                 if kind == 2:
                     w = rng.choice([0.25, 0.5, 1.0], size=w.size)
             g = make_graph(n, list(zip(u.tolist(), v.tolist(), w.tolist())))
-            init = None
-            if trial % 5 == 4:
-                labels = Partition.from_labels(rng.integers(0, max(1, n // 2), size=n).tolist())
-                perm = rng.permutation(labels.num_communities)
-                init = Partition(perm[labels.assignment])
-            check(g, q0s[trial % 4], init, groupings[(trial // 4) % 2])
+            check(g, q0s[trial % 4], groupings[(trial // 4) % 2])
         for trial in range(12):
             n, u, v, w = random_graph(rng, min_n=4, max_n=9, density=1.5)
             if trial % 2:
@@ -291,7 +262,7 @@ class TestCluster:
                                         for a, b, x in zip(u.tolist(), v.tolist(), w.tolist())])
             for q0 in (2, 3):
                 for grouping in groupings:
-                    check(g, q0, None, grouping)
+                    check(g, q0, grouping)
 
     def test_sequential_grouping_runs(self, rng):
         n, u, v, w = random_graph(rng, min_n=12, max_n=24)
