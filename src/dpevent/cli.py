@@ -148,7 +148,8 @@ def cmd_build_graph(args) -> int:
             graph, sidecar = _build_block_graph(BlockPairs(view, block_id, args.seed), params,
                                                 args.kmax)
         except Exception as exc:  # noqa: BLE001 - per-block isolation
-            print(f"build-graph: block {block_id} failed: {exc}", file=sys.stderr)
+            print(f"build-graph: block {block_id} failed: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
             failures += 1
             continue
         write_graph_tsv(out / f"graph_block{block_id}.tsv", graph, sidecar["nodes"])

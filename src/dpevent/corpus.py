@@ -197,10 +197,6 @@ class Corpus:
         return len(self._ids)
 
     @property
-    def dim(self) -> int:
-        return self.embeddings.shape[1]
-
-    @property
     def ids(self) -> list[str]:
         return self._ids.tolist()
 

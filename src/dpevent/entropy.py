@@ -195,12 +195,6 @@ class _EdgeSlots:
             s = self._slot[self._ptr[c]:self._ptr[c + 1]]
         return s[self.ea[s] >= 0]
 
-    def find(self, a: int, b: int) -> int:
-        """The slot of the edge a-b (a < b), or -1 if they are not adjacent."""
-        s = self.of(a)
-        s = s[self.eb[s] == b]
-        return int(s[0]) if s.size else -1
-
     def merge(self, a: int, b: int, s: int):
         """Fold b's edges into a's (a < b); s is the slot of a-b, or -1.
 

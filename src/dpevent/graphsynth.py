@@ -29,6 +29,13 @@ SE_IMPROVEMENT_TOL = 1e-9
 # 48-59% of the first chunk's cells are reachable (21-28% with the per-chunk
 # temporaries that ChunkWorkspace replaced). 0.25 stays on the pruned side.
 PRUNE_MAX_SHARE = 0.25
+# Widest selection that _row_maxima makes; wider ones partition. Its k
+# argmax rounds read the rows k times, a partition about the same few
+# times at any k. At k = 8 (one thread, best of 7) the two cost the same
+# on row chunks of 52 x 5,000 cells, and the maxima take 0.97 of 1.65 ms
+# on 218 x 1,200 and 1.19 of 2.69 ms on 524 x 500; at k = 12 they take
+# 1.30 of 1.02 ms on 52 x 5,000.
+MAXIMA_MAX_WIDTH = 8
 
 PROV_SE = 1
 PROV_ATTR = 2
@@ -166,31 +173,56 @@ class ChunkWorkspace:
         return buf[:size].reshape(shape)
 
 
+def _row_maxima(vals: np.ndarray, k: int):
+    """The k largest values of each row of vals and their slots, ties by ascending slot.
+
+    k rounds of argmax, which takes the first of equal maxima (-0.0 and 0.0
+    are equal). Each round sets its cells to -inf; after the last, the
+    saved values go back, so vals ends as it began, bit for bit. Each row has
+    at least k finite values and no NaN. Returns (slots, values), both
+    (rows, k): the values in descending order.
+    """
+    rows = np.arange(len(vals))
+    slots = np.empty((len(vals), k), np.int64)
+    maxima = np.empty((len(vals), k))
+    for j in range(k):
+        s = slots[:, j] = vals.argmax(axis=1)
+        maxima[:, j] = vals[rows, s]
+        vals[rows, s] = -np.inf
+    vals[rows[:, None], slots] = maxima
+    return slots, maxima
+
+
 def _kth_mask(vals: np.ndarray, k: int, b: float = 0.0,
               work: ChunkWorkspace | None = None) -> np.ndarray:
     """Cells of vals with fl(v + b) >= fl(T - b), T the k-th largest value of v's row.
 
-    The rows go in tiles of about NOISE_TILE_ELEMS cells: each tile is
-    copied into work's "part" buffer and partitioned there to find T, and
-    with b != 0 the same buffer then holds v + b. With b = 0 the tile is
-    compared with T as it is. The mask is work's "mask" buffer; None makes
-    a new workspace. A chunk-sized "part" buffer instead of tiles faulted as
-    often as a new partition copy per chunk and raised peak RSS by 1-2 MB
-    on 500-record blocks.
+    Up to MAXIMA_MAX_WIDTH, T comes from _row_maxima over the whole of
+    vals. Past it, the rows go in tiles of about NOISE_TILE_ELEMS cells:
+    each tile is copied into work's "part" buffer and partitioned there to
+    find T. With b != 0 the "part" buffer of each tile then holds v + b;
+    with b = 0 the tile is compared with T as it is. The mask is work's
+    "mask" buffer; None makes a new workspace. A chunk-sized "part" buffer
+    instead of tiles faulted as often as a new partition copy per chunk and
+    raised peak RSS by 1-2 MB on 500-record blocks.
     """
     work = ChunkWorkspace() if work is None else work
     h, m = vals.shape
     mask = work.array("mask", (h, m), bool)
+    kth = _row_maxima(vals, k)[1][:, k - 1:] if k <= MAXIMA_MAX_WIDTH else None
     step = max(1, NOISE_TILE_ELEMS // m)
     for a in range(0, h, step):
         tile = vals[a:a + step]
-        part = work.array("part", tile.shape)
-        np.copyto(part, tile)
-        part.partition(m - k, axis=1)
-        low = part[:, m - k, None]
+        if kth is None:
+            part = work.array("part", tile.shape)
+            np.copyto(part, tile)
+            part.partition(m - k, axis=1)
+            low = part[:, m - k, None]
+        else:
+            low = kth[a:a + step]
         if b:
             low = low - b
-            tile = np.add(tile, b, out=part)
+            tile = np.add(tile, b, out=work.array("part", tile.shape))
         np.greater_equal(tile, low, out=mask[a:a + step])
     return mask
 
@@ -199,16 +231,22 @@ def _top_k(vals: np.ndarray, k_max: int, cols: np.ndarray | None = None,
            work: ChunkWorkspace | None = None):
     """The k_max largest values of each row of vals, ties by ascending id.
 
-    vals is (rows, m) with at least k_max finite values per row; cols maps
-    each slot to its neighbor id (None: the slot is the id). _kth_mask
-    keeps every slot at or above its row's k_max-th largest value, so all
-    ties at that boundary survive. One lexsort orders the survivors by
-    (row, descending value, ascending id) and the first k_max of each row
-    are taken: the same result as a full sort of every row. The scratch
-    comes from work; None makes it new, which the dense path does, as a
-    reused buffer there raised the peak RSS of dense runs (eps-sweep) and
-    did not make the table faster.
+    vals is (rows, m) with at least k_max finite values per row and no NaN;
+    cols maps each slot to its neighbor id (None: the slot is the id), and
+    its slots ascend by id within a row. Up to MAXIMA_MAX_WIDTH the table
+    is _row_maxima's, whose slots map to ids through cols: no scratch
+    beyond the (rows, k_max) result. Past it, _kth_mask keeps every slot at
+    or above its row's k_max-th largest value, so all ties at that boundary
+    survive; one lexsort orders the survivors by (row, descending value,
+    ascending id) and the first k_max of each row are taken. Both give the
+    result of a full sort of every row, bit for bit. The wide path's
+    scratch comes from work; None makes it new, which the dense path does,
+    as a reused buffer there raised the peak RSS of dense runs (eps-sweep)
+    and did not make the table faster.
     """
+    if k_max <= MAXIMA_MAX_WIDTH:
+        slots, v = _row_maxima(vals, k_max)
+        return (slots if cols is None else np.take_along_axis(cols, slots, axis=1)), v
     m = vals.shape[1]
     keep = np.flatnonzero(_kth_mask(vals, k_max, work=work))  # row-major: rows ascending
     r, s = np.divmod(keep, m)
@@ -256,7 +294,10 @@ def _neighbor_tables(pairs: BlockPairs, scales: list[float], k_max: int):
     releases. The largest scale comes last and scales m in place, so a
     one-scale pass keeps no third chunk-sized buffer. The path (see
     top_neighbor_table) is chosen for the largest scale, whose draws bound
-    b = UNIT_DRAW_BOUND * scale is at least that of any other.
+    b = UNIT_DRAW_BOUND * scale is at least that of any other. _kth_mask
+    and _top_k set cells of the chunk buffers they read to -inf and put them
+    back, bit for bit, before they return (_row_maxima), so every scale
+    reads the exact cosines and draws as they were computed.
 
     Pruning: with T a row's k_max-th largest exact cosine (self excluded),
     the row's k_max-th largest noisy value is at least fl(T - b) and a
@@ -331,13 +372,16 @@ def top_neighbor_table(oracle: SimilarityOracle, k_max: int):
     the noise is off (nothing to save), for the largest scale. Otherwise
     the first chunk decides: past PRUNE_MAX_SHARE of reachable cells,
     skipping draws no longer pays for handling the reachable ones, and the
-    block goes dense. Both paths select with _top_k. A node is never its
-    own neighbor.
+    block goes dense. Both paths select with _top_k: from row maxima up to
+    MAXIMA_MAX_WIDTH wide, from a partition and one lexsort past it. A node
+    is never its own neighbor.
 
     The table at width w equals the first w columns of the table at any
-    larger width, bit for bit, on either path: a cell's value is its pair's
-    one released value, _kth_mask keeps every tie at the w-th value, and
-    _top_k orders by descending value, then ascending id. A narrower width
+    larger width, bit for bit, on either path and either side of
+    MAXIMA_MAX_WIDTH: a cell's value is its pair's one released value, and
+    both selections take cells by descending value, then ascending id (row
+    maxima take the first of equal maxima; the wide path's _kth_mask keeps
+    every tie at the w-th value and its lexsort orders them). A narrower width
     can change which cells get a draw, and which path the block takes, but
     not the values. build_knn_edges relies on this to ask for only the
     columns its scan reads.
@@ -370,8 +414,8 @@ def build_knn_edges(oracle: SimilarityOracle, k_max: int = 40):
     depend on the width. Most of a table's cost is the chunk products and
     the dense draws, which do not depend on the width, so a scan past k = 2
     pays one narrow table more, where doubling widths would pay several: on
-    the 5,000-record sim-knn block a 2-wide table takes 0.15 s and a 40-wide
-    one 0.20-0.22 s.
+    the 5,000-record sim-knn block (one BLAS thread) a 2-wide table takes
+    0.12-0.17 s and a 40-wide one 0.19-0.26 s.
     """
     n = oracle.n
     if k_max < 1:

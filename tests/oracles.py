@@ -230,6 +230,30 @@ def lexsort_top_neighbors(rows, k_max):
     return nbrs, sims
 
 
+def partition_kth_mask(vals, k, b=0.0):
+    """Cells of vals with fl(v + b) >= fl(T - b), T the k-th largest value of
+    v's row, found by partitioning a copy of the rows: the selection that
+    dpevent.graphsynth._kth_mask made at every width before it took narrow
+    widths from row maxima."""
+    m = vals.shape[1]
+    kth = np.partition(vals, m - k, axis=1)[:, m - k, None]
+    return vals + b >= kth - b
+
+
+def partition_top_k(vals, k, cols=None):
+    """The k largest values of each row of vals and their ids (cols[slot], or
+    the slot itself), ties by ascending id: the cells partition_kth_mask keeps
+    at b = 0, ordered by one lexsort on (row, descending value, ascending id),
+    the first k of each row taken."""
+    r, s = np.nonzero(partition_kth_mask(vals, k))
+    v = vals[r, s]
+    c = s if cols is None else cols[r, s]
+    order = np.lexsort((c, -v, r))
+    counts = np.bincount(r, minlength=len(vals))
+    take = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+    return c[take], v[take]
+
+
 def full_width_knn_edges(oracle, k_max):
     """The kNN scan over one full-width neighbour table, as build_knn_edges ran
     before it asked for narrow tables: top_neighbor_table at k_max, then k =
@@ -721,7 +745,13 @@ class CommunityState:
             if not (0 <= c < self.alive.size) or not self.alive[c]:
                 raise InvalidPartitionError(f"unknown or merged community id {c}")
         lo, hi = min(a, b), max(a, b)
-        return lo, hi, self.slots.find(lo, hi)
+        return lo, hi, self.slot(lo, hi)
+
+    def slot(self, a: int, b: int) -> int:
+        """The slot of the edge a-b (a < b), or -1 if they are not adjacent."""
+        s = self.slots.of(a)
+        s = s[self.slots.eb[s] == b]
+        return int(s[0]) if s.size else -1
 
     def _merge_terms(self, lo: int, hi: int, s: int):
         """The pair's merge delta and its merged contribution."""

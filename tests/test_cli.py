@@ -48,6 +48,8 @@ class TestPersist:
         ("a\tb\tabc\tSE", "weight 'abc' is not a number"),
         ("a\tb\tnan\tATTR", "weight nan is not in (0, 1]"),
         ("a\tb\t0\tBOTH", "weight 0.0 is not in (0, 1]"),
+        ("a\tb\t0.5", "expected 4 tab-separated fields"),
+        ("a\tb\t0.5\tSE\tx", "expected 4 tab-separated fields"),
     ])
     def test_graph_tsv_bad_row_names_line(self, tmp_path, row, message):
         # the blank line counts: the bad row is line 3
@@ -593,6 +595,8 @@ def test_overflowing_noise_scale_fails(mode, tmp_path, capsys):
         assert main(argv + ["--mode", mode]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "noise scale" in err[0] and "overflows" in err[0]
+        if argv[0] == "build-graph":
+            assert err[0].startswith("build-graph: block 0 failed: PrivacyError: ")
     for out in ("g", "s", "r"):
         for f in (tmp_path / out).iterdir():
             assert "Infinity" not in f.read_text(), f

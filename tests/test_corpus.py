@@ -40,7 +40,7 @@ class TestIngest:
         corpus = ingest(path)
         assert len(corpus) == 3
         assert corpus.block_ids.tolist() == [0]
-        assert corpus.dim == 4
+        assert corpus.embeddings.shape[1] == 4
         norms = np.linalg.norm(corpus.embeddings, axis=1)
         assert np.all(np.abs(norms - 1.0) <= 1e-9)
 

@@ -147,10 +147,10 @@ class TestMergeDelta:
         g = make_graph(4, [(0, 2, 0.25), (1, 3, 0.5)])
         state = CommunityState(g, Partition.singletons(4))
         state.apply_merge(0, 1)
-        assert state.slots.find(0, 3) >= 0 and state.slots.find(0, 2) >= 0
+        assert state.slot(0, 3) >= 0 and state.slot(0, 2) >= 0
         assert state.g[0] == 0.75
         state.apply_merge(0, 3)
-        assert state.slots.find(0, 3) == -1 and state.slots.find(0, 2) >= 0
+        assert state.slot(0, 3) == -1 and state.slot(0, 2) >= 0
         assert state.g[0] == 0.25
 
     def test_unknown_community_rejected(self, two_triangles):

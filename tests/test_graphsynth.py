@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import block_513, block_oracle, dyadic_embeddings, make_graph
-from oracles import direct_one_dim_se, full_width_knn_edges, lexsort_top_neighbors
+from oracles import (direct_one_dim_se, full_width_knn_edges, lexsort_top_neighbors,
+                     partition_kth_mask, partition_top_k)
 
 from dpevent import graphsynth
 from dpevent.corpus import Corpus, MessageRecord, SynthConfig, generate
@@ -150,6 +151,88 @@ def chunked_oracle(block, chunk_rows, **kwargs):
     if chunk_rows is not None and chunk_rows < len(block) - 1:
         assert len(oracle.pairs.row_chunks) > 1
     return oracle
+
+
+def selection_rows(rng, k, ties, padded):
+    """Random (rows, m) values with at least k finite cells per row, and the
+    ids of their slots. ties draws integer-valued floats, whose zeros carry
+    either sign. Unpadded: -inf at random cells (as the dense path's
+    diagonal) and ids None. Padded: -inf at the end of each row under
+    arbitrary ids, the other slots' ids ascending, as _noisy_candidates
+    leaves them."""
+    h, m = int(rng.integers(1, 40)), k + int(rng.integers(1, 40))
+    if ties:
+        vals = rng.integers(-3, 4, size=(h, m)).astype(float)
+        zeros = vals == 0.0
+        vals[zeros] *= rng.choice([-1.0, 1.0], size=int(zeros.sum()))
+    else:
+        vals = rng.normal(size=(h, m))
+    finite = rng.integers(k, m + 1, size=h)
+    if not padded:
+        vals[rng.random((h, m)).argsort(axis=1) >= finite[:, None]] = -np.inf
+        return vals, None
+    vals[np.arange(m) >= finite[:, None]] = -np.inf
+    cols = rng.integers(0, 3 * m, size=(h, m))
+    for row, f in zip(cols, finite):
+        row[:f] = np.sort(rng.choice(3 * m, f, replace=False))
+    return vals, cols
+
+
+class TestRowSelection:
+    """_top_k and _kth_mask against the partition selection of tests/oracles.py,
+    on both sides of MAXIMA_MAX_WIDTH. Each leaves vals as it was, bit for bit."""
+
+    WIDTHS = [*range(1, 13), 40]
+
+    @pytest.mark.parametrize("k", WIDTHS)
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_top_k_matches_partition(self, k, ties, padded):
+        rng = np.random.default_rng([k, ties, padded])
+        work = ChunkWorkspace() if padded else None  # as the pruned and dense paths call it
+        for _ in range(10):
+            vals, cols = selection_rows(rng, k, ties, padded)
+            before = vals.copy()
+            ref_ids, ref_vals = partition_top_k(vals, k, cols)
+            ids, got = graphsynth._top_k(vals, k, cols, work)
+            assert np.array_equal(ids, ref_ids)
+            assert np.array_equal(got.view(np.int64), ref_vals.view(np.int64))
+            assert np.array_equal(vals.view(np.int64), before.view(np.int64))
+
+    @pytest.mark.parametrize("k", WIDTHS)
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("tile_elems", [None, 64])  # 64: several tiles per call
+    def test_kth_mask_matches_partition(self, monkeypatch, k, ties, tile_elems):
+        if tile_elems is not None:
+            monkeypatch.setattr(graphsynth, "NOISE_TILE_ELEMS", tile_elems)
+        rng = np.random.default_rng([k, ties, tile_elems or 0])
+        work = ChunkWorkspace()
+        for _ in range(10):
+            vals, _ = selection_rows(rng, k, ties, padded=False)
+            before = vals.copy()
+            for b in (0.0, 0.5, float(rng.uniform(0.0, 2.0))):
+                ref = partition_kth_mask(vals, k, b)
+                assert np.array_equal(graphsynth._kth_mask(vals, k, b, work), ref)
+                assert np.array_equal(vals.view(np.int64), before.view(np.int64))
+
+    @pytest.mark.parametrize("k", [graphsynth.MAXIMA_MAX_WIDTH, graphsynth.MAXIMA_MAX_WIDTH + 1])
+    def test_row_maxima_up_to_the_constant(self, monkeypatch, k):
+        calls = []
+        row_maxima = graphsynth._row_maxima
+
+        def spy(vals, k):
+            calls.append(k)
+            return row_maxima(vals, k)
+
+        monkeypatch.setattr(graphsynth, "_row_maxima", spy)
+        vals = np.random.default_rng(k).normal(size=(5, 30))
+        work = ChunkWorkspace()
+        graphsynth._top_k(vals, k, None, work)
+        graphsynth._kth_mask(vals, k)
+        narrow = k == graphsynth.MAXIMA_MAX_WIDTH
+        assert calls == ([k, k] if narrow else [])
+        # the narrow table makes no mask and no partition scratch
+        assert sorted(work._buffers) == ([] if narrow else ["mask", "part"])
 
 
 class TestTopNeighborTable:
