@@ -29,13 +29,6 @@ SE_IMPROVEMENT_TOL = 1e-9
 # 48-59% of the first chunk's cells are reachable (21-28% with the per-chunk
 # temporaries that ChunkWorkspace replaced). 0.25 stays on the pruned side.
 PRUNE_MAX_SHARE = 0.25
-# Widest selection that _row_maxima makes; wider ones partition. Its k
-# argmax rounds read the rows k times, a partition about the same few
-# times at any k. At k = 8 (one thread, best of 7) the two cost the same
-# on row chunks of 52 x 5,000 cells, and the maxima take 0.97 of 1.65 ms
-# on 218 x 1,200 and 1.19 of 2.69 ms on 524 x 500; at k = 12 they take
-# 1.30 of 1.02 ms on 52 x 5,000.
-MAXIMA_MAX_WIDTH = 8
 
 PROV_SE = 1
 PROV_ATTR = 2
@@ -193,69 +186,37 @@ def _row_maxima(vals: np.ndarray, k: int):
     return slots, maxima
 
 
-def _kth_mask(vals: np.ndarray, k: int, b: float = 0.0,
-              work: ChunkWorkspace | None = None) -> np.ndarray:
+def _kth_mask(vals: np.ndarray, k: int, b: float, work: ChunkWorkspace) -> np.ndarray:
     """Cells of vals with fl(v + b) >= fl(T - b), T the k-th largest value of v's row.
 
-    Up to MAXIMA_MAX_WIDTH, T comes from _row_maxima over the whole of
-    vals. Past it, the rows go in tiles of about NOISE_TILE_ELEMS cells:
-    each tile is copied into work's "part" buffer and partitioned there to
-    find T. With b != 0 the "part" buffer of each tile then holds v + b;
-    with b = 0 the tile is compared with T as it is. The mask is work's
-    "mask" buffer; None makes a new workspace. A chunk-sized "part" buffer
-    instead of tiles faulted as often as a new partition copy per chunk and
-    raised peak RSS by 1-2 MB on 500-record blocks.
+    T comes from _row_maxima over the whole of vals. The rows then go in
+    tiles of about NOISE_TILE_ELEMS cells, each tile's v + b in work's
+    "part" buffer; the mask is work's "mask" buffer. A chunk-sized "part"
+    buffer instead of tiles raised peak RSS by 0.7-1.3 MB.
     """
-    work = ChunkWorkspace() if work is None else work
     h, m = vals.shape
     mask = work.array("mask", (h, m), bool)
-    kth = _row_maxima(vals, k)[1][:, k - 1:] if k <= MAXIMA_MAX_WIDTH else None
+    low = _row_maxima(vals, k)[1][:, k - 1:] - b
     step = max(1, NOISE_TILE_ELEMS // m)
     for a in range(0, h, step):
         tile = vals[a:a + step]
-        if kth is None:
-            part = work.array("part", tile.shape)
-            np.copyto(part, tile)
-            part.partition(m - k, axis=1)
-            low = part[:, m - k, None]
-        else:
-            low = kth[a:a + step]
-        if b:
-            low = low - b
-            tile = np.add(tile, b, out=work.array("part", tile.shape))
-        np.greater_equal(tile, low, out=mask[a:a + step])
+        np.greater_equal(np.add(tile, b, out=work.array("part", tile.shape)), low[a:a + step],
+                         out=mask[a:a + step])
     return mask
 
 
-def _top_k(vals: np.ndarray, k_max: int, cols: np.ndarray | None = None,
-           work: ChunkWorkspace | None = None):
+def _top_k(vals: np.ndarray, k_max: int, cols: np.ndarray | None):
     """The k_max largest values of each row of vals, ties by ascending id.
 
     vals is (rows, m) with at least k_max finite values per row and no NaN;
     cols maps each slot to its neighbor id (None: the slot is the id), and
-    its slots ascend by id within a row. Up to MAXIMA_MAX_WIDTH the table
-    is _row_maxima's, whose slots map to ids through cols: no scratch
-    beyond the (rows, k_max) result. Past it, _kth_mask keeps every slot at
-    or above its row's k_max-th largest value, so all ties at that boundary
-    survive; one lexsort orders the survivors by (row, descending value,
-    ascending id) and the first k_max of each row are taken. Both give the
-    result of a full sort of every row, bit for bit. The wide path's
-    scratch comes from work; None makes it new, which the dense path does,
-    as a reused buffer there raised the peak RSS of dense runs (eps-sweep)
-    and did not make the table faster.
+    its slots ascend by id within a row. The table is _row_maxima's, whose
+    slots map to ids through cols, so the first of equal values is the
+    smallest id: the result of a full sort of every row, bit for bit, with
+    no scratch beyond the (rows, k_max) result.
     """
-    if k_max <= MAXIMA_MAX_WIDTH:
-        slots, v = _row_maxima(vals, k_max)
-        return (slots if cols is None else np.take_along_axis(cols, slots, axis=1)), v
-    m = vals.shape[1]
-    keep = np.flatnonzero(_kth_mask(vals, k_max, work=work))  # row-major: rows ascending
-    r, s = np.divmod(keep, m)
-    v = vals.ravel()[keep]
-    c = s if cols is None else cols.ravel()[keep]
-    order = np.lexsort((c, -v, r))
-    counts = np.bincount(r, minlength=len(vals))
-    take = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k_max)]
-    return c[take], v[take]
+    slots, v = _row_maxima(vals, k_max)
+    return (slots if cols is None else np.take_along_axis(cols, slots, axis=1)), v
 
 
 def _noisy_candidates(pairs: BlockPairs, exact: np.ndarray, reachable: np.ndarray, lo: int,
@@ -335,7 +296,7 @@ def _neighbor_tables(pairs: BlockPairs, scales: list[float], k_max: int):
                 out = logs if scale == scales[-1] else work.array("vals", base.shape)
                 vals = np.multiply(logs, scale, out=out)
                 vals += base
-            nbrs[lo:hi], sims[lo:hi] = _top_k(vals, k_max, ids, work if prune else None)
+            nbrs[lo:hi], sims[lo:hi] = _top_k(vals, k_max, ids)
     return tables
 
 
@@ -372,16 +333,13 @@ def top_neighbor_table(oracle: SimilarityOracle, k_max: int):
     the noise is off (nothing to save), for the largest scale. Otherwise
     the first chunk decides: past PRUNE_MAX_SHARE of reachable cells,
     skipping draws no longer pays for handling the reachable ones, and the
-    block goes dense. Both paths select with _top_k: from row maxima up to
-    MAXIMA_MAX_WIDTH wide, from a partition and one lexsort past it. A node
+    block goes dense. Both paths select with _top_k, by row maxima. A node
     is never its own neighbor.
 
     The table at width w equals the first w columns of the table at any
-    larger width, bit for bit, on either path and either side of
-    MAXIMA_MAX_WIDTH: a cell's value is its pair's one released value, and
-    both selections take cells by descending value, then ascending id (row
-    maxima take the first of equal maxima; the wide path's _kth_mask keeps
-    every tie at the w-th value and its lexsort orders them). A narrower width
+    larger width, bit for bit, on either path: a cell's value is its pair's
+    one released value, and _top_k takes cells by descending value, then
+    ascending id (row maxima take the first of equal maxima). A narrower width
     can change which cells get a draw, and which path the block takes, but
     not the values. build_knn_edges relies on this to ask for only the
     columns its scan reads.
@@ -411,11 +369,10 @@ def build_knn_edges(oracle: SimilarityOracle, k_max: int = 40):
     is built min(2, k_max) wide, and built once more, k_max wide, only when
     the scan reaches k = 3. A narrow table is the first columns of a wide
     one, bit for bit (see top_neighbor_table), so the result does not
-    depend on the width. Most of a table's cost is the chunk products and
-    the dense draws, which do not depend on the width, so a scan past k = 2
-    pays one narrow table more, where doubling widths would pay several: on
-    the 5,000-record sim-knn block (one BLAS thread) a 2-wide table takes
-    0.12-0.17 s and a 40-wide one 0.19-0.26 s.
+    depend on the width. A scan past k = 2 pays for the narrow table and
+    the wide one: on the 5,000-record sim-knn block (one BLAS thread) a
+    2-wide table takes 0.12-0.17 s and a 40-wide one 0.42-0.52 s, as
+    _top_k's k argmax rounds read the rows k times.
     """
     n = oracle.n
     if k_max < 1:

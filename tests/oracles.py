@@ -233,8 +233,7 @@ def lexsort_top_neighbors(rows, k_max):
 def partition_kth_mask(vals, k, b=0.0):
     """Cells of vals with fl(v + b) >= fl(T - b), T the k-th largest value of
     v's row, found by partitioning a copy of the rows: the selection that
-    dpevent.graphsynth._kth_mask made at every width before it took narrow
-    widths from row maxima."""
+    dpevent.graphsynth._kth_mask made before it took T from row maxima."""
     m = vals.shape[1]
     kth = np.partition(vals, m - k, axis=1)[:, m - k, None]
     return vals + b >= kth - b

@@ -179,8 +179,8 @@ def selection_rows(rng, k, ties, padded):
 
 
 class TestRowSelection:
-    """_top_k and _kth_mask against the partition selection of tests/oracles.py,
-    on both sides of MAXIMA_MAX_WIDTH. Each leaves vals as it was, bit for bit."""
+    """_top_k and _kth_mask against the partition selection of tests/oracles.py.
+    Each leaves vals as it was, bit for bit."""
 
     WIDTHS = [*range(1, 13), 40]
 
@@ -189,12 +189,11 @@ class TestRowSelection:
     @pytest.mark.parametrize("padded", [False, True])
     def test_top_k_matches_partition(self, k, ties, padded):
         rng = np.random.default_rng([k, ties, padded])
-        work = ChunkWorkspace() if padded else None  # as the pruned and dense paths call it
         for _ in range(10):
             vals, cols = selection_rows(rng, k, ties, padded)
             before = vals.copy()
             ref_ids, ref_vals = partition_top_k(vals, k, cols)
-            ids, got = graphsynth._top_k(vals, k, cols, work)
+            ids, got = graphsynth._top_k(vals, k, cols)
             assert np.array_equal(ids, ref_ids)
             assert np.array_equal(got.view(np.int64), ref_vals.view(np.int64))
             assert np.array_equal(vals.view(np.int64), before.view(np.int64))
@@ -214,25 +213,6 @@ class TestRowSelection:
                 ref = partition_kth_mask(vals, k, b)
                 assert np.array_equal(graphsynth._kth_mask(vals, k, b, work), ref)
                 assert np.array_equal(vals.view(np.int64), before.view(np.int64))
-
-    @pytest.mark.parametrize("k", [graphsynth.MAXIMA_MAX_WIDTH, graphsynth.MAXIMA_MAX_WIDTH + 1])
-    def test_row_maxima_up_to_the_constant(self, monkeypatch, k):
-        calls = []
-        row_maxima = graphsynth._row_maxima
-
-        def spy(vals, k):
-            calls.append(k)
-            return row_maxima(vals, k)
-
-        monkeypatch.setattr(graphsynth, "_row_maxima", spy)
-        vals = np.random.default_rng(k).normal(size=(5, 30))
-        work = ChunkWorkspace()
-        graphsynth._top_k(vals, k, None, work)
-        graphsynth._kth_mask(vals, k)
-        narrow = k == graphsynth.MAXIMA_MAX_WIDTH
-        assert calls == ([k, k] if narrow else [])
-        # the narrow table makes no mask and no partition scratch
-        assert sorted(work._buffers) == ([] if narrow else ["mask", "part"])
 
 
 class TestTopNeighborTable:
