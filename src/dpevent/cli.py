@@ -86,11 +86,13 @@ def _block_views(args, data) -> list:
 
 
 def _block_files(directory: Path, prefix: str, suffix: str) -> list[tuple[int, Path]]:
-    """(block id, path) of each `{prefix}<digits>{suffix}` file, ordered by block id.
+    """(block id, path) of each `{prefix}<block id>{suffix}` file, ordered by block id.
 
-    Other names that match the glob (`graph_block0.old.json`, ...) are ignored.
+    A block id is written as str(int) writes it: 0, or digits with no
+    leading zero. Other names that match the glob (`graph_block0.old.json`,
+    `graph_block01.json`, ...) are ignored, so no block is read twice.
     """
-    name = re.compile(re.escape(prefix) + r"([0-9]+)" + re.escape(suffix))
+    name = re.compile(re.escape(prefix) + r"(0|[1-9][0-9]*)" + re.escape(suffix))
     return sorted((int(m.group(1)), path) for path in directory.glob(f"{prefix}*{suffix}")
                   if (m := name.fullmatch(path.name)))
 
@@ -147,13 +149,13 @@ def cmd_build_graph(args) -> int:
         try:
             graph, sidecar = _build_block_graph(BlockPairs(view, block_id, args.seed), params,
                                                 args.kmax)
+            write_graph_tsv(out / f"graph_block{block_id}.tsv", graph, sidecar["nodes"])
+            write_json(out / f"graph_block{block_id}.json", sidecar)
         except Exception as exc:  # noqa: BLE001 - per-block isolation
             print(f"build-graph: block {block_id} failed: {type(exc).__name__}: {exc}",
                   file=sys.stderr)
             failures += 1
             continue
-        write_graph_tsv(out / f"graph_block{block_id}.tsv", graph, sidecar["nodes"])
-        write_json(out / f"graph_block{block_id}.json", sidecar)
         print(f"build-graph: block {block_id}: n={sidecar['n']} edges={graph.num_edges} "
               f"chosen_k={sidecar['knn_trace']['chosen_k']}")
     return 1 if failures else 0
@@ -271,6 +273,10 @@ def cmd_sweep(args) -> int:
     if not blocks:
         print("sweep: nothing swept", file=sys.stderr)
         return 1
+    # as in evaluate, only fully labelled blocks are scored
+    unscored = [block_id for block_id, pairs in blocks if not pairs.block.has_labels()]
+    for block_id in unscored:
+        print(f"sweep: block {block_id} has unlabeled records; not scored", file=sys.stderr)
     out = _outdir(args)
     _write_config(out, "sweep", {
         "input": str(args.input),
@@ -290,10 +296,7 @@ def cmd_sweep(args) -> int:
                       f"{type(exc).__name__}: {exc}", file=sys.stderr)
                 failures += 1
                 continue
-            rows.append({"epsilon": label, "block": block_id,
-                         "ami": result.get("ami", math.nan),
-                         "ari": result.get("ari", math.nan),
-                         "s_mixed": result["s_mixed"]})
+            rows.append({"ami": math.nan, "ari": math.nan, **result, "epsilon": label})
             print(f"sweep: epsilon={label} block={block_id} "
                   f"ami={rows[-1]['ami']:.4f} ari={rows[-1]['ari']:.4f}")
     if not rows:
@@ -303,7 +306,7 @@ def cmd_sweep(args) -> int:
         for r in rows:
             fh.write(f"{r['epsilon']},{r['block']},{fmt9(r['ami'])},{fmt9(r['ari'])},"
                      f"{fmt9(r['s_mixed'])}\n")
-    finite = [r for r in rows if r["epsilon"] != "off"]
+    finite = [r for r in rows if r["epsilon"] != "off" and r["block"] not in unscored]
     summary: dict = {"epsilons": sorted({r["epsilon"] for r in finite})}
     means = {e: float(np.mean([r["ari"] for r in finite if r["epsilon"] == e]))
              for e in summary["epsilons"]}
@@ -314,7 +317,7 @@ def cmd_sweep(args) -> int:
         summary["spearman_epsilon_vs_ari"] = None if math.isnan(rho) else rho
         ordered = [means[e] for e in summary["epsilons"]]
         summary["monotone_violations"] = int(sum(b < a - 0.05 for a, b in zip(ordered, ordered[1:])))
-    off_rows = [r for r in rows if r["epsilon"] == "off"]
+    off_rows = [r for r in rows if r["epsilon"] == "off" and r["block"] not in unscored]
     if off_rows:
         summary["mean_ari_off"] = float(np.mean([r["ari"] for r in off_rows]))
     write_json(out / "sweep_summary.json", summary)

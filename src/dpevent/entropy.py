@@ -312,17 +312,15 @@ def minimize_edges(ea, eb, ew, V, g, ilog, parent, vol):
     return np.asarray(accepted, dtype=np.float64)
 
 
-def vanilla_minimize(graph: MessageGraph, init: Partition | None = None) -> Partition:
-    """Greedy 2D SE minimization: repeatedly apply the best connected merge.
+def vanilla_minimize(graph: MessageGraph) -> Partition:
+    """Greedy 2D SE minimization from singletons: repeatedly apply the best connected merge.
 
     Considers every pair of communities joined by at least one edge, applies
     the most-negative delta (ties broken by the lexicographically smallest id
     pair) and stops when no merge improves H2 by more than MERGE_TOL. Ties
     are bit-equal deltas only, as in minimize_edges.
     """
-    if init is None:
-        init = Partition.singletons(graph.n)
-    assignment = _check_partition(graph, init)
+    assignment = Partition.singletons(graph.n).assignment
     vol, V, g, ilog, ea, eb, ew = _community_aggregates(graph, assignment)
     if vol <= 0.0:
         raise GraphError("cannot minimize structural entropy of an empty graph")

@@ -22,13 +22,6 @@ W_CEIL = 1.0
 # A floor-weight edge shifts the degree entropy by ~(W_FLOOR/vol)^2 per node;
 # improvements below this tolerance are treated as ties, not decreases.
 SE_IMPROVEMENT_TOL = 1e-9
-# Largest share of reachable cells at which top_neighbor_table still prunes.
-# A reachable cell goes through gathers and a padded buffer. On the sim-knn
-# block (n = 5,000, k_max = 40, one BLAS thread, mixed mode, epsilon swept
-# across 0.66-0.695) the pruned path costs as much as the dense one when
-# 48-59% of the first chunk's cells are reachable (21-28% with the per-chunk
-# temporaries that ChunkWorkspace replaced). 0.25 stays on the pruned side.
-PRUNE_MAX_SHARE = 0.25
 
 PROV_SE = 1
 PROV_ATTR = 2
@@ -253,9 +246,10 @@ def _neighbor_tables(pairs: BlockPairs, scales: list[float], k_max: int):
     draws m are computed once; each scale then selects with _top_k from
     exact + scale * m (exact alone at scale 0), the value every path
     releases. The largest scale comes last and scales m in place, so a
-    one-scale pass keeps no third chunk-sized buffer. The path (see
-    top_neighbor_table) is chosen for the largest scale, whose draws bound
-    b = UNIT_DRAW_BOUND * scale is at least that of any other. _kth_mask
+    one-scale pass keeps no third chunk-sized buffer. The pass prunes
+    exactly when 0 < 2 * b < s_local, with b = UNIT_DRAW_BOUND * scale the
+    draws bound of the largest scale, at least that of any other (see
+    top_neighbor_table); otherwise every cell gets a draw. _kth_mask
     and _top_k set cells of the chunk buffers they read to -inf and put them
     back, bit for bit, before they return (_row_maxima), so every scale
     reads the exact cosines and draws as they were computed.
@@ -281,9 +275,6 @@ def _neighbor_tables(pairs: BlockPairs, scales: list[float], k_max: int):
         exact[diagonal] = -np.inf  # self never selected
         if prune:
             reachable = _kth_mask(exact, k_max, bound, work)
-            # the first chunk's share of reachable cells decides for the block
-            prune = lo > 0 or np.count_nonzero(reachable) <= PRUNE_MAX_SHARE * reachable.size
-        if prune:
             base, logs, ids = _noisy_candidates(pairs, exact, reachable, lo, work)
         else:
             base, logs, ids = exact, None, None
@@ -328,21 +319,19 @@ def top_neighbor_table(oracle: SimilarityOracle, k_max: int):
       scale could lift into their row's top k_max get a draw (see
       _neighbor_tables), so which cells are drawn depends on the exact
       cosines.
-    The block takes the dense path when 2 * noise_bound >= s_local (the
-    largest spread of a row's exact cosines: no cell can be excluded) or
-    the noise is off (nothing to save), for the largest scale. Otherwise
-    the first chunk decides: past PRUNE_MAX_SHARE of reachable cells,
-    skipping draws no longer pays for handling the reachable ones, and the
-    block goes dense. Both paths select with _top_k, by row maxima. A node
-    is never its own neighbor.
+    The noise bound of the largest scale alone picks the path: the block
+    goes dense when 2 * noise_bound >= s_local (the largest spread of a
+    row's exact cosines: no cell can be excluded) or the noise is off
+    (nothing to save), and prunes otherwise. Both paths select with _top_k,
+    by row maxima. A node is never its own neighbor.
 
     The table at width w equals the first w columns of the table at any
     larger width, bit for bit, on either path: a cell's value is its pair's
     one released value, and _top_k takes cells by descending value, then
     ascending id (row maxima take the first of equal maxima). A narrower width
-    can change which cells get a draw, and which path the block takes, but
-    not the values. build_knn_edges relies on this to ask for only the
-    columns its scan reads.
+    can change which cells get a draw, but not the path or the values.
+    build_knn_edges relies on this to ask for only the columns its scan
+    reads.
 
     Returns (nbrs, sims): (n, k_max) arrays of the k_max best neighbors per node
     and their unclipped noisy similarities.

@@ -21,9 +21,14 @@ def fmt9(x: float) -> str:
 
 
 def write_json(path, obj) -> None:
+    """obj as indented JSON with sorted keys.
+
+    A NaN or infinite float, which is not JSON, raises ValueError before the
+    file is opened.
+    """
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_json(path):
@@ -36,7 +41,14 @@ def config_hash(obj) -> str:
 
 
 def write_graph_tsv(path, graph: MessageGraph, ids: list[str]) -> None:
-    """Edges as `u v weight provenance` rows, endpoints as corpus ids."""
+    """Edges as `u v weight provenance` rows, endpoints as corpus ids.
+
+    An id that holds a tab, CR or LF would break its rows, so it raises
+    ValueError before the file is opened.
+    """
+    bad = [rid for rid in ids if "\t" in rid or "\r" in rid or "\n" in rid]
+    if bad:
+        raise ValueError(f"graph TSV cannot hold record id {bad[0]!r}: it has a tab, CR or LF")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for u, v, w, p in zip(graph.u.tolist(), graph.v.tolist(),
                               graph.w.tolist(), graph.provenance.tolist()):

@@ -11,12 +11,15 @@ cosine + noise_scale * m, whichever path asks for it (noisy_pairs, the
 attribute pairs, noisy_rows' row i). The cosine is cell (i, j) of the matrix
 product of row i's chunk (BlockPairs.exact_rows), and m is the pair's unit
 Laplace draw (signed_log_uniforms) from a counter-based substream of the
-block seed, so reruns and concurrent queries reproduce it. A dense pass over
-the similarity rows (BlockPairs.row_logs) meets every pair twice, once from
-each of its rows, and computes the same draw both times, so it generates two
-uniforms per pair. The top-k neighbour table takes that dense pass only when
-the noise can reach every cell; otherwise it draws only for the cells that
-can still reach a row's top k, which noise_bound, the largest possible
+block seed, so reruns and concurrent queries reproduce it. exact_rows makes
+the only matrix products: every pass that reads cosines (the neighbour
+table, the attribute pairs, s_local in local_sensitivity) takes them from
+it. A dense pass over the similarity rows (BlockPairs.row_logs) meets every
+pair twice, once from each of its rows, and computes the same draw both
+times, so it generates two uniforms per pair. The top-k neighbour table
+takes that dense pass only when the noise can reach every cell (2 *
+noise_bound >= s_local) or is off; otherwise it draws only for the cells
+that can still reach a row's top k, which noise_bound, the largest possible
 |draw|, decides (see graphsynth.top_neighbor_table). So the draws per pair
 depend on the block's exact cosines, not only on n.
 
@@ -126,25 +129,28 @@ def _row_chunks(n: int, budget: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def local_sensitivity(block: Corpus) -> float:
-    """Largest per-anchor spread of observed cosines in the block.
+def local_sensitivity(pairs: BlockPairs) -> float:
+    """Largest per-anchor spread of observed cosines in the block of pairs.
 
     For each anchor i this is max_j cos(i,j) - min_j cos(i,j) over the other
     records j, i.e. the largest change a single-record replacement within the
     block's empirical range can induce; the result is the max over anchors.
-    The cosines come one row chunk at a time (_row_chunks at ROW_CHUNK_ELEMS),
-    from the same products as BlockPairs.exact_rows.
+    The cosines come from pairs.exact_rows, one row chunk (pairs.row_chunks)
+    at a time, into one buffer. The diagonal is -inf while each row's
+    maximum is taken and +inf while its minimum is: both are exact, so the
+    spread is the one of the off-diagonal cosines, bit for bit.
     """
-    n = len(block)
-    if n < 2:
+    if pairs.n < 2:
         raise PrivacyError("local sensitivity needs a block with at least 2 records")
-    emb = block.embeddings
+    buf = np.empty((max(hi - lo for lo, hi in pairs.row_chunks), pairs.n))
     spread = 0.0
-    for lo, hi in _row_chunks(n, ROW_CHUNK_ELEMS):
-        sims = emb[lo:hi] @ emb.T
-        rows = np.arange(lo, hi)
-        sims[rows - lo, rows] = np.nan
-        spread = max(spread, float(np.nanmax(np.nanmax(sims, axis=1) - np.nanmin(sims, axis=1))))
+    for lo, hi in pairs.row_chunks:
+        sims = pairs.exact_rows(lo, hi, out=buf[:hi - lo])
+        diagonal = np.arange(hi - lo), np.arange(lo, hi)
+        sims[diagonal] = -np.inf
+        top = sims.max(axis=1)
+        sims[diagonal] = np.inf
+        spread = max(spread, float((top - sims.min(axis=1)).max()))
     return spread
 
 
@@ -264,7 +270,7 @@ class BlockPairs:
     indexes the pairs: the substream key of (seed, block_id), the condensed
     pair index and the row chunks. The rest fills on first use and is then
     kept:
-    - s_local, from local_sensitivity;
+    - s_local, from local_sensitivity, which reads exact_rows;
     - the attribute pairs (Corpus.attribute_pairs) and their exact cosines;
     - the unit draws of those pairs, which the noise scale turns into the
       draw at any epsilon;
@@ -298,7 +304,7 @@ class BlockPairs:
     @property
     def s_local(self) -> float:
         if self._s_local is None:
-            self._s_local = local_sensitivity(self.block)
+            self._s_local = local_sensitivity(self)
         return self._s_local
 
     def planned_scales(self) -> list[float]:

@@ -128,10 +128,10 @@ def test_sweep_fills_the_state_once_per_block_inside_the_graph_stage(tmp_path, m
         passes.append((pairs.block_id, len(stages) if depth[0] else None, len(scales)))
         return neighbor_tables(pairs, scales, k_max)
 
-    def counted(name, fn):
-        def wrapper(block, *args):
-            calls[name].append((block.records[0].block, depth[0] > 0))
-            return fn(block, *args)
+    def counted(name, fn, block_of):
+        def wrapper(arg, *args):
+            calls[name].append((block_of(arg), depth[0] > 0))
+            return fn(arg, *args)
         return wrapper
 
     build_block_graph = cli._build_block_graph
@@ -139,9 +139,11 @@ def test_sweep_fills_the_state_once_per_block_inside_the_graph_stage(tmp_path, m
     monkeypatch.setattr(cli, "_build_block_graph", stage)
     monkeypatch.setattr(graphsynth, "_neighbor_tables", table_pass)
     monkeypatch.setattr(privacy, "local_sensitivity",
-                        counted("local_sensitivity", privacy.local_sensitivity))
+                        counted("local_sensitivity", privacy.local_sensitivity,
+                                lambda pairs: pairs.block_id))
     monkeypatch.setattr(Corpus, "attribute_pairs",
-                        counted("attribute_pairs", Corpus.attribute_pairs))
+                        counted("attribute_pairs", Corpus.attribute_pairs,
+                                lambda block: block.records[0].block))
     assert cli.main(["sweep", "--input", str(path), "--out", str(tmp_path / "s"),
                      "--epsilons", "1,2,5", "--mode", "global"]) == 0  # 3 + off
     assert calls == {"local_sensitivity": [(0, True), (1, True)],

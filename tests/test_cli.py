@@ -14,7 +14,7 @@ from dpevent.cli import main
 from dpevent.corpus import SynthConfig, export, generate
 from dpevent.entropy import Partition
 from dpevent.persist import (read_graph_tsv, read_json, read_partition_csv, write_graph_tsv,
-                             write_partition_csv)
+                             write_json, write_partition_csv)
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +27,27 @@ def corpus_file(tmp_path_factory):
 
 def read_bytes(path):
     return path.read_bytes()
+
+
+def two_block_rows(tmp_path):
+    """JSONL rows of a labelled 2-block corpus: 3 events x 8 records per block,
+    ids r00000.. in order (block 1 starts at r00024)."""
+    from test_multiblock import multi_block_corpus
+    path = tmp_path / "two_blocks.jsonl"
+    export(multi_block_corpus(num_blocks=2, points=8), path)
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def write_rows(path, rows):
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    return path
+
+
+def strict_json(path):
+    """The parsed JSON file at path; NaN, Infinity and -Infinity raise ValueError."""
+    def reject(name):
+        raise ValueError(f"{path.name} holds {name}, which is not JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 class TestPersist:
@@ -57,6 +78,23 @@ class TestPersist:
         path.write_text(f"a\tc\t0.25\tSE\n\n{row}\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: {message}")):
             read_graph_tsv(path, ["a", "b", "c"])
+
+    @pytest.mark.parametrize("char", ["\t", "\r", "\n"], ids=["tab", "cr", "lf"])
+    def test_graph_tsv_rejects_ids_that_break_rows(self, tmp_path, char):
+        # the id's node has no edge: every id is checked, before the file is opened
+        g = make_graph(3, [(0, 1, 0.5)])
+        path = tmp_path / "g.tsv"
+        message = f"graph TSV cannot hold record id {'c' + char!r}: it has a tab, CR or LF"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_graph_tsv(path, g, ["a", "b", "c" + char])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_json_rejects_non_finite_floats(self, tmp_path, value):
+        path = tmp_path / "x.json"
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_json(path, {"a": [1.0, value]})
+        assert not path.exists()
 
     def test_partition_csv_round_trip(self, tmp_path):
         ids = ["m1", "m2", "m3"]
@@ -250,6 +288,57 @@ class TestPipelineCommands:
         assert out.count("cluster: block 0:") == 1
         assert sorted(p.name for p in cdir.glob("partition_block*")) == ["partition_block0.csv"]
 
+    def test_zero_padded_block_files_ignored(self, tmp_path, capsys):
+        # graph_block01.json is not block 1's file: a second copy of block 1
+        # would be clustered again and scored twice
+        path = write_rows(tmp_path / "corpus.jsonl", two_block_rows(tmp_path))
+        gdir, cdir, edir, eref = (tmp_path / d for d in ("g", "c", "e", "eref"))
+        assert main(["build-graph", "--input", str(path), "--out", str(gdir)]) == 0
+        assert main(["cluster", "--graphs", str(gdir), "--out", str(cdir)]) == 0
+        assert main(["evaluate", "--input", str(path), "--partitions", str(cdir),
+                     "--out", str(eref)]) == 0
+        for name in ("graph_block1.json", "graph_block1.tsv", "graph_block0.json"):
+            stray = name.replace("block", "block0")
+            (gdir / stray).write_bytes((gdir / name).read_bytes())
+        capsys.readouterr()
+        assert main(["cluster", "--graphs", str(gdir), "--out", str(cdir)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("cluster: block 0:") == out.count("cluster: block 1:") == 1
+        assert sorted(p.name for p in cdir.glob("partition_block*")) == [
+            "partition_block0.csv", "partition_block1.csv"]
+        (cdir / "partition_block01.csv").write_bytes((cdir / "partition_block1.csv").read_bytes())
+        (cdir / "partition_block001.csv").write_text("not,a,partition\n")
+        assert main(["evaluate", "--input", str(path), "--partitions", str(cdir),
+                     "--out", str(edir)]) == 0
+        assert read_json(edir / "metrics_summary.json")["blocks"] == [0, 1]
+        for name in ("metrics_summary.json", "metrics_block0.json", "metrics_block1.json"):
+            assert (edir / name).read_bytes() == (eref / name).read_bytes()
+
+    @pytest.mark.parametrize("char", ["\t", "\r", "\n"], ids=["tab", "cr", "lf"])
+    def test_id_that_breaks_the_graph_tsv_fails_its_block(self, tmp_path, capsys, char):
+        rows = two_block_rows(tmp_path)
+        for row in rows:
+            if row["block"] == 1:
+                row["id"] += char + "x"
+        path = write_rows(tmp_path / "corpus.jsonl", rows)
+        gdir, cdir, sdir = (tmp_path / d for d in ("g", "c", "s"))
+        assert main(["build-graph", "--input", str(path), "--out", str(gdir)]) == 1
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [
+            "build-graph: block 1 failed: ValueError: graph TSV cannot hold record id "
+            f"{'r00024' + char + 'x'!r}: it has a tab, CR or LF"]
+        assert "build-graph: block 0:" in out and "block 1:" not in out
+        assert sorted(p.name for p in gdir.glob("graph_block*")) == [
+            "graph_block0.json", "graph_block0.tsv"]
+        assert main(["cluster", "--graphs", str(gdir), "--out", str(cdir)]) == 0
+        assert sorted(p.name for p in cdir.glob("partition_block*")) == ["partition_block0.csv"]
+        # sweep writes no graph TSV
+        assert main(["sweep", "--input", str(path), "--out", str(sdir), "--epsilons", "2",
+                     "--mode", "global", "--kmax", "5"]) == 0
+        lines = (sdir / "sweep.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["2.0", "0"], ["2.0", "1"], ["off", "0"], ["off", "1"]]
+
     def test_evaluate_isolates_bad_partition(self, tmp_path, capsys):
         path = tmp_path / "two_blocks.jsonl"
         rows = [{"id": f"r{i}", "block": i % 2, "embedding": [1.0, float(i) / 10],
@@ -413,6 +502,40 @@ class TestSweep:
         assert len(lines) == 1 + 1
         assert not any(line.startswith("off,") for line in lines)
         assert "mean_ari_off" not in read_json(out / "sweep_summary.json")
+
+    def test_unlabeled_block_is_not_scored(self, tmp_path, capsys):
+        # block 1 has one unlabeled record: its rows stay in sweep.csv, and the
+        # summary is the one of a sweep of block 0 alone
+        rows = two_block_rows(tmp_path)
+        rows[30]["label"] = None
+        both = write_rows(tmp_path / "both.jsonl", rows)
+        zero = write_rows(tmp_path / "zero.jsonl", [r for r in rows if r["block"] == 0])
+        args = ["--epsilons", "2,6", "--mode", "global", "--kmax", "5"]
+        capsys.readouterr()
+        assert main(["sweep", "--input", str(both), "--out", str(tmp_path / "s")] + args) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["sweep: block 1 has unlabeled records; not scored"]
+        lines = (tmp_path / "s" / "sweep.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            [e, b] for e in ("2.0", "6.0", "off") for b in "01"]
+        assert main(["sweep", "--input", str(zero), "--out", str(tmp_path / "z")] + args) == 0
+        summary = tmp_path / "s" / "sweep_summary.json"
+        assert summary.read_bytes() == (tmp_path / "z" / "sweep_summary.json").read_bytes()
+        assert set(strict_json(summary)) == {"epsilons", "mean_ari_by_epsilon", "mean_ari_off",
+                                             "monotone_violations", "spearman_epsilon_vs_ari"}
+
+    def test_no_labels_no_means(self, tmp_path, capsys):
+        rows = two_block_rows(tmp_path)
+        for row in rows:
+            row["label"] = None
+        path = write_rows(tmp_path / "corpus.jsonl", rows)
+        out = tmp_path / "s"
+        assert main(["sweep", "--input", str(path), "--out", str(out), "--epsilons", "2,6",
+                     "--mode", "global", "--kmax", "5"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"sweep: block {b} has unlabeled records; not scored" for b in (0, 1)]
+        assert strict_json(out / "sweep_summary.json") == {"epsilons": [],
+                                                          "mean_ari_by_epsilon": {}}
 
     def test_sweep_leaves_scipy_stats_unimported(self, tmp_path, corpus_file):
         code = ("import sys; from dpevent.cli import main; "
@@ -602,6 +725,26 @@ def test_overflowing_noise_scale_fails(mode, tmp_path, capsys):
             assert "Infinity" not in f.read_text(), f
 
 
+def test_every_json_file_is_strict_json(tmp_path):
+    # NaN and Infinity are not JSON; a block with an unlabeled record once
+    # put NaN into sweep_summary.json
+    rows = two_block_rows(tmp_path)
+    rows[30]["label"] = None
+    path = write_rows(tmp_path / "corpus.jsonl", rows)
+    g, c, e, s, r, y = (str(tmp_path / d) for d in "gcesry")
+    for argv in (["synth", "--out", y, "--events", "2", "--points", "6"],
+                 ["build-graph", "--input", str(path), "--out", g, "--epsilon", "3"],
+                 ["cluster", "--graphs", g, "--out", c],
+                 ["evaluate", "--input", str(path), "--partitions", c, "--out", e],
+                 ["sweep", "--input", str(path), "--out", s, "--epsilons", "1,4", "--kmax", "5"],
+                 ["sensitivity-report", "--input", str(path), "--out", r]):
+        assert main(argv) == 0, argv
+    written = sorted(tmp_path.rglob("*.json"))
+    assert len(written) == 15
+    for f in written:
+        strict_json(f)
+
+
 class TestSensitivityReport:
     def test_local_sensitivity_once_per_block(self, tmp_path, monkeypatch):
         from dpevent import privacy
@@ -611,9 +754,9 @@ class TestSensitivityReport:
         seen = []
         real = privacy.local_sensitivity
 
-        def spy(block):
-            seen.append(block.records[0].block)
-            return real(block)
+        def spy(pairs):
+            seen.append(pairs.block_id)
+            return real(pairs)
 
         monkeypatch.setattr(privacy, "local_sensitivity", spy)
         assert main(["sensitivity-report", "--input", str(path), "--out",

@@ -164,9 +164,8 @@ class TestMergeDelta:
 
 class TestVanillaMinimize:
     def test_two_triangles_reach_optimum(self, two_triangles):
-        init = Partition.singletons(6)
-        h2_init = two_dim_se(two_triangles, init)
-        final = vanilla_minimize(two_triangles, init)
+        h2_init = two_dim_se(two_triangles, Partition.singletons(6))
+        final = vanilla_minimize(two_triangles)
         assert final.same_as(Partition(np.array([0, 0, 0, 1, 1, 1])))
         h2_final = two_dim_se(two_triangles, final)
         assert h2_final == pytest.approx(LOG2_3, abs=1e-12)

@@ -245,9 +245,8 @@ class TestTopNeighborTable:
         assert np.array_equal(sims, ref_sims)
 
 
-def table_and_path(monkeypatch, oracle, k_max, max_share=1.0):
-    """top_neighbor_table with PRUNE_MAX_SHARE set to max_share (1.0: prune
-    whenever the noise bound allows it), and whether the pruned path ran."""
+def table_and_path(monkeypatch, oracle, k_max):
+    """top_neighbor_table, and whether the pruned path ran."""
     calls = []
     candidates = graphsynth._noisy_candidates
 
@@ -255,17 +254,19 @@ def table_and_path(monkeypatch, oracle, k_max, max_share=1.0):
         calls.append(args)
         return candidates(*args)
 
-    monkeypatch.setattr(graphsynth, "PRUNE_MAX_SHARE", max_share)
     monkeypatch.setattr(graphsynth, "_noisy_candidates", spy)
     nbrs, sims = top_neighbor_table(oracle, k_max)
     return nbrs, sims, bool(calls)
 
 
-def switch_epsilon(block, chunk_rows=None):
-    """Smooth-mode epsilon at which 2 * noise_bound crosses s_local (bisection:
-    the ratio falls as epsilon grows), with row chunks chunk_rows high."""
+def switch_epsilon(block, chunk_rows=None, mode="smooth"):
+    """(below, above): epsilons of mode on either side of the one at which
+    2 * noise_bound crosses s_local (bisection: the ratio falls as epsilon
+    grows), with row chunks chunk_rows high. below is dense by its bound."""
+    pairs = block_oracle(block, chunk_rows=chunk_rows).pairs
+
     def ratio(eps):
-        oracle = block_oracle(block, epsilon=eps, mode="smooth", chunk_rows=chunk_rows)
+        oracle = SimilarityOracle(pairs, PrivacyParams(epsilon=eps, sensitivity_mode=mode))
         return 2.0 * oracle.noise_bound / oracle.report.s_local
 
     lo, hi = 0.01, 50.0
@@ -312,19 +313,32 @@ class TestPrunedTable:
                 assert pruned == expect_pruned
                 assert np.array_equal(nbrs, ref[0]) and np.array_equal(sims, ref[1])
 
-    @pytest.mark.parametrize("epsilon, max_share, chunk_rows, expect_pruned", [
-        (1.5, None, None, True),   # about 4.4% of the first chunk's cells reachable
-        (1.5, None, 2, True),
-        (1.5, 0.0, 100, False),
-        (1.0, None, None, False),  # 33% reachable: past PRUNE_MAX_SHARE
+    @pytest.mark.parametrize("epsilon, chunk_rows, least_share", [
+        (1.5, None, 0.04),
+        (1.5, 2, 0.05),
+        (1.0, None, 0.33),  # a third of the first chunk reachable: still pruned
+        (1.0, 2, 0.33),
     ])
-    def test_first_chunk_share_picks_the_path(self, monkeypatch, epsilon, max_share, chunk_rows,
-                                              expect_pruned):
+    def test_reachable_share_does_not_pick_the_path(self, monkeypatch, epsilon, chunk_rows,
+                                                    least_share):
+        # the share of the first chunk's cells that can reach their row's
+        # top 10 grows as epsilon falls; the bound alone decides, so the
+        # block prunes at either share
         block = block_513()
         oracle = chunked_oracle(block, chunk_rows, epsilon=epsilon, seed=5)
-        max_share = graphsynth.PRUNE_MAX_SHARE if max_share is None else max_share
-        nbrs, sims, pruned = table_and_path(monkeypatch, oracle, 10, max_share)
-        assert pruned == expect_pruned
+        assert 0.0 < 2.0 * oracle.noise_bound < oracle.report.s_local
+        shares = []
+        kth_mask = graphsynth._kth_mask
+
+        def spy(*args):
+            mask = kth_mask(*args)
+            shares.append(np.count_nonzero(mask) / mask.size)
+            return mask
+
+        monkeypatch.setattr(graphsynth, "_kth_mask", spy)
+        nbrs, sims, pruned = table_and_path(monkeypatch, oracle, 10)
+        assert pruned and len(shares) == len(oracle.pairs.row_chunks)
+        assert least_share < shares[0] < least_share + 0.01
         ref_nbrs, ref_sims = lexsort_top_neighbors(oracle.noisy_rows(0, len(block)), 10)
         assert np.array_equal(nbrs, ref_nbrs) and np.array_equal(sims, ref_sims)
 
@@ -340,7 +354,6 @@ def test_shared_workspace_leaves_no_stale_state(monkeypatch):
     # one workspace serves tables of other block sizes, chunk heights and
     # paths in turn (the dense path's per-chunk workspaces too); each must
     # equal the table built with new workspaces
-    monkeypatch.setattr(graphsynth, "PRUNE_MAX_SHARE", 1.0)  # prune whenever the bound allows
     calls = []
     candidates = graphsynth._noisy_candidates
 
@@ -383,18 +396,26 @@ def duplicated_block():
     (1.5, "mixed"),
     (15.0, "mixed"),    # noise far below an ulp: the exact ties survive it
 ])
-@pytest.mark.parametrize("max_share", [0.0, 1.0])  # dense; pruned where the bound allows
+@pytest.mark.parametrize("min_ratio", [0.0, 1.0])  # 1.0: dense, at an epsilon no larger
 def test_narrow_table_is_a_prefix_of_the_wide_one(monkeypatch, make_block, epsilon, mode,
-                                                   max_share):
+                                                   min_ratio):
+    # min_ratio is the least 2 * noise_bound / s_local the table is built
+    # at: 1.0 lowers epsilon (off counts as infinite) to the dense side of
+    # the bound switch where the case's own epsilon is on the pruned side
     block = make_block()
     for chunk_rows in (None, 7, 100):
-        oracle = chunked_oracle(block, chunk_rows, epsilon=epsilon, mode=mode, seed=4)
-        prunable = max_share == 1.0 and 0.0 < 2.0 * oracle.noise_bound < oracle.report.s_local
+        eps = epsilon
+        if min_ratio:
+            below = switch_epsilon(block, chunk_rows, mode)[0]
+            eps = below if epsilon is None else min(epsilon, below)
+        oracle = chunked_oracle(block, chunk_rows, epsilon=eps, mode=mode, seed=4)
+        prunable = 0.0 < 2.0 * oracle.noise_bound < oracle.report.s_local
+        assert prunable == (not min_ratio and mode == "mixed" and epsilon is not None)
         for k_max in (10, 40):
-            wide_nbrs, wide_sims, pruned = table_and_path(monkeypatch, oracle, k_max, max_share)
+            wide_nbrs, wide_sims, pruned = table_and_path(monkeypatch, oracle, k_max)
             assert pruned == prunable
             for w in (1, 2, 3, 7):
-                nbrs, sims, pruned = table_and_path(monkeypatch, oracle, w, max_share)
+                nbrs, sims, pruned = table_and_path(monkeypatch, oracle, w)
                 assert pruned == prunable
                 assert np.array_equal(nbrs, wide_nbrs[:, :w])
                 assert np.array_equal(sims.view(np.int64), wide_sims[:, :w].view(np.int64))
@@ -435,19 +456,23 @@ def one_pass_tables(monkeypatch, pairs, oracles, k_max):
     ("mixed", (1.5, 3.0, 15.0, None, 10.0)),  # prunable; 15 and 10 leave the ties exact
     ("smooth", (2.5, 1.5, 8.0, None)),
 ])
-@pytest.mark.parametrize("max_share", [0.0, 1.0])  # dense; pruned where the bound allows
+@pytest.mark.parametrize("min_ratio", [0.0, 1.0])  # 1.0: dense, by one more grid point
 @pytest.mark.parametrize("k_max", [1, 2, 40])
 def test_one_pass_tables_equal_one_oracle_tables(monkeypatch, make_block, mode, epsilons,
-                                                 max_share, k_max):
+                                                 min_ratio, k_max):
+    # min_ratio is the least 2 * noise_bound / s_local of the grid's largest
+    # scale: 1.0 adds the epsilon on the dense side of the bound switch, so
+    # the one pass is dense for every grid point, ties and all
     block = make_block()
-    monkeypatch.setattr(graphsynth, "PRUNE_MAX_SHARE", max_share)
+    if min_ratio:
+        epsilons += (switch_epsilon(block, None, mode)[0],)
     pairs, grid = planned_block(block, mode, epsilons)
     oracles = [SimilarityOracle(pairs, params) for params in grid]
     tables, passes = one_pass_tables(monkeypatch, pairs, oracles, k_max)
     largest = max(oracles, key=lambda oracle: oracle.noise_scale)
     prunable = 0.0 < 2.0 * largest.noise_bound < largest.report.s_local
-    assert prunable == (mode != "global")
-    assert passes == [[len(epsilons), max_share == 1.0 and prunable]]
+    assert prunable == (not min_ratio and mode != "global")
+    assert passes == [[len(epsilons), prunable]]
     for epsilon, (nbrs, sims) in zip(epsilons, tables):
         ref_nbrs, ref_sims = top_neighbor_table(block_oracle(block, epsilon=epsilon, mode=mode,
                                                              seed=4), k_max)

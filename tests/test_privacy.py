@@ -34,21 +34,27 @@ class TestSensitivities:
     def test_local_identical_plus_orthogonal(self):
         block = corpus_from_rows([[1, 0, 0], [1, 0, 0], [0, 1, 0]])
         # anchor 0 sees cosines {1, 0} -> spread 1
-        assert local_sensitivity(block) == pytest.approx(1.0, abs=1e-12)
+        assert local_sensitivity(BlockPairs(block, 0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_local_all_identical(self):
         block = corpus_from_rows([[1, 0], [1, 0], [1, 0]])
-        assert local_sensitivity(block) == pytest.approx(0.0, abs=1e-12)
+        assert local_sensitivity(BlockPairs(block, 0)) == pytest.approx(0.0, abs=1e-12)
+
+    def test_local_leaves_out_the_diagonal(self):
+        # every observed cosine is 0; a self-cosine of 1 in the maximum, or
+        # the -inf that stands for it in the minimum, would show
+        block = corpus_from_rows(np.eye(4))
+        assert local_sensitivity(BlockPairs(block, 0)) == 0.0
 
     def test_local_bounded_by_global(self, rng):
         for _ in range(20):
             emb = rng.normal(size=(int(rng.integers(2, 40)), 8))
             block = corpus_from_rows(emb)
-            assert local_sensitivity(block) <= GLOBAL_SENSITIVITY + 1e-12
+            assert local_sensitivity(BlockPairs(block, 0)) <= GLOBAL_SENSITIVITY + 1e-12
 
     def test_local_needs_two_records(self):
         with pytest.raises(PrivacyError):
-            local_sensitivity(corpus_from_rows([[1, 0]]))
+            local_sensitivity(BlockPairs(corpus_from_rows([[1, 0]]), 0))
 
     def test_smooth_epsilon_limit(self):
         # factor -> 1 as epsilon -> 0+
@@ -241,9 +247,29 @@ class TestRowsIndependentOfRange:
 
     def test_local_sensitivity_matches_oracle_rows(self):
         block = block_513()
-        rows = block_oracle(block, epsilon=None).noisy_rows(0, len(block))
+        oracle = block_oracle(block, epsilon=None)
+        rows = oracle.noisy_rows(0, len(block))
         spread = np.nanmax(rows, axis=1) - np.nanmin(rows, axis=1)
-        assert local_sensitivity(block) == float(spread.max())
+        assert local_sensitivity(oracle.pairs) == float(spread.max())
+
+    @pytest.mark.parametrize("chunk_rows", [100, 7])
+    def test_local_sensitivity_reads_every_chunk_from_exact_rows(self, monkeypatch, chunk_rows):
+        # the largest spread lies past the first chunk
+        block = block_513()
+        pairs = block_oracle(block, epsilon=None, chunk_rows=chunk_rows).pairs
+        rows = SimilarityOracle(pairs, PrivacyParams()).noisy_rows(0, len(block))
+        spread = np.nanmax(rows, axis=1) - np.nanmin(rows, axis=1)
+        assert spread[:pairs.row_chunks[0][1]].max() < spread.max()
+        asked = []
+        exact_rows = BlockPairs.exact_rows
+
+        def spy(self, lo, hi, out=None):
+            asked.append((lo, hi))
+            return exact_rows(self, lo, hi, out)
+
+        monkeypatch.setattr(BlockPairs, "exact_rows", spy)
+        assert local_sensitivity(pairs) == float(spread.max())
+        assert asked == pairs.row_chunks
 
 
 class TestOracle:
