@@ -3,7 +3,10 @@ plus epsilon sweeps and sensitivity reports.
 
 Every command validates its configuration up front, writes the configuration
 (with a hash) into the output directory, and is a pure function of its inputs:
-rerunning with the same arguments reproduces byte-identical files.
+rerunning with the same arguments reproduces byte-identical files. The block
+commands run each block (each (epsilon, block) in a sweep) on its own: one
+that raises prints `<command>: <name> failed: <Type>: <message>`, the rest
+are still written, and the command exits with status 1.
 """
 
 from __future__ import annotations
@@ -55,17 +58,36 @@ def _int_at_least(lo: int):
     return parse
 
 
-def _outdir(args) -> Path:
-    """Make --out; each command calls it only once its input is read and checked."""
+def _outdir(args, config: dict) -> Path:
+    """Make --out and write its config.json.
+
+    Each command calls it only once its input is read and checked.
+    """
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    write_json(out / "config.json", {"command": args.command, "config": config,
+                                     "version": __version__, "config_hash": config_hash(config)})
     return out
 
 
-def _write_config(out: Path, command: str, config: dict) -> None:
-    payload = {"command": command, "config": config, "version": __version__}
-    payload["config_hash"] = config_hash(payload["config"])
-    write_json(out / "config.json", payload)
+def _each_block(command: str, jobs, work) -> int:
+    """Call work(*args) for each (name, args) job; a job that raises fails alone.
+
+    work returns the job's stdout line, or None for no line. A failure prints
+    `<command>: <name> failed: <Type>: <message>` on stderr and the next job
+    runs. Returns 1 when any job failed, else 0.
+    """
+    failures = 0
+    for name, args in jobs:
+        try:
+            line = work(*args)
+        except Exception as exc:  # noqa: BLE001 - per-block isolation
+            print(f"{command}: {name} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+            failures += 1
+            continue
+        if line is not None:
+            print(line)
+    return 1 if failures else 0
 
 
 def _block_views(args, data) -> list:
@@ -120,10 +142,9 @@ def cmd_synth(args) -> int:
     config = SynthConfig(num_events=args.events, points_per_event=args.points,
                          dim=args.dim, intra_concentration=args.concentration,
                          attribute_sharing_prob=args.share_prob, seed=args.seed)
-    out = _outdir(args)
+    out = _outdir(args, config.to_dict())
     generated = corpus_mod.generate(config)
     corpus_mod.export(generated, out / "corpus.jsonl")
-    _write_config(out, "synth", config.to_dict())
     manifest = {"n_records": len(generated), "seed": args.seed,
                 "config_hash": config_hash(config.to_dict()),
                 "labels": sorted(set(generated.labels))}
@@ -139,26 +160,20 @@ def cmd_build_graph(args) -> int:
     if not blocks:
         print("build-graph: nothing built", file=sys.stderr)
         return 1
-    out = _outdir(args)
-    _write_config(out, "build-graph", {
+    out = _outdir(args, {
         "input": str(args.input), "epsilon": "off" if params.off else params.epsilon,
         "mode": args.mode, "seed": args.seed, "kmax": args.kmax, "pooled": args.pooled,
     })
-    failures = 0
-    for block_id, view in blocks:
-        try:
-            graph, sidecar = _build_block_graph(BlockPairs(view, block_id, args.seed), params,
-                                                args.kmax)
-            write_graph_tsv(out / f"graph_block{block_id}.tsv", graph, sidecar["nodes"])
-            write_json(out / f"graph_block{block_id}.json", sidecar)
-        except Exception as exc:  # noqa: BLE001 - per-block isolation
-            print(f"build-graph: block {block_id} failed: {type(exc).__name__}: {exc}",
-                  file=sys.stderr)
-            failures += 1
-            continue
-        print(f"build-graph: block {block_id}: n={sidecar['n']} edges={graph.num_edges} "
-              f"chosen_k={sidecar['knn_trace']['chosen_k']}")
-    return 1 if failures else 0
+
+    def build(block_id, view):
+        graph, sidecar = _build_block_graph(BlockPairs(view, block_id, args.seed), params,
+                                            args.kmax)
+        write_graph_tsv(out / f"graph_block{block_id}.tsv", graph, sidecar["nodes"])
+        write_json(out / f"graph_block{block_id}.json", sidecar)
+        return (f"build-graph: block {block_id}: n={sidecar['n']} edges={graph.num_edges} "
+                f"chosen_k={sidecar['knn_trace']['chosen_k']}")
+
+    return _each_block("build-graph", [(f"block {b}", (b, view)) for b, view in blocks], build)
 
 
 def cmd_cluster(args) -> int:
@@ -167,31 +182,25 @@ def cmd_cluster(args) -> int:
     if not sidecars:
         print(f"cluster: no graph_block*.json files under {graphs_dir}", file=sys.stderr)
         return 1
-    out = _outdir(args)
-    _write_config(out, "cluster", {"graphs": str(graphs_dir), "q0": args.q0,
-                                   "grouping": args.grouping})
-    failures = 0
-    for block_id, sidecar_path in sidecars:
-        try:
-            sidecar = read_json(sidecar_path)
-            if sidecar["block"] != block_id:
-                raise ValueError(f"sidecar is for block {sidecar['block']!r}, "
-                                 f"file name says {block_id}")
-            tsv = graphs_dir / f"graph_block{block_id}.tsv"
-            if not tsv.exists():
-                raise FileNotFoundError(f"missing graph file {tsv}")
-            graph = read_graph_tsv(tsv, sidecar["nodes"])
-            run = cluster(graph, q0=args.q0, grouping=args.grouping)
-        except Exception as exc:  # noqa: BLE001 - per-block isolation
-            print(f"cluster: {sidecar_path.name} failed: {type(exc).__name__}: {exc}",
-                  file=sys.stderr)
-            failures += 1
-            continue
+    out = _outdir(args, {"graphs": str(graphs_dir), "q0": args.q0, "grouping": args.grouping})
+
+    def cluster_block(block_id, sidecar_path):
+        sidecar = read_json(sidecar_path)
+        if sidecar["block"] != block_id:
+            raise ValueError(f"sidecar is for block {sidecar['block']!r}, "
+                             f"file name says {block_id}")
+        tsv = graphs_dir / f"graph_block{block_id}.tsv"
+        if not tsv.exists():
+            raise FileNotFoundError(f"missing graph file {tsv}")
+        graph = read_graph_tsv(tsv, sidecar["nodes"])
+        run = cluster(graph, q0=args.q0, grouping=args.grouping)
         write_partition_csv(out / f"partition_block{block_id}.csv", sidecar["nodes"], run.final)
         write_json(out / f"run_block{block_id}.json", dict(run.to_dict(), block=block_id))
-        print(f"cluster: block {block_id}: {run.final.num_communities} communities "
-              f"in {len(run.rounds)} round(s)")
-    return 1 if failures else 0
+        return (f"cluster: block {block_id}: {run.final.num_communities} communities "
+                f"in {len(run.rounds)} round(s)")
+
+    return _each_block("cluster", [(path.name, (b, path)) for b, path in sidecars],
+                       cluster_block)
 
 
 def cmd_evaluate(args) -> int:
@@ -205,36 +214,32 @@ def cmd_evaluate(args) -> int:
     if not files:
         print(f"evaluate: no partition_block*.csv files under {partitions_dir}", file=sys.stderr)
         return 1
-    out = _outdir(args)
+    out = _outdir(args, {"input": str(args.input), "partitions": str(partitions_dir)})
     per_block = []
-    failures = 0
-    for block_id, path in files:
-        try:
-            ids, clusters = read_partition_csv(path)
-            unknown = [i for i in ids if i not in labels_by_id]
-            if unknown:
-                shown = ", ".join(repr(i) for i in unknown[:5])
-                raise ValueError(f"{len(unknown)} id(s) not in the corpus: {shown}"
-                                 + (", ..." if len(unknown) > 5 else ""))
-            block = ids_of_block.get(block_id, set())
-            if len(ids) != len(labels_by_id) and set(ids) != block:
-                inside = len(block.intersection(ids))
-                raise ValueError(f"lists {inside} of the {len(block)} record(s) of block "
-                                 f"{block_id} and {len(ids) - inside} of other blocks; "
-                                 "expected the whole block, or every record")
-            truth = [labels_by_id[i] for i in ids]
-            if any(t is None for t in truth):
-                print(f"evaluate: block {block_id} has unlabeled records; skipped",
-                      file=sys.stderr)
-                continue
-            result = dict(metrics_mod.evaluate(truth, clusters), block=block_id)
-        except Exception as exc:  # noqa: BLE001 - per-block isolation
-            print(f"evaluate: {path.name} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-            failures += 1
-            continue
+
+    def score(block_id, path):
+        ids, clusters = read_partition_csv(path)
+        unknown = [i for i in ids if i not in labels_by_id]
+        if unknown:
+            shown = ", ".join(repr(i) for i in unknown[:5])
+            raise ValueError(f"{len(unknown)} id(s) not in the corpus: {shown}"
+                             + (", ..." if len(unknown) > 5 else ""))
+        block = ids_of_block.get(block_id, set())
+        if len(ids) != len(labels_by_id) and set(ids) != block:
+            inside = len(block.intersection(ids))
+            raise ValueError(f"lists {inside} of the {len(block)} record(s) of block "
+                             f"{block_id} and {len(ids) - inside} of other blocks; "
+                             "expected the whole block, or every record")
+        truth = [labels_by_id[i] for i in ids]
+        if any(t is None for t in truth):
+            print(f"evaluate: block {block_id} has unlabeled records; skipped", file=sys.stderr)
+            return None
+        result = dict(metrics_mod.evaluate(truth, clusters), block=block_id)
         write_json(out / f"metrics_block{block_id}.json", result)
         per_block.append(result)
-        print(f"evaluate: block {block_id}: ami={result['ami']:.4f} ari={result['ari']:.4f}")
+        return f"evaluate: block {block_id}: ami={result['ami']:.4f} ari={result['ari']:.4f}"
+
+    status = _each_block("evaluate", [(path.name, (b, path)) for b, path in files], score)
     if not per_block:
         print("evaluate: nothing evaluated", file=sys.stderr)
         return 1
@@ -245,7 +250,7 @@ def cmd_evaluate(args) -> int:
     }
     write_json(out / "metrics_summary.json", summary)
     print(f"evaluate: mean ami={summary['mean_ami']:.4f} mean ari={summary['mean_ari']:.4f}")
-    return 1 if failures else 0
+    return status
 
 
 def run_pipeline(pairs: BlockPairs, params: PrivacyParams, k_max: int, q0: int):
@@ -277,28 +282,20 @@ def cmd_sweep(args) -> int:
     unscored = [block_id for block_id, pairs in blocks if not pairs.block.has_labels()]
     for block_id in unscored:
         print(f"sweep: block {block_id} has unlabeled records; not scored", file=sys.stderr)
-    out = _outdir(args)
-    _write_config(out, "sweep", {
-        "input": str(args.input),
-        "epsilons": ["off" if e is None else e for e in epsilons],
-        "mode": args.mode, "seed": args.seed, "kmax": args.kmax,
-        "q0": q0, "pooled": args.pooled,
-    })
+    labels = ["off" if e is None else e for e in epsilons]
+    out = _outdir(args, {"input": str(args.input), "epsilons": labels, "mode": args.mode,
+                         "seed": args.seed, "kmax": args.kmax, "q0": q0, "pooled": args.pooled})
     rows = []
-    failures = 0
-    for epsilon, params in zip(epsilons, grid):
-        label = "off" if epsilon is None else epsilon
-        for block_id, pairs in blocks:
-            try:
-                result = run_pipeline(pairs, params, args.kmax, q0)
-            except Exception as exc:  # noqa: BLE001 - per-pipeline isolation
-                print(f"sweep: epsilon={label} block={block_id} failed: "
-                      f"{type(exc).__name__}: {exc}", file=sys.stderr)
-                failures += 1
-                continue
-            rows.append({"ami": math.nan, "ari": math.nan, **result, "epsilon": label})
-            print(f"sweep: epsilon={label} block={block_id} "
-                  f"ami={rows[-1]['ami']:.4f} ari={rows[-1]['ari']:.4f}")
+
+    def sweep_point(label, params, pairs):
+        result = run_pipeline(pairs, params, args.kmax, q0)
+        rows.append({"ami": math.nan, "ari": math.nan, **result, "epsilon": label})
+        return (f"sweep: epsilon={label} block={pairs.block_id} "
+                f"ami={rows[-1]['ami']:.4f} ari={rows[-1]['ari']:.4f}")
+
+    status = _each_block("sweep", [(f"epsilon={label} block={b}", (label, params, pairs))
+                                   for label, params in zip(labels, grid)
+                                   for b, pairs in blocks], sweep_point)
     if not rows:
         return 1
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
@@ -321,7 +318,7 @@ def cmd_sweep(args) -> int:
     if off_rows:
         summary["mean_ari_off"] = float(np.mean([r["ari"] for r in off_rows]))
     write_json(out / "sweep_summary.json", summary)
-    return 1 if failures else 0
+    return status
 
 
 def cmd_sensitivity_report(args) -> int:
@@ -330,23 +327,21 @@ def cmd_sensitivity_report(args) -> int:
     if not blocks:
         print("sensitivity-report: nothing reported", file=sys.stderr)
         return 1
-    out = _outdir(args)
-    _write_config(out, "sensitivity-report", {
-        "input": str(args.input),
-        "epsilons": ["off" if e is None else e for e in args.epsilons],
-        "mode": args.mode, "pooled": args.pooled,
-    })
-    for block_id, view in blocks:
+    grid = [PrivacyParams(epsilon=e, sensitivity_mode=args.mode) for e in args.epsilons]
+    labels = ["off" if e is None else e for e in args.epsilons]
+    out = _outdir(args, {"input": str(args.input), "epsilons": labels, "mode": args.mode,
+                         "pooled": args.pooled})
+
+    def report(block_id, view):
         pairs = BlockPairs(view, block_id, 0)  # s_local once for the grid
-        reports = []
-        for epsilon in args.epsilons:
-            params = PrivacyParams(epsilon=epsilon, sensitivity_mode=args.mode)
-            rep = sensitivity_report(pairs, params)
-            reports.append(dict(rep.to_dict(), epsilon="off" if epsilon is None else epsilon))
+        reports = [dict(sensitivity_report(pairs, params).to_dict(), epsilon=label)
+                   for params, label in zip(grid, labels)]
         write_json(out / f"sensitivity_block{block_id}.json",
                    {"block": block_id, "n": pairs.n, "reports": reports})
-        print(f"sensitivity-report: block {block_id}: s_local={reports[0]['s_local']:.6g}")
-    return 0
+        return f"sensitivity-report: block {block_id}: s_local={reports[0]['s_local']:.6g}"
+
+    return _each_block("sensitivity-report", [(f"block {b}", (b, view)) for b, view in blocks],
+                       report)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,9 +426,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CorpusError, PrivacyError) as exc:
-        # a malformed corpus or synth configuration, or an epsilon whose noise
-        # scale overflows (build-graph and sweep fail only that block or grid
-        # point)
+        # ingest raises CorpusError on a malformed corpus and SynthConfig on an
+        # invalid configuration. Every block command confines a PrivacyError
+        # (a noise scale that overflows) to its block, so one reaches here only
+        # from PrivacyParams, whose checks the parser already makes.
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -352,6 +352,8 @@ def build_knn_edges(oracle: SimilarityOracle, k_max: int = 40):
     edge set weighted by the clipped noisy similarities. Returns the edge set of
     the accepted k (arrays u, v, w) and the KnnTrace. The oracle's block has
     at least 2 records: a smaller one has no sensitivity report, so no oracle.
+    So edges are always returned: k = 1 gives every node an edge of weight at
+    least W_FLOOR, whose finite 1D SE is always accepted.
 
     The scan reads columns 1..k of the neighbor table, and on every
     benchmark block it ends at k = 2 (1D SE rises from k = 1). So the table
@@ -414,7 +416,7 @@ def synthesize_graph(n: int, se_edges, attr_edges) -> MessageGraph:
     bit for bit whenever the SE weight came from the pair's smaller endpoint
     (see _dedupe_undirected).
     """
-    su, sv, sw = se_edges if se_edges is not None else (np.empty(0, np.int64),) * 2 + (np.empty(0),)
+    su, sv, sw = se_edges
     au, av, aw = attr_edges
     uniq, inverse = np.unique(np.concatenate([au, su]) * np.int64(n) + np.concatenate([av, sv]),
                               return_inverse=True)

@@ -13,8 +13,8 @@ from conftest import make_graph
 from dpevent.cli import main
 from dpevent.corpus import SynthConfig, export, generate
 from dpevent.entropy import Partition
-from dpevent.persist import (read_graph_tsv, read_json, read_partition_csv, write_graph_tsv,
-                             write_json, write_partition_csv)
+from dpevent.persist import (config_hash, read_graph_tsv, read_json, read_partition_csv,
+                             write_graph_tsv, write_json, write_partition_csv)
 
 
 @pytest.fixture(scope="module")
@@ -338,6 +338,32 @@ class TestPipelineCommands:
         lines = (sdir / "sweep.csv").read_text().splitlines()
         assert [line.split(",")[:2] for line in lines[1:]] == [
             ["2.0", "0"], ["2.0", "1"], ["off", "0"], ["off", "1"]]
+
+    @pytest.mark.parametrize("command", ["cluster", "evaluate"])
+    def test_failing_write_fails_only_its_block(self, tmp_path, capsys, command):
+        # a block's output path that cannot be written (here a directory)
+        path = write_rows(tmp_path / "corpus.jsonl", two_block_rows(tmp_path))
+        gdir, cdir, edir = (tmp_path / d for d in ("g", "c", "e"))
+        assert main(["build-graph", "--input", str(path), "--out", str(gdir)]) == 0
+        if command == "evaluate":
+            assert main(["cluster", "--graphs", str(gdir), "--out", str(cdir)]) == 0
+            argv = ["evaluate", "--input", str(path), "--partitions", str(cdir), "--out", str(edir)]
+            blocked, name, written = edir / "metrics_block0.json", "partition_block0.csv", [
+                "metrics_block1.json", "metrics_summary.json"]
+        else:
+            argv = ["cluster", "--graphs", str(gdir), "--out", str(cdir)]
+            blocked, name, written = cdir / "partition_block0.csv", "graph_block0.json", [
+                "partition_block1.csv", "run_block1.json"]
+        blocked.mkdir(parents=True)
+        capsys.readouterr()
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        err = err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"{command}: {name} failed: IsADirectoryError: ")
+        assert f"{command}: block 1:" in out and f"{command}: block 0:" not in out
+        assert set(written) <= {p.name for p in blocked.parent.iterdir()}
+        if command == "evaluate":
+            assert read_json(edir / "metrics_summary.json")["blocks"] == [1]
 
     def test_evaluate_isolates_bad_partition(self, tmp_path, capsys):
         path = tmp_path / "two_blocks.jsonl"
@@ -718,8 +744,8 @@ def test_overflowing_noise_scale_fails(mode, tmp_path, capsys):
         assert main(argv + ["--mode", mode]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "noise scale" in err[0] and "overflows" in err[0]
-        if argv[0] == "build-graph":
-            assert err[0].startswith("build-graph: block 0 failed: PrivacyError: ")
+        if argv[0] != "sweep":
+            assert err[0].startswith(f"{argv[0]}: block 0 failed: PrivacyError: ")
     for out in ("g", "s", "r"):
         for f in (tmp_path / out).iterdir():
             assert "Infinity" not in f.read_text(), f
@@ -739,8 +765,11 @@ def test_every_json_file_is_strict_json(tmp_path):
                  ["sweep", "--input", str(path), "--out", s, "--epsilons", "1,4", "--kmax", "5"],
                  ["sensitivity-report", "--input", str(path), "--out", r]):
         assert main(argv) == 0, argv
+        config = read_json(Path(argv[argv.index("--out") + 1]) / "config.json")
+        assert config["command"] == argv[0]
+        assert config["config_hash"] == config_hash(config["config"])
     written = sorted(tmp_path.rglob("*.json"))
-    assert len(written) == 15
+    assert len(written) == 16
     for f in written:
         strict_json(f)
 
@@ -777,6 +806,25 @@ class TestSensitivityReport:
             "sensitivity-report: nothing reported",
         ]
         assert not list(out.glob("sensitivity_block*"))
+
+    def test_failing_block_leaves_the_rest(self, tmp_path, capsys):
+        # block 1's 6 identical records have s_local 0, so its smooth noise
+        # scale at 1e-310 is 0; block 0's overflows
+        rows = two_block_rows(tmp_path)
+        block1 = [r for r in rows if r["block"] == 1][:6]
+        for r in block1:
+            r["embedding"] = block1[0]["embedding"]
+        path = write_rows(tmp_path / "corpus.jsonl",
+                          [r for r in rows if r["block"] == 0] + block1)
+        out = tmp_path / "sens"
+        assert main(["sensitivity-report", "--input", str(path), "--out", str(out),
+                     "--mode", "smooth", "--epsilons", "1e-310"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("sensitivity-report: block 0 failed: PrivacyError: noise scale ")
+        assert sorted(p.name for p in out.iterdir()) == ["config.json", "sensitivity_block1.json"]
+        report = read_json(out / "sensitivity_block1.json")["reports"][0]
+        assert report["s_local"] == 0.0 and report["noise_scale"] == 0.0
 
     def test_per_block_grid(self, tmp_path, corpus_file):
         out = tmp_path / "sens"
