@@ -289,9 +289,11 @@ def cmd_sweep(args) -> int:
 
     def sweep_point(label, params, pairs):
         result = run_pipeline(pairs, params, args.kmax, q0)
-        rows.append({"ami": math.nan, "ari": math.nan, **result, "epsilon": label})
-        return (f"sweep: epsilon={label} block={pairs.block_id} "
-                f"ami={rows[-1]['ami']:.4f} ari={rows[-1]['ari']:.4f}")
+        rows.append({**result, "epsilon": label})
+        point = f"sweep: epsilon={label} block={pairs.block_id}"
+        if "ari" not in result:  # an unscored block has no AMI or ARI
+            return f"{point} not scored"
+        return f"{point} ami={result['ami']:.4f} ari={result['ari']:.4f}"
 
     status = _each_block("sweep", [(f"epsilon={label} block={b}", (label, params, pairs))
                                    for label, params in zip(labels, grid)
@@ -301,8 +303,8 @@ def cmd_sweep(args) -> int:
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("epsilon,block,ami,ari,s_mixed\n")
         for r in rows:
-            fh.write(f"{r['epsilon']},{r['block']},{fmt9(r['ami'])},{fmt9(r['ari'])},"
-                     f"{fmt9(r['s_mixed'])}\n")
+            scores = ",".join(fmt9(r[k]) if k in r else "" for k in ("ami", "ari"))
+            fh.write(f"{r['epsilon']},{r['block']},{scores},{fmt9(r['s_mixed'])}\n")
     finite = [r for r in rows if r["epsilon"] != "off" and r["block"] not in unscored]
     summary: dict = {"epsilons": sorted({r["epsilon"] for r in finite})}
     means = {e: float(np.mean([r["ari"] for r in finite if r["epsilon"] == e]))

@@ -17,6 +17,7 @@ what the greedy minimizer exploits.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -49,8 +50,8 @@ class Partition:
         a = np.asarray(self.assignment, dtype=np.int64)
         if a.ndim != 1 or a.size == 0:
             raise InvalidPartitionError("assignment must be a non-empty vector")
-        uniq = np.unique(a)
-        if uniq[0] != 0 or uniq[-1] != uniq.size - 1:
+        # a count per id, not np.unique: its first plain call imports numpy.ma
+        if a.min() != 0 or a.max() >= a.size or not np.bincount(a).all():
             raise InvalidPartitionError("community ids must be dense from 0 with no empty community")
         a = a.copy()
         a.setflags(write=False)
@@ -169,21 +170,45 @@ def _incidence(ea, eb, n: int):
     return edge, indptr
 
 
+def _components(ea, eb, n: int) -> np.ndarray:
+    """Label each node 0..n-1 by the smallest node of its connected component.
+
+    Label propagation with pointer jumping: each pass hooks every root to the
+    smallest root it shares an edge with, then points every node straight at
+    its root, until no edge joins two labels. A label never exceeds its node,
+    so the hooks form trees.
+    """
+    label = np.arange(n, dtype=np.int64)
+    while True:
+        la, lb = label[ea], label[eb]
+        cross = la != lb
+        if not cross.any():
+            return label
+        np.minimum.at(label, np.maximum(la, lb)[cross], np.minimum(la, lb)[cross])
+        while True:
+            nxt = label[label]
+            if np.array_equal(nxt, label):
+                break
+            label = nxt
+
+
 class _EdgeSlots:
     """Cross-community edges (ea < eb, cut weight ew) in fixed slots.
 
-    A merge rewrites the few slots at the merged pair instead of rebuilding
-    the arrays, and a slot that dies holds ea = eb = -1. Each community's
-    slots come from its incidence list (_incidence); a community that
-    absorbed another keeps its list in a dict instead. Lists may still name
-    slots that died since, so `of` filters them. The order within a list is
-    arbitrary: nothing computed from it depends on it.
+    The slots are the given arrays themselves when they are int64, int64 and
+    float64, so the caller copies them. A merge rewrites the few slots at the
+    merged pair instead of rebuilding the arrays, and a slot that dies holds
+    ea = eb = -1. Each community's slots come from its incidence list
+    (_incidence); a community that absorbed another keeps its list in a dict
+    instead. Lists may still name slots that died since, so `of` filters
+    them. The order within a list is arbitrary: nothing computed from it
+    depends on it.
     """
 
     def __init__(self, ea, eb, ew, ncomm: int):
-        self.ea = np.array(ea, dtype=np.int64)
-        self.eb = np.array(eb, dtype=np.int64)
-        self.ew = np.array(ew, dtype=np.float64)
+        self.ea = np.asarray(ea, dtype=np.int64)
+        self.eb = np.asarray(eb, dtype=np.int64)
+        self.ew = np.asarray(ew, dtype=np.float64)
         self._slot, self._ptr = _incidence(self.ea, self.eb, ncomm)
         self._merged: dict[int, np.ndarray] = {}
         self._at = np.full(ncomm, -1, dtype=np.int64)  # scratch: neighbour -> slot
@@ -272,44 +297,68 @@ def minimize_edges(ea, eb, ew, V, g, ilog, parent, vol):
     in exact arithmetic but round apart go to the smaller one, not to the
     smaller pair. Mutates V, g, ilog, parent in place; ea, eb and ew
     are copied and left unchanged. Returns the array of accepted merge
-    deltas, each strictly below -MERGE_TOL.
+    deltas, each strictly below -MERGE_TOL, in the order of that loop.
 
-    The edges stay in fixed slots (see _EdgeSlots). Each community's
-    contribution is computed once; a merge only changes the state of the
-    merged pair, so it takes the survivor's contribution from the merged
-    slot, recomputes the deltas of the survivor's slots, sets dead slots to
+    A merge changes only its own pair's state, so merges in different
+    connected components of the edges never interact. The edges are copied
+    once, each component's slots contiguous and in input order (see
+    _EdgeSlots), and the loop runs in lockstep: each step merges the best
+    pair of every component, scanning only that component's slots, until
+    each component's best delta is >= -MERGE_TOL. The sequential loop takes
+    the smallest (delta, a, b) among the components' next merges, so
+    heapq.merge of their sequences gives its order.
+
+    Each community's contribution is computed once; a merge takes the
+    survivor's contribution from the merged slot. A step then recomputes
+    the deltas of every survivor's slots in one call, sets dead slots to
     +inf and keeps every other delta.
     """
     vol = float(vol)
     log2vol = math.log2(vol)
-    accepted = []
     if not len(ea):
-        return np.asarray(accepted, dtype=np.float64)
+        return np.empty(0, dtype=np.float64)
+    ea = np.asarray(ea, dtype=np.int64)
+    comp = _components(ea, eb, V.size)[ea]
+    order = np.argsort(comp, kind="stable")
+    sizes = np.bincount(comp)
+    ends = np.cumsum(sizes[sizes > 0]).tolist()
+    ea, eb, ew = ea[order], np.asarray(eb)[order], np.asarray(ew)[order]
+    del comp, order, sizes  # gone before the slots' incidence lists are built
     slots = _EdgeSlots(ea, eb, ew, V.size)
     ea, eb, ew = slots.ea, slots.eb, slots.ew
+    runs = [[] for _ in ends]
+    active = list(zip([0, *ends[:-1]], ends, runs))
     C = _contributions(V, g, ilog, log2vol)
     delta, merged = _merge_deltas(ea, eb, ew, V, g, ilog, C, vol, log2vol)
-    while True:
-        # the first minimum. No delta is nan: a MessageGraph's weights lie in
-        # (0, 1], and only communities of positive volume have slots, so every
-        # log2 argument is positive (a nan would stop every group's merging)
-        best = int(delta.argmin())
-        dmin = float(delta[best])
-        if not dmin < -MERGE_TOL:
-            break
-        if delta[best + 1:].min(initial=np.inf) == dmin:  # a later slot ties
-            tied = np.flatnonzero(delta == dmin)
-            best = int(tied[np.lexsort((eb[tied], ea[tied]))[0]])
-        a = int(ea[best])
-        C[a] = merged[best]
-        kept, dead = _merge(a, int(eb[best]), best, V, g, ilog, parent, slots)
-        accepted.append(dmin)
-        delta[best] = np.inf
-        delta[dead] = np.inf
-        if kept.size:
-            delta[kept], merged[kept] = _merge_deltas(ea[kept], eb[kept], ew[kept], V, g, ilog,
-                                                      C, vol, log2vol)
-    return np.asarray(accepted, dtype=np.float64)
+    while active:
+        stepped, kept = [], []
+        for lo, hi, run in active:
+            # the component's first minimum. No delta is nan: a MessageGraph's
+            # weights lie in (0, 1], and only communities of positive volume
+            # have slots, so every log2 argument is positive
+            part = delta[lo:hi]
+            best = int(part.argmin())
+            dmin = float(part[best])
+            if not dmin < -MERGE_TOL:
+                continue
+            if part[best + 1:].min(initial=np.inf) == dmin:  # a later slot ties
+                tied = np.flatnonzero(part == dmin) + lo
+                best = int(tied[np.lexsort((eb[tied], ea[tied]))[0]])
+            else:
+                best += lo
+            a, b = int(ea[best]), int(eb[best])
+            C[a] = merged[best]
+            kept_a, dead = _merge(a, b, best, V, g, ilog, parent, slots)
+            run.append((dmin, a, b))
+            delta[best] = np.inf
+            delta[dead] = np.inf
+            kept.append(kept_a)
+            stepped.append((lo, hi, run))
+        if kept:
+            k = np.concatenate(kept)
+            delta[k], merged[k] = _merge_deltas(ea[k], eb[k], ew[k], V, g, ilog, C, vol, log2vol)
+        active = stepped
+    return np.array([d for d, _, _ in heapq.merge(*runs)], dtype=np.float64)
 
 
 def vanilla_minimize(graph: MessageGraph) -> Partition:

@@ -3,11 +3,14 @@
 Each round contracts the current communities into a super-graph, greedily
 carves the super-graph into high-weight subgraphs of at most q super-nodes,
 and runs the greedy merge loop once over the edges inside all subgraphs.
-Merges are confined to a subgraph within a round, but every delta is
-evaluated against the full graph's volume and cut state, so H2 of the full
-graph never increases. A round's grouping is one label per super-node, and
-the round stays in numpy: its cost does not grow with the number of
-singleton groups. When a round accepts no merge, q doubles; once that
+The loop steps through the connected components of those edges in
+lockstep, each scanning only its own edges, so a round's merge steps
+follow its largest component, not its total merge count. Merges are
+confined to a subgraph within a round, but every delta is evaluated
+against the full graph's volume and cut state, so H2 of the full graph
+never increases. A round's grouping is one label per super-node, and the
+round stays in numpy: its cost does not grow with the number of singleton
+groups. When a round accepts no merge, q doubles; once that
 happens with a single subgraph covering everything, no further merge can
 help and the loop stops. Such a round leaves the partition and its
 aggregates as they were, so the next round reuses them.
@@ -165,7 +168,9 @@ def cluster(graph: MessageGraph, q0: int = 400, grouping: str = "optimal") -> Cl
     must cover everything) and runs minimize_edges once on the edges inside
     the groups, in index order. Groups share no community, and a merge
     changes only the state of its own pair, so the one loop makes the same
-    merges, in the same order within each group, as one loop per group. A
+    merges, in the same order within each group, as one loop per group; it
+    merges in lockstep over the connected components of those edges, each
+    of which lies inside one group. A
     round that accepts no merge is stable: q doubles, or the loop stops
     when the round covered the whole graph. grouping="sequential" replaces
     the greedy extraction with id-order chunks (the prior-work baseline)

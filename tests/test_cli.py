@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -539,11 +540,21 @@ class TestSweep:
         args = ["--epsilons", "2,6", "--mode", "global", "--kmax", "5"]
         capsys.readouterr()
         assert main(["sweep", "--input", str(both), "--out", str(tmp_path / "s")] + args) == 0
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.splitlines() == ["sweep: block 1 has unlabeled records; not scored"]
         lines = (tmp_path / "s" / "sweep.csv").read_text().splitlines()
         assert [line.split(",")[:2] for line in lines[1:]] == [
             [e, b] for e in ("2.0", "6.0", "off") for b in "01"]
+        # block 1's AMI and ARI cells are empty, and stdout scores no block 1 row
+        for line in lines[1:]:
+            cells = line.split(",")
+            assert len(cells) == 5 and math.isfinite(float(cells[4]))
+            if cells[1] == "1":
+                assert cells[2:4] == ["", ""]
+            else:
+                assert all(math.isfinite(float(c)) for c in cells[2:4])
+        printed = [line for line in out.splitlines() if " block=1" in line]
+        assert printed == [f"sweep: epsilon={e} block=1 not scored" for e in ("2.0", "6.0", "off")]
         assert main(["sweep", "--input", str(zero), "--out", str(tmp_path / "z")] + args) == 0
         summary = tmp_path / "s" / "sweep_summary.json"
         assert summary.read_bytes() == (tmp_path / "z" / "sweep_summary.json").read_bytes()
@@ -587,13 +598,15 @@ class TestSweep:
                 ["sensitivity-report", "--input", corpus, "--out", r, "--epsilons", "2"]]
         code = ("import sys; from dpevent.cli import main; "
                 f"print([main(argv) for argv in {runs!r}]); "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+                "print('numpy.ma' in sys.modules)")
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, check=True)
-        assert proc.stdout.splitlines()[-2:] == ["[0, 0, 0, 0, 0]", "[]"]
+        # numpy.ma is what a plain np.unique imports on its first call
+        assert proc.stdout.splitlines()[-3:] == ["[0, 0, 0, 0, 0]", "[]", "False"]
         assert read_json(tmp_path / "e" / "metrics_summary.json")
 
     def test_q0_defaults(self, tmp_path, corpus_file):

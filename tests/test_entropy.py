@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from conftest import make_graph
 from oracles import (CommunityState, direct_two_dim_se, enumerate_partitions, greedy_reference,
                      random_graph, reference_minimize_edges)
 
 from dpevent.entropy import (InvalidPartitionError, Partition, _community_aggregates,
-                             dense_labels, minimize_edges, resolve_parents, two_dim_se,
-                             vanilla_minimize)
+                             _components, dense_labels, minimize_edges, resolve_parents,
+                             two_dim_se, vanilla_minimize)
 from dpevent.graphsynth import GraphError, one_dim_se
 
 LOG2_3 = math.log2(3)
@@ -19,6 +21,12 @@ class TestPartitionType:
     def test_requires_dense_ids(self):
         with pytest.raises(InvalidPartitionError):
             Partition(np.array([0, 2, 2]))  # community 1 empty
+
+    @pytest.mark.parametrize("ids", [[1, 1, 2], [-1, 0, 1], [0, 1, 10**15]])
+    def test_requires_ids_from_zero_to_below_n(self, ids):
+        # no community 0, a negative id, an id that no n-node partition holds
+        with pytest.raises(InvalidPartitionError):
+            Partition(np.array(ids))
 
     def test_from_labels(self):
         p = Partition.from_labels(["b", "a", "b", "c"])
@@ -287,6 +295,106 @@ class TestMatchesStackedReference:
         edges += [(20 + 5 * k, 20 + 5 * k + i, 1.0) for k in range(3) for i in range(1, 5)]
         g = make_graph(40, edges)  # nodes 35..39 isolated
         assert self._check(g, np.arange(40), np.zeros(40, dtype=np.int64)) > 0
+
+
+class TestLockstep:
+    """One call over many disjoint components merges them in lockstep and
+    still equals the sequential reference bit for bit, accepted order
+    included."""
+
+    @staticmethod
+    def _blocks(rng, weights, scrambled, count=36):
+        """count disjoint random graphs with 0-2 isolated nodes each, and an
+        init whose communities stay inside one block; also each node's block."""
+        edges, init, block = [], [], []
+        offset = 0
+        for k in range(count):
+            n, u, v, w = random_graph(rng, min_n=3, max_n=30, density=[1.0, 3.0][k % 2])
+            if weights == "tied":
+                w = rng.choice([0.25, 0.5, 1.0], size=w.size)
+            elif weights == "equal":
+                w = np.ones(w.size)
+            n += int(rng.integers(0, 3))
+            edges += zip((u + offset).tolist(), (v + offset).tolist(), w.tolist())
+            init.append(offset + (rng.integers(0, max(2, n // 2), size=n) if scrambled
+                                  else np.arange(n)))
+            block += [k] * n
+            offset += n
+        return make_graph(offset, edges), dense_labels(np.concatenate(init)), np.array(block)
+
+    @staticmethod
+    def _run(graph, assignment, perm=None):
+        vol, V, g, ilog, ea, eb, ew = _community_aggregates(graph, assignment)
+        if perm is not None:
+            ea, eb, ew = ea[perm], eb[perm], ew[perm]
+        parent = np.arange(V.size, dtype=np.int64)
+        ours = minimize_edges(ea, eb, ew, V, g, ilog, parent, vol)
+        return [float(d).hex() for d in ours], parent, V, g, ilog
+
+    @staticmethod
+    def _assert_equal(ours, ref):
+        assert ours[0] == ref[0]
+        for x, y in zip(ours[1:], ref[1:]):
+            assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("scrambled", [False, True])
+    @pytest.mark.parametrize("weights", ["uniform", "tied", "equal"])
+    def test_disjoint_components_match_reference(self, rng, weights, scrambled):
+        graph, assignment, block = self._blocks(rng, weights, scrambled)
+        vol, V, g, ilog, ea, eb, ew = _community_aggregates(graph, assignment)
+        block_of = np.zeros(V.size, dtype=np.int64)
+        block_of[assignment] = block
+        assert np.unique(block_of[ea]).size >= 30  # each such block holds a component
+        parent = np.arange(V.size, dtype=np.int64)
+        ref = reference_minimize_edges(ea, eb, ew, V, g, ilog, parent, vol)
+        ours = self._run(graph, assignment)
+        self._assert_equal(ours, ([float(d).hex() for d in ref], parent, V, g, ilog))
+        assert len(ours[0]) > 100
+
+    @pytest.mark.parametrize("weights", ["uniform", "equal"])
+    def test_edge_order_does_not_matter(self, rng, weights):
+        graph, assignment, _ = self._blocks(rng, weights, scrambled=True)
+        ours = self._run(graph, assignment)
+        m = _community_aggregates(graph, assignment)[4].size
+        for _ in range(3):
+            self._assert_equal(self._run(graph, assignment, rng.permutation(m)), ours)
+
+
+class TestComponents:
+    def test_reversed_path(self):
+        # edges listed from the far end, each hooking onto the next one down
+        n = 10_000
+        a = np.arange(n - 2, -1, -1)
+        assert (_components(a + 1, a, n) == 0).all()
+        assert (_components(a, a + 1, n) == 0).all()
+
+    def test_path_in_random_order(self, rng):
+        n = 10_000
+        ids = rng.permutation(n)
+        assert (_components(ids[:-1], ids[1:], n) == 0).all()
+
+    @pytest.mark.parametrize("center", [0, 7, 11])
+    def test_star(self, center):
+        leaves = np.array([x for x in range(12) if x != center])
+        hub = np.full(leaves.size, center)
+        assert (_components(leaves, hub, 12) == 0).all()
+        assert (_components(hub, leaves, 12) == 0).all()
+
+    def test_isolated_nodes_keep_their_id(self):
+        label = _components(np.array([2, 5, 3]), np.array([5, 7, 8]), 10)
+        assert label.tolist() == [0, 1, 2, 3, 4, 2, 6, 2, 3, 9]
+        assert _components(np.empty(0, np.int64), np.empty(0, np.int64), 3).tolist() == [0, 1, 2]
+
+    def test_random_graphs_match_scipy(self, rng):
+        for _ in range(30):
+            n = int(rng.integers(2, 300))
+            m = int(rng.integers(0, n))
+            u, v = rng.integers(0, n, size=(2, m))
+            count, comp = connected_components(coo_matrix((np.ones(m), (u, v)), (n, n)),
+                                               directed=False)
+            smallest = np.full(count, n)
+            np.minimum.at(smallest, comp, np.arange(n))
+            assert np.array_equal(_components(u, v, n), smallest[comp])
 
 
 class TestGreedyReference:
