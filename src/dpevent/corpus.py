@@ -6,7 +6,8 @@ unit embeddings, the id, label and block of each record, the block offsets,
 and a CSR of (category, token) codes per record. A block view is a Corpus
 over one block's rows of those columns. MessageRecord objects exist only
 where a caller builds them (Corpus(records)) or asks for them
-(Corpus.records).
+(Corpus.records). ingest checks each record on its own line, with the
+same checks and messages as MessageRecord, so errors come in file order.
 """
 
 from __future__ import annotations
@@ -39,20 +40,32 @@ class MessageRecord:
 
     def __post_init__(self):
         emb = np.asarray(self.embedding, dtype=np.float64)
-        if emb.ndim != 1:
-            raise CorpusError(f"record {self.id!r}: embedding must be a vector")
-        norm = float(np.linalg.norm(emb))
-        if norm == 0.0 or not math.isfinite(norm):
-            raise CorpusError(f"record {self.id!r}: zero or non-finite embedding cannot be normalized")
-        emb = emb / norm
+        emb = emb / _checked_norm(self.id, self.block, emb)
         emb.setflags(write=False)
         object.__setattr__(self, "embedding", emb)
-        if self.block < 0:
-            raise CorpusError(f"record {self.id!r}: block must be non-negative")
         object.__setattr__(
             self, "attributes",
             {str(k): frozenset(str(t) for t in v) for k, v in self.attributes.items()},
         )
+
+
+def _checked_norm(rid: str, block: int, emb: np.ndarray) -> float:
+    """The norm of a record's embedding, after the record's own last checks.
+
+    The checks run in MessageRecord's order: the embedding must be a vector,
+    its norm nonzero and finite, and the block non-negative. The norm is
+    np.linalg.norm's, sqrt(row.dot(row)) of the raveled row; a strided row's
+    dot product sums in another order.
+    """
+    if emb.ndim != 1:
+        raise CorpusError(f"record {rid!r}: embedding must be a vector")
+    row = emb.ravel(order="K")
+    norm = math.sqrt(row.dot(row))
+    if norm == 0.0 or not math.isfinite(norm):
+        raise CorpusError(f"record {rid!r}: zero or non-finite embedding cannot be normalized")
+    if block < 0:
+        raise CorpusError(f"record {rid!r}: block must be non-negative")
+    return norm
 
 
 def _stored_record(rid, block, embedding, attributes, label) -> MessageRecord:
@@ -275,54 +288,23 @@ def split_blocks(corpus: Corpus) -> list[Corpus]:
     return [corpus._view(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _segment_norms(values: array, ends: array) -> np.ndarray:
-    """The norm of each record's run of values; ends[i] is one past record i's."""
-    flat = np.frombuffer(values, dtype=np.float64)
-    return _row_norms([flat[a:b] for a, b in zip([0] + ends.tolist()[:-1], ends)])
-
-
-def _record_error(norms: np.ndarray, lines: array, ids: list[str],
-                  blocks: list[int]) -> CorpusError | None:
-    """The error of the first record that cannot be normalized or has a negative block.
-
-    MessageRecord ran these checks last on each line, the norm first; ingest
-    runs them over all records read so far, before it reports a later line's
-    error or any corpus-wide one.
-    """
-    bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
-    first = int(bad[0]) if bad.size else len(ids)
-    negative = next((i for i, b in enumerate(blocks[:first]) if b < 0), None)
-    if negative is not None:
-        return CorpusError(f"line {lines[negative]}: record {ids[negative]!r}: "
-                           "block must be non-negative")
-    if bad.size:
-        return CorpusError(f"line {lines[first]}: record {ids[first]!r}: "
-                           "zero or non-finite embedding cannot be normalized")
-    return None
-
-
 def ingest(path) -> Corpus:
     """Load a JSONL corpus into columns; normalizes embeddings and validates the schema.
 
-    Each line is parsed and appended to flat buffers: the embedding values,
-    the ids, labels and blocks, and the token CSR. No object of a record
-    outlives its line. Raises CorpusError for the first malformed line, with
-    its number, and otherwise for duplicate ids, dimension mismatches and
-    non-contiguous blocks.
+    Each line is parsed and appended to flat buffers: the embedding values
+    and norm, the ids, labels and blocks, and the token CSR. No object of a
+    record outlives its line. A line is checked as soon as it is read, its
+    norm and block last, as MessageRecord checks them, so CorpusError names
+    the first malformed line, with its number. Then come the corpus-wide
+    checks: dimension mismatches, duplicate ids and non-contiguous blocks.
     """
     values = array("d")
-    ends = array("q")  # len(values) after each record
-    lines = array("q")  # the line of each record
+    norms = array("d")
+    dims: set[int] = set()
     ids: list[str] = []
     labels: list[str | None] = []
     blocks: list[int] = []
     tokens = _TokenBuilder()
-
-    def fail(lineno: int, message: str) -> CorpusError:
-        """This line's error, unless an earlier record fails its last checks."""
-        return (_record_error(_segment_norms(values, ends), lines, ids, blocks)
-                or CorpusError(f"line {lineno}: {message}"))
-
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -331,58 +313,55 @@ def ingest(path) -> Corpus:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise fail(lineno, f"invalid JSON ({exc.msg})") from None
+                raise CorpusError(f"line {lineno}: invalid JSON ({exc.msg})") from None
             if not isinstance(obj, dict):
-                raise fail(lineno, "a record must be a JSON object")
+                raise CorpusError(f"line {lineno}: a record must be a JSON object")
             try:
                 rid = obj["id"]
                 block = obj["block"]
                 emb = obj["embedding"]
             except KeyError as exc:
-                raise fail(lineno, f"missing field {exc}") from None
+                raise CorpusError(f"line {lineno}: missing field {exc}") from None
             if not isinstance(rid, str):
-                raise fail(lineno, "id must be a string")
+                raise CorpusError(f"line {lineno}: id must be a string")
             if not isinstance(block, int) or isinstance(block, bool):
-                raise fail(lineno, "block must be an integer")
+                raise CorpusError(f"line {lineno}: block must be an integer")
             attrs = obj.get("attributes") or {}
             if not isinstance(attrs, dict):
-                raise fail(lineno, "attributes must be an object")
+                raise CorpusError(f"line {lineno}: attributes must be an object")
             label = obj.get("label")
             if label is not None and not isinstance(label, str):
-                raise fail(lineno, "label must be a string or null")
+                raise CorpusError(f"line {lineno}: label must be a string or null")
             start = len(values)
-            vector = None
             try:
                 try:
                     values.extend(emb)
+                    vector = None
                 except (TypeError, ValueError, OverflowError):
                     # not a flat list of numbers: numpy converts or rejects it
                     del values[start:]
                     vector = np.asarray(emb, dtype=np.float64)
                 sets = {k: frozenset(v) for k, v in attrs.items()}
+                if vector is None:  # a view of the row, gone before values grow again
+                    norms.append(_checked_norm(
+                        rid, block, np.frombuffer(values, np.float64, -1, 8 * start)))
+                else:
+                    norms.append(_checked_norm(rid, block, vector))
+                    values.frombytes(vector.tobytes())
             except (TypeError, ValueError, OverflowError) as exc:
-                # OverflowError: a JSON integer beyond float64's range
-                raise fail(lineno, str(exc)) from None
-            if vector is not None:
-                if vector.ndim != 1:
-                    raise fail(lineno, f"record {rid!r}: embedding must be a vector")
-                values.frombytes(vector.tobytes())
+                # OverflowError: a JSON integer beyond float64's range; CorpusError
+                # is a ValueError
+                raise CorpusError(f"line {lineno}: {exc}") from None
             tokens.add({str(k): frozenset(map(str, v)) for k, v in sets.items()})
-            ends.append(len(values))
-            lines.append(lineno)
+            dims.add(len(values) - start)
             ids.append(rid)
             labels.append(label)
             blocks.append(block)
-    norms = _segment_norms(values, ends)
-    error = _record_error(norms, lines, ids, blocks)
-    if error is not None:
-        raise error
     if not ids:
         raise CorpusError(f"{path}: no records")
-    dims = set(np.diff(ends, prepend=0).tolist())
     _check_columns(dims, ids, blocks)
     rows = np.frombuffer(values, dtype=np.float64).reshape(len(ids), dims.pop())
-    return Corpus._of_columns(rows / norms[:, None], ids, labels,
+    return Corpus._of_columns(rows / np.frombuffer(norms)[:, None], ids, labels,
                               np.asarray(blocks, dtype=np.int64), *tokens.finish())
 
 
@@ -453,10 +432,12 @@ class SynthConfig:
             raise CorpusError("points_per_event must be positive (one count or one per event)")
         if self.dim < 2:
             raise CorpusError("dim must be at least 2")
-        if self.intra_concentration <= 0:
-            raise CorpusError("intra_concentration must be positive")
+        if not 0.0 < self.intra_concentration < math.inf:  # nan fails both comparisons
+            raise CorpusError("intra_concentration must be finite and positive")
         if not 0.0 <= self.attribute_sharing_prob <= 1.0:
             raise CorpusError("attribute_sharing_prob must lie in [0, 1]")
+        if self.seed < 0:
+            raise CorpusError("seed must be non-negative")
 
     def event_sizes(self) -> tuple[int, ...]:
         if isinstance(self.points_per_event, int):

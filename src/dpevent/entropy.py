@@ -32,6 +32,14 @@ class InvalidPartitionError(ValueError):
     """Raised for partitions that are not total, dense and non-empty."""
 
 
+def first_occurrence_ids(labels) -> tuple[np.ndarray, int]:
+    """Number any hashable labels 0..L-1 in order of first occurrence: (ids, L)."""
+    seen: dict = {}
+    ids = np.fromiter((seen.setdefault(lab, len(seen)) for lab in labels), dtype=np.int64,
+                      count=len(labels))
+    return ids, len(seen)
+
+
 def dense_labels(values: np.ndarray) -> np.ndarray:
     """Relabel arbitrary integer labels to 0..L-1 in order of first occurrence."""
     uniq, first, inverse = np.unique(values, return_index=True, return_inverse=True)
@@ -64,11 +72,7 @@ class Partition:
     @classmethod
     def from_labels(cls, labels) -> "Partition":
         """Build from any hashable labels, numbering communities by first occurrence."""
-        seen: dict = {}
-        out = np.empty(len(labels), dtype=np.int64)
-        for i, lab in enumerate(labels):
-            out[i] = seen.setdefault(lab, len(seen))
-        return cls(out)
+        return cls(first_occurrence_ids(labels)[0])
 
     @property
     def n(self) -> int:
@@ -175,8 +179,8 @@ def _components(ea, eb, n: int) -> np.ndarray:
 
     Label propagation with pointer jumping: each pass hooks every root to the
     smallest root it shares an edge with, then points every node straight at
-    its root, until no edge joins two labels. A label never exceeds its node,
-    so the hooks form trees.
+    its root (resolve_parents), until no edge joins two labels. A label never
+    exceeds its node, so the hooks form trees.
     """
     label = np.arange(n, dtype=np.int64)
     while True:
@@ -185,11 +189,7 @@ def _components(ea, eb, n: int) -> np.ndarray:
         if not cross.any():
             return label
         np.minimum.at(label, np.maximum(la, lb)[cross], np.minimum(la, lb)[cross])
-        while True:
-            nxt = label[label]
-            if np.array_equal(nxt, label):
-                break
-            label = nxt
+        label = resolve_parents(label)
 
 
 class _EdgeSlots:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .entropy import first_occurrence_ids
+
 
 class MetricsError(ValueError):
     """Raised for invalid label inputs."""
@@ -36,15 +38,9 @@ def contingency(truth, pred) -> ContingencyTable:
         raise MetricsError(f"label sequences differ in length: {len(truth)} vs {len(pred)}")
     if len(truth) < 2:
         raise MetricsError("need at least 2 labeled items")
-    t_ids = {}
-    p_ids = {}
-    ti = np.empty(len(truth), dtype=np.int64)
-    pi = np.empty(len(pred), dtype=np.int64)
-    for k, lab in enumerate(truth):
-        ti[k] = t_ids.setdefault(lab, len(t_ids))
-    for k, lab in enumerate(pred):
-        pi[k] = p_ids.setdefault(lab, len(p_ids))
-    counts = np.zeros((len(t_ids), len(p_ids)), dtype=np.int64)
+    ti, classes = first_occurrence_ids(truth)
+    pi, clusters = first_occurrence_ids(pred)
+    counts = np.zeros((classes, clusters), dtype=np.int64)
     np.add.at(counts, (ti, pi), 1)
     return ContingencyTable(counts=counts, row_sums=counts.sum(axis=1),
                             col_sums=counts.sum(axis=0), n=len(truth))

@@ -740,6 +740,20 @@ def test_invalid_synth_config_is_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-1"], "seed must be non-negative"),
+    (["--concentration", "nan"], "intra_concentration must be finite and positive"),
+    (["--concentration", "inf"], "intra_concentration must be finite and positive"),
+], ids=["negative_seed", "nan_concentration", "inf_concentration"])
+def test_synth_rejects_before_making_out(flags, message, tmp_path, capsys):
+    # each of these once crashed after --out was made: numpy's seed check, or
+    # the strict JSON writer of config.json
+    out = tmp_path / "syn"
+    assert main(["synth", "--out", str(out), "--events", "2", "--points", "3"] + flags) == 1
+    assert capsys.readouterr().err.splitlines() == [f"synth: {message}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["global", "smooth", "mixed"])
 def test_overflowing_noise_scale_fails(mode, tmp_path, capsys):
     # 2/1e-310 is not a finite float64: no file may carry an infinite scale

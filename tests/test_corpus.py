@@ -178,6 +178,17 @@ class TestGenerate:
         with pytest.raises(CorpusError):
             SynthConfig(num_events=1, points_per_event=2, dim=4, attribute_sharing_prob=1.5)
 
+    def test_negative_seed(self):
+        # numpy's generator rejects it with a plain ValueError
+        with pytest.raises(CorpusError, match="seed must be non-negative"):
+            SynthConfig(num_events=1, points_per_event=2, dim=4, seed=-1)
+
+    @pytest.mark.parametrize("concentration", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_concentration_finite_and_positive(self, concentration):
+        with pytest.raises(CorpusError, match="intra_concentration must be finite and positive"):
+            SynthConfig(num_events=1, points_per_event=2, dim=4,
+                        intra_concentration=concentration)
+
 
 @functools.cache
 def load_workloads():
@@ -368,6 +379,11 @@ REJECTED = {
     "zero_norm_before_mismatch": [line(id="b", embedding=[0, 0, 0])],
     "mismatch_before_duplicate": [line(id="b", embedding=[1, 0, 0]), line()],
     "duplicate_before_gap": [line(block=2)],
+    # a record's last checks run on its own line, before any later line is read
+    "negative_block_before_later_mismatch": [line(id="b", block=-1),
+                                             line(id="c", embedding=[1, 0, 0])],
+    "norm_overflows_before_missing_field": [line(id="b", embedding=[1e200, 1e200]),
+                                            line(id="c", embedding=DROP)],
 }
 
 
@@ -381,6 +397,26 @@ def test_rejected_with_the_reference_message(lines, tmp_path):
         with pytest.raises(CorpusError) as got:
             ingest(path)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("embedding, block, message", [
+    ([[0, 0]], -1, "embedding must be a vector"),
+    ([0, 0], -1, "zero or non-finite embedding cannot be normalized"),
+    ([1e200, 1e200], -1, "zero or non-finite embedding cannot be normalized"),
+    ([1, 0], -1, "block must be non-negative"),
+], ids=["not_a_vector", "zero_norm", "norm_overflows", "negative_block"])
+def test_last_checks_of_a_record_in_order(embedding, block, message, tmp_path):
+    # ref_ingest builds MessageRecords, which run the same checks as ingest,
+    # so their order is pinned here as text
+    path = tmp_path / "c.jsonl"
+    path.write_text(line(embedding=embedding, block=block) + "\n")
+    with np.errstate(over="ignore"):
+        with pytest.raises(CorpusError) as got:
+            ingest(path)
+        assert str(got.value) == f"line 1: record 'a': {message}"
+        with pytest.raises(CorpusError) as got:
+            MessageRecord(id="a", block=block, embedding=np.asarray(embedding, dtype=float))
+        assert str(got.value) == f"record 'a': {message}"
 
 
 def test_empty_file_rejected_with_the_reference_message(tmp_path):

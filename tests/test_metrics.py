@@ -140,6 +140,16 @@ class TestContingency:
         assert np.array_equal(t.counts.sum(axis=1), t.row_sums)
         assert np.array_equal(t.counts.sum(axis=0), t.col_sums)
 
+    def test_mixed_hashable_labels_numbered_by_first_occurrence(self, rng):
+        kinds = [None, (1, "a"), (), "a", "1", 1, -3, ("a",)]
+        truth = [kinds[i] for i in rng.integers(0, len(kinds), size=60)]
+        pred = [kinds[i] for i in rng.integers(0, 5, size=60)]
+        want = np.zeros((len(set(truth)), len(set(pred))), dtype=np.int64)
+        t_ids, p_ids = {}, {}
+        for t, p in zip(truth, pred):
+            want[t_ids.setdefault(t, len(t_ids)), p_ids.setdefault(p, len(p_ids))] += 1
+        assert np.array_equal(contingency(truth, pred).counts, want)
+
 
 class TestEvaluate:
     def test_scores_equal_the_standalone_functions(self, rng):
