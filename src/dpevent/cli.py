@@ -44,6 +44,8 @@ def _parse_epsilon_list(text: str) -> list[float | None]:
     values = [_parse_epsilon(tok.strip()) for tok in text.split(",") if tok.strip()]
     if not values:
         raise argparse.ArgumentTypeError("the epsilon grid has no values")
+    if len(set(values)) < len(values):  # 1 and 1.0 parse equal; so does off
+        raise argparse.ArgumentTypeError("the epsilon grid repeats a value")
     return values
 
 
@@ -142,8 +144,8 @@ def cmd_synth(args) -> int:
     config = SynthConfig(num_events=args.events, points_per_event=args.points,
                          dim=args.dim, intra_concentration=args.concentration,
                          attribute_sharing_prob=args.share_prob, seed=args.seed)
-    out = _outdir(args, config.to_dict())
     generated = corpus_mod.generate(config)
+    out = _outdir(args, config.to_dict())
     corpus_mod.export(generated, out / "corpus.jsonl")
     manifest = {"n_records": len(generated), "seed": args.seed,
                 "config_hash": config_hash(config.to_dict()),

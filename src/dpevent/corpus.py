@@ -88,29 +88,15 @@ def _row_norms(rows) -> np.ndarray:
 class _Tokens:
     """The (category, token) vocabulary of a corpus, shared by its block views.
 
-    Codes follow sorted (category, token) order, the order export writes. A
-    category that a record lists without tokens is the blank (category, None):
-    export and Corpus.records keep it, and it links no records.
+    keys[c] is the (category, token) of code c; codes follow sorted
+    (category, token) order, the order export writes. A category that a
+    record lists without tokens is the blank (category, None): export and
+    Corpus.records keep it, and blank[c] marks that it links no records.
     """
 
     def __init__(self, keys: list[tuple[str, str | None]]):
         self.keys = keys
-        cats = [cat for cat, _ in keys]
-        self.category = np.cumsum([a != b for a, b in zip([None] + cats, cats)], dtype=np.int64)
         self.blank = np.array([tok is None for _, tok in keys], dtype=bool)
-        self._fragments: list[str] | None = None
-
-    def fragments(self) -> list[str]:
-        """JSON text of code c in a record's attributes object, at [kind * V + c].
-
-        kind 0 opens the object's first category, 1 opens a later one and 2
-        continues the current one.
-        """
-        if self._fragments is None:
-            toks = ["" if tok is None else json.dumps(tok) for _, tok in self.keys]
-            opens = [json.dumps(cat) + ":[" + tok for (cat, _), tok in zip(self.keys, toks)]
-            self._fragments = opens + ["]," + s for s in opens] + ["," + tok for tok in toks]
-        return self._fragments
 
 
 class _TokenBuilder:
@@ -379,19 +365,25 @@ def export(corpus: Corpus, path) -> None:
     gives that text unless the row holds a value of magnitude below 1e-300
     (0, or a subnormal, whose shortest repr has fewer digits) or of at least
     0.999999999 (which rounds to an integer, where json adds ".0"); such rows
-    take the exact path. Rows go out in chunks of about 2^15 values.
+    take the exact path. Rows go out in chunks of about 2^15 values. The
+    attributes object of a record is the JSON text of its codes, each
+    opening the object, opening a category or continuing one; the texts are
+    made once per call, per code of the vocabulary.
     """
     n, dim = corpus.embeddings.shape
-    tokens = corpus._tokens
+    keys = corpus._tokens.keys
     codes, indptr = corpus._codes, corpus._indptr
-    # the JSON text of each CSR entry: it opens the record's object, opens a
-    # category, or continues one
+    # the JSON text of each CSR entry, at [kind * V + code]: kind 0 opens the
+    # record's object, 1 opens a later category and 2 continues the current one
+    cats = [cat for cat, _ in keys]
+    cat = np.cumsum([a != b for a, b in zip([None] + cats, cats)], dtype=np.int64)[codes]
     kind = np.full(codes.size, 2, dtype=np.int64)
-    cat = tokens.category[codes]
     kind[1:][cat[1:] != cat[:-1]] = 1
     kind[indptr[:-1][indptr[:-1] < indptr[1:]]] = 0
-    fragments = tokens.fragments()
-    pieces = [fragments[i] for i in (kind * len(tokens.keys) + codes).tolist()]
+    toks = ["" if tok is None else json.dumps(tok) for _, tok in keys]
+    opens = [json.dumps(c) + ":[" + tok for c, tok in zip(cats, toks)]
+    fragments = opens + ["]," + s for s in opens] + ["," + tok for tok in toks]
+    pieces = [fragments[i] for i in (kind * len(keys) + codes).tolist()]
     ptr, blocks, ids, labels = (indptr.tolist(), corpus._block.tolist(), corpus.ids,
                                 corpus.labels)
     label_json = {label: json.dumps(label) for label in set(labels)}
@@ -460,7 +452,8 @@ def generate(config: SynthConfig) -> Corpus:
     small pool of "entity" tokens; each member carries each token independently
     with a probability s chosen so that a same-event pair shares at least one
     token with probability exactly attribute_sharing_prob. Deterministic for a
-    given seed.
+    given seed. Raises CorpusError when intra_concentration is so small that
+    a member's norm overflows float64.
     """
     rng = np.random.default_rng(config.seed)
     # P(share) = 1 - (1 - s^2)^T  =>  s per token
@@ -470,9 +463,13 @@ def generate(config: SynthConfig) -> Corpus:
     for event, count in enumerate(config.event_sizes()):
         center = rng.normal(size=config.dim)
         center /= np.linalg.norm(center)
-        noise = rng.normal(size=(count, config.dim)) / config.intra_concentration
-        vecs = center[None, :] + noise
-        parts.append(vecs / _row_norms(vecs)[:, None])
+        noise = rng.normal(size=(count, config.dim))
+        with np.errstate(over="ignore"):  # an overflow leaves a non-finite norm
+            vecs = center[None, :] + noise / config.intra_concentration
+            norms = _row_norms(vecs)
+        if not np.isfinite(norms).all():
+            raise CorpusError("intra_concentration is too small: an embedding's norm overflows")
+        parts.append(vecs / norms[:, None])
         carries = (rng.random((count, _TOKENS_PER_EVENT)) < token_prob).tolist()
         for carried in carries:
             idx = len(ids)

@@ -137,28 +137,6 @@ def _dedupe_undirected(n: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray):
     return u[keep], v[keep], ws[keep]
 
 
-class ChunkWorkspace:
-    """Named flat buffers that the passes over one row chunk reuse.
-
-    array() hands out a view of the named buffer in the asked shape and
-    dtype; the buffer grows to the largest request and is then kept, so a
-    chunk loop allocates nothing chunk-sized after its first chunk. The
-    requests of top_neighbor_table are at most one row chunk (about
-    ROW_CHUNK_ELEMS cells), whatever n is. A view holds what the last user
-    left in it: callers overwrite before they read.
-    """
-
-    def __init__(self):
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def array(self, name: str, shape: tuple[int, int], dtype=np.float64) -> np.ndarray:
-        size = shape[0] * shape[1]
-        buf = self._buffers.get(name)
-        if buf is None or buf.size < size or buf.dtype != dtype:
-            buf = self._buffers[name] = np.empty(size, dtype)
-        return buf[:size].reshape(shape)
-
-
 def _row_maxima(vals: np.ndarray, k: int):
     """The k largest values of each row of vals and their slots, ties by ascending slot.
 
@@ -179,21 +157,22 @@ def _row_maxima(vals: np.ndarray, k: int):
     return slots, maxima
 
 
-def _kth_mask(vals: np.ndarray, k: int, b: float, work: ChunkWorkspace) -> np.ndarray:
+def _kth_mask(vals: np.ndarray, k: int, b: float) -> np.ndarray:
     """Cells of vals with fl(v + b) >= fl(T - b), T the k-th largest value of v's row.
 
     T comes from _row_maxima over the whole of vals. The rows then go in
-    tiles of about NOISE_TILE_ELEMS cells, each tile's v + b in work's
-    "part" buffer; the mask is work's "mask" buffer. A chunk-sized "part"
-    buffer instead of tiles raised peak RSS by 0.7-1.3 MB.
+    tiles of about NOISE_TILE_ELEMS cells, each tile's v + b in one buffer
+    made per call. A chunk-sized buffer instead of tiles raised peak RSS by
+    0.7-1.3 MB.
     """
     h, m = vals.shape
-    mask = work.array("mask", (h, m), bool)
+    mask = np.empty((h, m), bool)
     low = _row_maxima(vals, k)[1][:, k - 1:] - b
     step = max(1, NOISE_TILE_ELEMS // m)
+    part = np.empty((min(step, h), m))
     for a in range(0, h, step):
         tile = vals[a:a + step]
-        np.greater_equal(np.add(tile, b, out=work.array("part", tile.shape)), low[a:a + step],
+        np.greater_equal(np.add(tile, b, out=part[:len(tile)]), low[a:a + step],
                          out=mask[a:a + step])
     return mask
 
@@ -212,15 +191,14 @@ def _top_k(vals: np.ndarray, k_max: int, cols: np.ndarray | None):
     return (slots if cols is None else np.take_along_axis(cols, slots, axis=1)), v
 
 
-def _noisy_candidates(pairs: BlockPairs, exact: np.ndarray, reachable: np.ndarray, lo: int,
-                      work: ChunkWorkspace):
+def _noisy_candidates(pairs: BlockPairs, exact: np.ndarray, reachable: np.ndarray, lo: int):
     """Exact cosines, unit draws and ids of the reachable cells, one row per row of exact.
 
     Only these cells get a draw (pairs.signed_logs). Each row's candidates
     are left-aligned in ascending id order; the padding slots hold -inf
-    cosines and zero draws, so they stay -inf at every noise scale and none
-    is selected, and their ids are left as they were. The three tables are
-    work's "padded", "padded_logs" and "ids" buffers.
+    cosines, zero draws and id 0, so they stay -inf at every noise scale and
+    none is selected. The three tables are new arrays, each row as wide as
+    the most reachable cells of any row.
     """
     h, n = exact.shape
     counts = np.count_nonzero(reachable, axis=1)
@@ -228,13 +206,11 @@ def _noisy_candidates(pairs: BlockPairs, exact: np.ndarray, reachable: np.ndarra
     rows = np.repeat(np.arange(lo, lo + h), counts)
     cols = cells - (rows - lo) * n
     fill = np.arange(counts.max()) < counts[:, None]
-    padded = work.array("padded", fill.shape)
-    padded.fill(-np.inf)
+    padded = np.full(fill.shape, -np.inf)
     padded[fill] = exact.ravel()[cells]
-    logs = work.array("padded_logs", fill.shape)
-    logs.fill(0.0)
+    logs = np.zeros(fill.shape)
     logs[fill] = pairs.signed_logs(rows, cols)
-    ids = work.array("ids", fill.shape, np.int64)
+    ids = np.zeros(fill.shape, np.int64)
     ids[fill] = cols
     return padded, logs, ids
 
@@ -245,11 +221,15 @@ def _neighbor_tables(pairs: BlockPairs, scales: list[float], k_max: int):
     scales are distinct and ascending. Each chunk's exact cosines and unit
     draws m are computed once; each scale then selects with _top_k from
     exact + scale * m (exact alone at scale 0), the value every path
-    releases. The largest scale comes last and scales m in place, so a
-    one-scale pass keeps no third chunk-sized buffer. The pass prunes
-    exactly when 0 < 2 * b < s_local, with b = UNIT_DRAW_BOUND * scale the
-    draws bound of the largest scale, at least that of any other (see
-    top_neighbor_table); otherwise every cell gets a draw. _kth_mask
+    releases. The exact cosines go into one buffer made per pass, as tall
+    as the tallest row chunk, and a dense pass with noise writes m into a
+    second one. The largest scale comes last and scales m in place; each
+    other scale's values are a new array. A chunk's arrays are dropped
+    before the next chunk makes its own: holding a pruned chunk's
+    candidates that long raised the peak RSS of sim-knn by 0.3 MB. The
+    pass prunes exactly when 0 < 2 * b < s_local, with b = UNIT_DRAW_BOUND
+    * scale the draws bound of the largest scale, at least that of any
+    other (see top_neighbor_table); otherwise every cell gets a draw. _kth_mask
     and _top_k set cells of the chunk buffers they read to -inf and put them
     back, bit for bit, before they return (_row_maxima), so every scale
     reads the exact cosines and draws as they were computed.
@@ -267,27 +247,28 @@ def _neighbor_tables(pairs: BlockPairs, scales: list[float], k_max: int):
     tables = [(np.empty((n, k_max), dtype=np.int64), np.empty((n, k_max))) for _ in scales]
     bound = scales[-1] * UNIT_DRAW_BOUND
     prune = 0.0 < 2.0 * bound < pairs.s_local
-    work = ChunkWorkspace()
+    shape = (max(hi - lo for lo, hi in pairs.row_chunks), n)
+    buf = np.empty(shape)
+    draws = np.empty(shape) if bound > 0.0 and not prune else None
     for lo, hi in pairs.row_chunks:
         h = hi - lo
         diagonal = np.arange(h), np.arange(lo, hi)
-        exact = pairs.exact_rows(lo, hi, out=work.array("exact", (h, n)))
+        exact = pairs.exact_rows(lo, hi, out=buf[:h])
         exact[diagonal] = -np.inf  # self never selected
         if prune:
-            reachable = _kth_mask(exact, k_max, bound, work)
-            base, logs, ids = _noisy_candidates(pairs, exact, reachable, lo, work)
+            base, logs, ids = _noisy_candidates(pairs, exact, _kth_mask(exact, k_max, bound), lo)
         else:
             base, logs, ids = exact, None, None
-            if bound > 0.0:
-                logs = pairs.row_logs(lo, hi, out=work.array("logs", (h, n)))
+            if draws is not None:
+                logs = pairs.row_logs(lo, hi, out=draws[:h])
                 logs[diagonal] = 0.0  # keeps the diagonal at -inf at every scale
         for scale, (nbrs, sims) in zip(scales, tables):
             vals = base
             if scale > 0.0:
-                out = logs if scale == scales[-1] else work.array("vals", base.shape)
-                vals = np.multiply(logs, scale, out=out)
+                vals = np.multiply(logs, scale, out=logs if scale == scales[-1] else None)
                 vals += base
             nbrs[lo:hi], sims[lo:hi] = _top_k(vals, k_max, ids)
+        del base, logs, ids, vals  # before the next chunk makes its candidates
     return tables
 
 
@@ -297,10 +278,9 @@ def top_neighbor_table(oracle: SimilarityOracle, k_max: int):
     The rows are visited in the block's row chunks (oracle.pairs.row_chunks, about
     ROW_CHUNK_ELEMS cells each), so each chunk's temporaries stay a few MB
     whatever n is, and each chunk's exact cosines are one product
-    (BlockPairs.exact_rows). The chunk-sized temporaries are views of
-    one ChunkWorkspace made per pass and reused from chunk to chunk. A
-    workspace kept across calls only held memory longer: the buffers a
-    call frees are reused for the next block's table.
+    (BlockPairs.exact_rows) into a buffer that the pass reuses from chunk
+    to chunk (see _neighbor_tables). A new product per chunk raised the
+    peak RSS of sim-knn by about 1.1 MB.
 
     One pass (_neighbor_tables) serves several noise scales of the block.
     The first request for a block whose BlockPairs holds a grid

@@ -733,6 +733,23 @@ def test_empty_epsilon_grid_rejected(argv, corpus_file, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--epsilons", "1,1"],
+    ["sweep", "--epsilons", "2,1,2.0", "--no-include-off"],
+    ["sensitivity-report", "--epsilons", "1,1.0"],
+    ["sensitivity-report", "--epsilons", "off,3,OFF"],
+])
+def test_repeated_epsilon_rejected(argv, tmp_path, capsys):
+    # a repeated value ran each block's pipeline (or report) twice and wrote
+    # each row twice; the parser rejects it before the corpus is read
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--input", str(tmp_path / "missing.jsonl"), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "the epsilon grid repeats a value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invalid_synth_config_is_one_line(tmp_path, capsys):
     out = tmp_path / "syn"
     assert main(["synth", "--out", str(out), "--events", "0"]) == 1
@@ -744,10 +761,16 @@ def test_invalid_synth_config_is_one_line(tmp_path, capsys):
     (["--seed", "-1"], "seed must be non-negative"),
     (["--concentration", "nan"], "intra_concentration must be finite and positive"),
     (["--concentration", "inf"], "intra_concentration must be finite and positive"),
-], ids=["negative_seed", "nan_concentration", "inf_concentration"])
+    (["--concentration", "1e-320"], "intra_concentration is too small: an embedding's norm "
+                                    "overflows"),
+    (["--concentration", "1e-160"], "intra_concentration is too small: an embedding's norm "
+                                    "overflows"),
+], ids=["negative_seed", "nan_concentration", "inf_concentration", "overflowing_noise",
+        "overflowing_norm"])
 def test_synth_rejects_before_making_out(flags, message, tmp_path, capsys):
-    # each of these once crashed after --out was made: numpy's seed check, or
-    # the strict JSON writer of config.json
+    # each of these once crashed after --out was made (numpy's seed check, or
+    # the strict JSON writer of config.json), or wrote a corpus of nan or
+    # all-zero embeddings that ingest rejects
     out = tmp_path / "syn"
     assert main(["synth", "--out", str(out), "--events", "2", "--points", "3"] + flags) == 1
     assert capsys.readouterr().err.splitlines() == [f"synth: {message}"]

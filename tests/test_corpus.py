@@ -189,6 +189,15 @@ class TestGenerate:
             SynthConfig(num_events=1, points_per_event=2, dim=4,
                         intra_concentration=concentration)
 
+    @pytest.mark.parametrize("concentration", [1e-320, 1e-160])
+    def test_concentration_whose_norms_overflow(self, concentration):
+        # 1e-320 once gave nan embeddings and 1e-160 all-zero ones; a
+        # RuntimeWarning on the way would fail here too
+        config = SynthConfig(num_events=2, points_per_event=3, dim=4,
+                             intra_concentration=concentration)
+        with pytest.raises(CorpusError, match="intra_concentration is too small"):
+            generate(config)
+
 
 @functools.cache
 def load_workloads():

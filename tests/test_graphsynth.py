@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,11 +9,11 @@ from conftest import block_513, block_oracle, dyadic_embeddings, make_graph
 from oracles import (direct_one_dim_se, full_width_knn_edges, lexsort_top_neighbors,
                      partition_kth_mask, partition_top_k)
 
-from dpevent import graphsynth
+from dpevent import graphsynth, privacy
 from dpevent.corpus import Corpus, MessageRecord, SynthConfig, generate
-from dpevent.graphsynth import (ChunkWorkspace, GraphError, W_FLOOR, _dedupe_undirected,
-                                build_attribute_edges, build_graph, build_knn_edges, one_dim_se,
-                                synthesize_graph, top_neighbor_table)
+from dpevent.graphsynth import (GraphError, W_FLOOR, _dedupe_undirected, build_attribute_edges,
+                                build_graph, build_knn_edges, one_dim_se, synthesize_graph,
+                                top_neighbor_table)
 from dpevent.privacy import (ROW_CHUNK_ELEMS, BlockPairs, PrivacyError, PrivacyParams,
                              SimilarityOracle)
 
@@ -205,13 +206,12 @@ class TestRowSelection:
         if tile_elems is not None:
             monkeypatch.setattr(graphsynth, "NOISE_TILE_ELEMS", tile_elems)
         rng = np.random.default_rng([k, ties, tile_elems or 0])
-        work = ChunkWorkspace()
         for _ in range(10):
             vals, _ = selection_rows(rng, k, ties, padded=False)
             before = vals.copy()
             for b in (0.0, 0.5, float(rng.uniform(0.0, 2.0))):
                 ref = partition_kth_mask(vals, k, b)
-                assert np.array_equal(graphsynth._kth_mask(vals, k, b, work), ref)
+                assert np.array_equal(graphsynth._kth_mask(vals, k, b), ref)
                 assert np.array_equal(vals.view(np.int64), before.view(np.int64))
 
 
@@ -350,39 +350,6 @@ class TestPrunedTable:
         assert not table_and_path(monkeypatch, oracle, 5)[2]
 
 
-def test_shared_workspace_leaves_no_stale_state(monkeypatch):
-    # one workspace serves tables of other block sizes, chunk heights and
-    # paths in turn (the dense path's per-chunk workspaces too); each must
-    # equal the table built with new workspaces
-    calls = []
-    candidates = graphsynth._noisy_candidates
-
-    def spy(*args):
-        calls.append(args)
-        return candidates(*args)
-
-    monkeypatch.setattr(graphsynth, "_noisy_candidates", spy)
-    big, small = block_513(), dyadic_block()
-    cases = []
-    for block, mode, epsilon, k_max, chunk_rows, pruned in [
-        (big, "mixed", 1.5, 10, 100, True),
-        (small, "mixed", 1.5, 5, None, True),
-        (small, "global", 3.0, 5, None, False),
-        (big, "mixed", 1.5, 10, None, True),
-    ]:
-        oracle = chunked_oracle(block, chunk_rows, epsilon=epsilon, mode=mode, seed=5)
-        calls.clear()
-        ref = top_neighbor_table(oracle, k_max)
-        assert bool(calls) == pruned
-        cases.append((oracle, k_max, ref))
-    shared = ChunkWorkspace()
-    monkeypatch.setattr(graphsynth, "ChunkWorkspace", lambda: shared)
-    for oracle, k_max, (ref_nbrs, ref_sims) in cases:
-        nbrs, sims = top_neighbor_table(oracle, k_max)
-        assert np.array_equal(nbrs, ref_nbrs)
-        assert np.array_equal(sims.view(np.int64), ref_sims.view(np.int64))
-
-
 def duplicated_block():
     """60 records on the 24 dyadic directions: every row has exact ties, most
     of them at any column a table cuts at."""
@@ -476,6 +443,29 @@ def test_one_pass_tables_equal_one_oracle_tables(monkeypatch, make_block, mode, 
     for epsilon, (nbrs, sims) in zip(epsilons, tables):
         ref_nbrs, ref_sims = top_neighbor_table(block_oracle(block, epsilon=epsilon, mode=mode,
                                                              seed=4), k_max)
+        assert np.array_equal(nbrs, ref_nbrs)
+        assert np.array_equal(sims.view(np.int64), ref_sims.view(np.int64))
+
+
+@pytest.mark.parametrize("mode, epsilons, pruned", [
+    ("mixed", (1.5, 3.0, None), True),
+    ("global", (1.0, 2.0, None), False),
+])
+def test_short_last_chunk_of_a_grid_pass(monkeypatch, mode, epsilons, pruned):
+    # 100-row chunks leave a 13-row last chunk of 513 records: its product
+    # (and, dense, its draws) fill the first rows of the pass's buffers,
+    # which are 100 rows tall. TestPrunedTable and TestTopNeighborTable
+    # check a short last chunk of a one-scale pass on either path.
+    block = block_513()
+    grid = tuple(PrivacyParams(epsilon=e, sensitivity_mode=mode) for e in epsilons)
+    with mock.patch.object(privacy, "ROW_CHUNK_ELEMS", 100 * len(block)):
+        pairs = BlockPairs(block, 0, 4, grid)
+    assert [hi - lo for lo, hi in pairs.row_chunks][-2:] == [100, 13]
+    oracles = [SimilarityOracle(pairs, params) for params in grid]
+    tables, passes = one_pass_tables(monkeypatch, pairs, oracles, 10)
+    assert passes == [[len(epsilons), pruned]]
+    for oracle, (nbrs, sims) in zip(oracles, tables):
+        ref_nbrs, ref_sims = lexsort_top_neighbors(oracle.noisy_rows(0, len(block)), 10)
         assert np.array_equal(nbrs, ref_nbrs)
         assert np.array_equal(sims.view(np.int64), ref_sims.view(np.int64))
 
